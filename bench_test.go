@@ -431,19 +431,16 @@ func BenchmarkFullStackHighwaySharded(b *testing.B) {
 	for _, bc := range []struct {
 		name   string
 		shards int
-		spec   int
 	}{
-		{"shards=1", 1, 0},
-		{"shards=2", 2, 0},
-		{"shards=4", 4, 0},
-		{"shards=8", 8, 0},
-		{"shards=8/speculate", 8, 8},
+		{"shards=1", 1},
+		{"shards=2", 2},
+		{"shards=4", 4},
+		{"shards=8", 8},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			cfg := world.DefaultHighwayConfig()
 			cfg.Length = 36000
 			cfg.Cars = 1200
-			cfg.SpecDepth = bc.spec
 			h, err := world.BuildHighway(1, bc.shards, cfg)
 			if err != nil {
 				b.Fatal(err)
@@ -479,27 +476,18 @@ func BenchmarkFullStackHighwaySharded(b *testing.B) {
 // on the shard goroutines and the barrier only hands off boundary
 // crossers and concatenates, so the serial barrier work tracks the
 // reported crossers/simsec (a few per barrier), not the car count.
-//
-// The speculate variant additionally lets the shards run up to 8 windows
-// ahead optimistically (deterministic abort-and-replay keeps the output
-// byte-identical — locked in by the world tests); it measures how much of
-// the remaining barrier synchronization cost the optimistic engine buys
-// back at width 8.
 func BenchmarkMegaHighwaySharded(b *testing.B) {
 	for _, bc := range []struct {
 		name   string
 		shards int
-		spec   int
 	}{
-		{"shards=1", 1, 0},
-		{"shards=8", 8, 0},
-		{"shards=8/speculate", 8, 8},
+		{"shards=1", 1},
+		{"shards=8", 8},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			cfg := world.DefaultHighwayConfig()
 			cfg.Length = 300000
 			cfg.Cars = 10000
-			cfg.SpecDepth = bc.spec
 			h, err := world.BuildHighway(1, bc.shards, cfg)
 			if err != nil {
 				b.Fatal(err)

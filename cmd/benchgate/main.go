@@ -95,7 +95,7 @@ type Snapshot struct {
 }
 
 // shardedName captures the shard width of a sharded benchmark variant and
-// its family prefix, e.g. BenchmarkMegaHighwaySharded/shards=8/speculate
+// its family prefix, e.g. BenchmarkMegaHighwaySharded/shards=8/medium
 // -> family BenchmarkMegaHighwaySharded, width 8.
 var shardedName = regexp.MustCompile(`^(.+)/shards=(\d+)(/.*)?$`)
 
@@ -103,9 +103,8 @@ var shardedName = regexp.MustCompile(`^(.+)/shards=(\d+)(/.*)?$`)
 // with N > 1 whose family also ran at shards=1, the parallel efficiency
 // ns(shards=1) / (ns(variant) · N) — 1.0 is a perfect linear speedup, 1/N
 // means the extra shards bought nothing (the single-core floor). Variants
-// past the width (e.g. /speculate) are scored against the same plain
-// shards=1 baseline, so the speculative engine's contribution is read off
-// the same scale.
+// past the width (e.g. /medium) are scored against the same plain
+// shards=1 baseline, so they are read off the same scale.
 func efficiency(snap *Snapshot) {
 	for name, e := range snap.Benchmarks {
 		m := shardedName.FindStringSubmatch(name)

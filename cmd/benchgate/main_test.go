@@ -235,22 +235,22 @@ func TestCompareAllocsGateEdges(t *testing.T) {
 	}
 }
 
-// Parallel efficiency: every /shards=N (and deeper, e.g. /speculate)
+// Parallel efficiency: every /shards=N (and deeper, e.g. /medium)
 // variant with a shards=1 sibling scores ns(1)/(ns(N)·N); everything
 // else — the shards=1 anchor itself, families without an anchor,
 // non-sharded names — is left out of the map.
 func TestEfficiency(t *testing.T) {
 	snap := &Snapshot{Benchmarks: map[string]Entry{
-		"BenchmarkMega/shards=1":           {NsPerOp: 800},
-		"BenchmarkMega/shards=4":           {NsPerOp: 250}, // 800/(250·4) = 0.80
-		"BenchmarkMega/shards=4/speculate": {NsPerOp: 200}, // 800/(200·4) = 1.00
-		"BenchmarkOrphan/shards=8":         {NsPerOp: 100}, // no shards=1 sibling
-		"BenchmarkScalar":                  {NsPerOp: 10},
+		"BenchmarkMega/shards=1":        {NsPerOp: 800},
+		"BenchmarkMega/shards=4":        {NsPerOp: 250}, // 800/(250·4) = 0.80
+		"BenchmarkMega/shards=4/medium": {NsPerOp: 200}, // 800/(200·4) = 1.00
+		"BenchmarkOrphan/shards=8":      {NsPerOp: 100}, // no shards=1 sibling
+		"BenchmarkScalar":               {NsPerOp: 10},
 	}}
 	efficiency(snap)
 	want := map[string]float64{
-		"BenchmarkMega/shards=4":           0.80,
-		"BenchmarkMega/shards=4/speculate": 1.00,
+		"BenchmarkMega/shards=4":        0.80,
+		"BenchmarkMega/shards=4/medium": 1.00,
 	}
 	if len(snap.Efficiency) != len(want) {
 		t.Fatalf("efficiency map = %v, want %v", snap.Efficiency, want)

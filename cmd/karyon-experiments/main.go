@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	karyon-experiments [-seed N] [-only E5[,E6,...]] [-replicas N] [-parallel N] [-shards N] [-speculate K] [-medium] [-csv | -json] [-short]
+//	karyon-experiments [-seed N] [-only E5[,E6,...]] [-replicas N] [-parallel N] [-shards N] [-medium] [-csv | -json] [-short]
 //
 // With -replicas 0 (the default) each experiment uses its own default:
 // statistical experiments (E11, E12, E14, E-MAC-S) run replicated so
@@ -16,12 +16,6 @@
 // slot-level sharded radio medium instead of abstract per-receiver loss
 // draws; E-MAC-S always runs the medium (it is the subject). It changes
 // the modeled physics, so compare tables only at equal -medium settings.
-//
-// -speculate K (K >= 2) turns on optimistic shard windows for the
-// experiments built on the partitioned highway worlds: shard kernels run
-// up to K windows ahead with deterministic abort-and-replay. Like -shards
-// and -parallel it trades wall time only — every table is byte-identical
-// at every K (carrier-sense worlds fence back to lockstep automatically).
 package main
 
 import (
@@ -63,7 +57,6 @@ func run(args []string, out io.Writer) error {
 	replicas := fs.Int("replicas", 0, "independent replicas per experiment, seeds spaced by the harness stride (0 = per-experiment default; statistical experiments replicate)")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "replica worker-pool width; affects wall time only, never output")
 	shards := fs.Int("shards", 1, "shard kernels per replica for shardable scenarios; affects wall time only, never output")
-	speculate := fs.Int("speculate", 0, "optimistic shard windows for highway-world experiments: run up to K windows ahead with deterministic abort-and-replay (0/1 = lockstep); affects wall time only, never output")
 	short := fs.Bool("short", false, "reduced-fidelity runs: fewer sweep points, shorter simulated durations")
 	medium := fs.Bool("medium", false, "run world experiments (E2, E12) over the slot-level sharded radio medium")
 	if err := fs.Parse(args); err != nil {
@@ -89,7 +82,7 @@ func run(args []string, out io.Writer) error {
 		if opts.Replicas < 1 {
 			opts.Replicas = e.DefaultReplicas()
 		}
-		rep, err := harness.Run(context.Background(), experiments.Harnessed{Exp: e, Short: *short, Medium: *medium, SpecDepth: *speculate}, opts)
+		rep, err := harness.Run(context.Background(), experiments.Harnessed{Exp: e, Short: *short, Medium: *medium}, opts)
 		if err != nil {
 			return err
 		}

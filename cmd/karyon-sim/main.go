@@ -4,7 +4,7 @@
 // Usage:
 //
 //	karyon-sim -scenario highway [-seed N] [-duration 2m] [-cars 30] [-mode adaptive|fixed1|fixed2|fixed3|reckless] [-fault-rate 2] [-jam-every 30s -jam-burst 2s] [-medium] [-channels 2]
-//	karyon-sim -scenario megahighway [-cars 200] [-length 10000] [-loss 0.05] [-shards N] [-speculate K] [-medium] [-jam-every 30s -jam-burst 2s]
+//	karyon-sim -scenario megahighway [-cars 200] [-length 10000] [-loss 0.05] [-shards N] [-medium] [-jam-every 30s -jam-burst 2s]
 //	karyon-sim -scenario intersection [-failat 60s] [-nobackup] [-medium] [-jam-every 30s -jam-burst 2s]
 //	karyon-sim -scenario encounter [-geometry same-direction|leveled-crossing|level-change] [-voice]
 //	karyon-sim -scenario highway -record run.ktr [-checkpoint-every 50] [-perturb-window N]
@@ -26,15 +26,6 @@
 // medium — airtime occupancy, overlap collisions, carrier sense and jam
 // windows, still byte-identical at every -shards width — and -channels
 // sets its orthogonal channel count.
-//
-// -speculate K (K >= 2) lets shard kernels of the highway worlds run up to
-// K windows ahead optimistically, with deterministic abort-and-replay on
-// conflict: another wall-time-only knob — the simulated records are
-// byte-identical to a lockstep run at every K and every width. It appends
-// a telemetry=speculation record (batches, commits, aborts, replay counts,
-// per-arc radio resolution splits) that naturally varies with -shards and
-// -speculate; exclude it when diffing across those knobs. Carrier-sense
-// medium worlds fence back to lockstep automatically.
 //
 // -cpuprofile and -memprofile write runtime/pprof profiles of the run —
 // CPU samples over the whole execution, and a post-GC heap snapshot at
@@ -112,7 +103,6 @@ func run(args []string, out io.Writer) error {
 	replicas := fs.Int("replicas", 1, "independent replicas, seeds spaced by the harness stride")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "replica worker-pool width; affects wall time only, never output")
 	shards := fs.Int("shards", 1, "shard kernels per replica (megahighway); affects wall time only, never output")
-	speculate := fs.Int("speculate", 0, "highway/megahighway: optimistic shard windows — run up to K windows ahead with deterministic abort-and-replay (0/1 = lockstep); affects wall time only, never simulated output")
 	jsonOut := fs.Bool("json", false, "emit a JSON report with full per-value distributions")
 	daemon := fs.String("daemon", "", "submit to a karyon-d control API at this URL instead of running in-process (e.g. http://127.0.0.1:7077)")
 	daemonRetries := fs.Int("daemon-retries", 3, "-daemon: max retries per API call on transport errors and degraded-mode 503s (safe: deterministic job IDs dedupe replays); negative disables")
@@ -181,7 +171,7 @@ func run(args []string, out io.Writer) error {
 	if *daemon != "" {
 		spec := service.JobSpec{
 			Scenario: *scenario, Seed: *seed, Replicas: *replicas, Shards: *shards,
-			Speculate: *speculate, Duration: (*duration).String(), Cars: *cars,
+			Duration: (*duration).String(), Cars: *cars,
 			Length: *length, Loss: loss, V2VRange: *v2vRange, Mode: *mode,
 			FaultRate: *faultRate, Medium: *medium, Channels: *channels,
 			NoBackup: *noBackup, Geometry: *geometry, Voice: *voice,
@@ -219,14 +209,13 @@ func run(args []string, out io.Writer) error {
 		sc = harness.HighwayScenario{
 			Duration: *duration, Cars: n, Mode: *mode,
 			SensorFaultRate: *faultRate, JamEvery: *jamEvery, JamBurst: *jamBurst,
-			Medium: *medium, Channels: *channels, SpecDepth: *speculate,
+			Medium: *medium, Channels: *channels,
 			TracePath: *record, CheckpointEvery: *checkpointEvery, PerturbWindow: *perturbWindow,
 		}
 	case "megahighway":
 		sc = harness.MegaHighwayScenario{
 			Duration: *duration, Cars: *cars, Length: *length, Loss: *loss, V2VRange: *v2vRange,
 			Medium: *medium, Channels: *channels, JamEvery: *jamEvery, JamBurst: *jamBurst,
-			SpecDepth: *speculate,
 			TracePath: *record, CheckpointEvery: *checkpointEvery, PerturbWindow: *perturbWindow,
 		}
 	case "intersection":

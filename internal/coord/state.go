@@ -54,8 +54,8 @@ func (t *StateTable) Update(s CoopState) {
 	t.m[s.ID] = s
 }
 
-// StateTableState is a checkpoint of the table's entries (for speculative
-// shard windows); storage is reused across Save calls.
+// StateTableState is a checkpoint of the table's entries (for
+// record/replay checkpoints); storage is reused across Save calls.
 type StateTableState struct {
 	entries []CoopState
 }

@@ -3,8 +3,8 @@ package core
 import "karyon/internal/sim"
 
 // This file implements checkpoint/restore for the safety kernel — the
-// "lightweight undo point" a speculative shard window records before
-// running ahead of the barrier. Everything the manager, its
+// per-car state a record/replay checkpoint captures (see saveCar in
+// internal/world/record.go). Everything the manager, its
 // functionalities, the runtime-information store and the actuation gate
 // mutate during control cycles is captured; design-time structure (rules,
 // envelopes, levels) is immutable after construction and is not.

@@ -118,7 +118,6 @@ func runE2(cfg Config) *metrics.Result {
 		hcfg.FixedLoS = fixed
 		hcfg.Medium = cfg.Medium
 		hcfg.CarrierSense = cfg.Medium
-		hcfg.SpecDepth = cfg.SpecDepth
 		if !v2v {
 			hcfg.V2VPeriod = 0
 		}
@@ -190,7 +189,6 @@ func runE12(cfg Config) *metrics.Result {
 		hcfg := world.DefaultHighwayConfig()
 		hcfg.Medium = cfg.Medium
 		hcfg.CarrierSense = cfg.Medium
-		hcfg.SpecDepth = cfg.SpecDepth
 		h, err := world.BuildHighway(cfg.Seed+int64(c), cfg.shards(), hcfg)
 		if err != nil {
 			res.AddNote("campaign %d: %v", c, err)

@@ -45,10 +45,6 @@ func runEMacS(cfg Config) *metrics.Result {
 			hcfg.Medium = true
 			hcfg.CarrierSense = true
 			hcfg.Loss = 0.02
-			// Honored for uniformity, but carrier-sense worlds fence
-			// speculation to lockstep (whole-window contention cannot be
-			// resolved per-arc), so this never changes the numbers.
-			hcfg.SpecDepth = cfg.SpecDepth
 			h, err := world.BuildHighway(cfg.Seed, cfg.shards(), hcfg)
 			if err != nil {
 				res.AddNote("%d cars: %v", cars, err)

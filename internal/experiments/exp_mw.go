@@ -312,7 +312,6 @@ func runE14(cfg Config) *metrics.Result {
 	hcfg.Cars = 10
 	hcfg.Length = 1500
 	hcfg.Lanes = 2
-	hcfg.SpecDepth = cfg.SpecDepth
 	if h, err := world.BuildHighway(cfg.Seed, cfg.shards(), hcfg); err == nil {
 		h.Cars()[0].SetCruiseSpeed(10)
 		if err := h.Start(); err == nil {

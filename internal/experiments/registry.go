@@ -37,12 +37,6 @@ type Config struct {
 	// the experiment's identity: results are comparable only at equal
 	// Medium settings.
 	Medium bool
-	// SpecDepth >= 2 lets the sharded worlds run up to that many windows
-	// ahead speculatively (world.HighwayConfig.SpecDepth). Like Shards it
-	// is an execution knob, not a physics knob: the deterministic
-	// abort-and-replay contract keeps the result byte-identical to a
-	// lockstep run, so tables are comparable across any SpecDepth.
-	SpecDepth int
 }
 
 // shards returns the effective shard width.
@@ -104,8 +98,6 @@ type Harnessed struct {
 	Short bool
 	// Medium flows into Config.Medium for every replica.
 	Medium bool
-	// SpecDepth flows into Config.SpecDepth for every replica.
-	SpecDepth int
 }
 
 // Name implements harness.Scenario.
@@ -113,7 +105,7 @@ func (h Harnessed) Name() string { return h.Exp.ID }
 
 // Run implements harness.Scenario.
 func (h Harnessed) Run(k *sim.Kernel) (*metrics.Result, error) {
-	return h.Exp.Run(Config{Seed: k.Seed(), Short: h.Short, Medium: h.Medium, SpecDepth: h.SpecDepth}), nil
+	return h.Exp.Run(Config{Seed: k.Seed(), Short: h.Short, Medium: h.Medium}), nil
 }
 
 // RunSharded implements harness.Shardable (structurally): the shard width
@@ -122,7 +114,7 @@ func (h Harnessed) Run(k *sim.Kernel) (*metrics.Result, error) {
 // Shards — and the determinism contract of those that honor it — keep the
 // output byte-identical for every width.
 func (h Harnessed) RunSharded(_ context.Context, seed int64, shards int) (*metrics.Result, error) {
-	return h.Exp.Run(Config{Seed: seed, Short: h.Short, Shards: shards, Medium: h.Medium, SpecDepth: h.SpecDepth}), nil
+	return h.Exp.Run(Config{Seed: seed, Short: h.Short, Shards: shards, Medium: h.Medium}), nil
 }
 
 // All returns every experiment in id order.

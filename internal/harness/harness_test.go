@@ -278,49 +278,6 @@ func TestScenarioImplementations(t *testing.T) {
 	}
 }
 
-// SpecDepth is an execution knob: apart from the explicitly-labeled
-// telemetry record, a speculative scenario report must be byte-identical
-// to the lockstep report at every shard width.
-func TestSpeculationDoesNotChangeScenarioOutput(t *testing.T) {
-	run := func(depth, shards int) *Report {
-		sc := MegaHighwayScenario{Duration: 3 * time.Second, Cars: 40, Length: 2000, Loss: 0.05, SpecDepth: depth}
-		rep, err := Run(context.Background(), sc, Options{Seed: 7, Replicas: 2, Parallel: 2, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	// Strip the telemetry=speculation rows before comparing: they describe
-	// execution, not simulation, and legitimately vary with the knobs.
-	strip := func(rep *Report) string {
-		var rows []metrics.AggRecord
-		for _, r := range rep.Summary.Records {
-			if len(r.Labels) > 0 && r.Labels[0].Name == "telemetry" {
-				continue
-			}
-			rows = append(rows, r)
-		}
-		rep.Summary.Records = rows
-		js, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(js)
-	}
-	want := strip(run(0, 1))
-	for _, shards := range []int{1, 4} {
-		rep := run(8, shards)
-		kept := len(rep.Summary.Records)
-		got := strip(rep)
-		if kept == len(rep.Summary.Records) {
-			t.Fatalf("shards=%d: speculative report carries no telemetry record", shards)
-		}
-		if got != want {
-			t.Fatalf("shards=%d: speculation changed the simulated report:\n%s\nvs\n%s", shards, got, want)
-		}
-	}
-}
-
 // A sub-microsecond jam period truncates to zero virtual time; the jam
 // scheduler must bail out instead of looping forever without advancing.
 func TestSubMicrosecondJamPeriodDoesNotHang(t *testing.T) {

@@ -37,13 +37,6 @@ type HighwayScenario struct {
 	// draws; Channels sets its orthogonal channel count.
 	Medium   bool
 	Channels int
-	// SpecDepth >= 2 lets shards run up to that many windows ahead
-	// speculatively with deterministic abort-and-replay. Like Shards it
-	// affects wall time only: the simulated records are byte-identical at
-	// every depth. It does add a "telemetry" record (see
-	// recordSpecTelemetry) whose counters legitimately vary with the
-	// execution knobs.
-	SpecDepth int
 	// TracePath writes a record/replay trace of the run (windows,
 	// barrier decisions, digests, periodic checkpoints; see
 	// internal/world record.go). Recording requires a single replica and
@@ -73,7 +66,6 @@ func (s HighwayScenario) RunSharded(ctx context.Context, seed int64, shards int)
 	cfg.Medium = s.Medium
 	cfg.Channels = s.Channels
 	cfg.CarrierSense = s.Medium // CSMA by default on the slot-level radio
-	cfg.SpecDepth = s.SpecDepth
 	switch s.Mode {
 	case "adaptive":
 		cfg.Mode = world.ModeAdaptive
@@ -159,9 +151,6 @@ func (s HighwayScenario) RunSharded(ctx context.Context, seed int64, shards int)
 	if s.Medium {
 		recordMediumStats(rec, h)
 	}
-	if cfg.SpecDepth >= 2 {
-		recordSpecTelemetry(res, h, s.Medium)
-	}
 	return res, nil
 }
 
@@ -237,30 +226,6 @@ func recordMediumStats(rec *metrics.Record, h *world.Highway) {
 		Val("inacc max ms", inacc.Max(), metrics.F2)
 }
 
-// recordSpecTelemetry appends the speculation controller's counters as a
-// separate record labeled telemetry=speculation. Unlike every other record
-// these values describe how the run executed, not what it simulated: they
-// legitimately vary with Shards and SpecDepth. Tools diffing reports across
-// those knobs must exclude this record — the simulated records stay
-// byte-identical under the abort-and-replay contract.
-func recordSpecTelemetry(res *metrics.Result, h *world.Highway, medium bool) {
-	st := h.SpecStats()
-	rec := res.Record("telemetry", "speculation").
-		Int("batches", int64(st.Batches)).
-		Int("commits", int64(st.Commits)).
-		Int("aborts", int64(st.Aborts)).
-		Int("windows speculated", int64(st.WindowsSpeculated)).
-		Int("windows aborted", int64(st.WindowsAborted)).
-		Int("windows replayed", int64(st.WindowsReplayed)).
-		Int("fences", int64(st.Fences)).
-		Int("depth", int64(st.Depth))
-	if medium {
-		ms := h.MediumStats()
-		rec.Int("frames resolved in-arc", ms.ResolvedLocal).
-			Int("frames resolved at barrier", ms.ResolvedBoundary)
-	}
-}
-
 // MegaHighwayScenario runs the large-world highway: the same full-stack
 // engine as HighwayScenario, sized so that one core cannot hold it — the
 // reason the harness grew a shards dimension. The output is byte-identical
@@ -287,9 +252,6 @@ type MegaHighwayScenario struct {
 	// must be positive to take effect).
 	JamEvery time.Duration
 	JamBurst time.Duration
-	// SpecDepth >= 2 enables optimistic shard windows (see
-	// HighwayScenario.SpecDepth): wall time only, plus a telemetry record.
-	SpecDepth int
 	// TracePath/CheckpointEvery/PerturbWindow mirror
 	// HighwayScenario's recording knobs.
 	TracePath       string
@@ -324,7 +286,6 @@ func (s MegaHighwayScenario) RunSharded(ctx context.Context, seed int64, shards 
 	cfg.Medium = s.Medium
 	cfg.Channels = s.Channels
 	cfg.CarrierSense = s.Medium
-	cfg.SpecDepth = s.SpecDepth
 	h, err := world.BuildHighway(seed, shards, cfg)
 	if err != nil {
 		return nil, err
@@ -372,9 +333,6 @@ func (s MegaHighwayScenario) RunSharded(ctx context.Context, seed int64, shards 
 		Int("events", int64(h.Kernel().Executed()))
 	if s.Medium {
 		recordMediumStats(rec, h)
-	}
-	if cfg.SpecDepth >= 2 {
-		recordSpecTelemetry(res, h, s.Medium)
 	}
 	return res, nil
 }

@@ -29,33 +29,6 @@ func (h *Histogram) Clone() Histogram {
 	}
 }
 
-// HistogramState is a truncate-style checkpoint of a histogram (for
-// speculative shard windows): it records the sample count rather than the
-// samples, so saving is O(1). Restoring is only valid while no query has
-// sorted the samples in place since the save — Percentile reorders the
-// prefix, after which truncation would keep the wrong samples. Speculative
-// batches satisfy this by construction: observer hooks are disabled while
-// a batch is in flight, so nothing queries the histogram between save and
-// restore.
-type HistogramState struct {
-	n      int
-	sum    float64
-	sorted bool
-}
-
-// SaveState checkpoints the histogram.
-func (h *Histogram) SaveState() HistogramState {
-	return HistogramState{n: len(h.samples), sum: h.sum, sorted: h.sorted}
-}
-
-// RestoreState rewinds the histogram to a SaveState checkpoint (see
-// HistogramState for the no-queries-since-save requirement).
-func (h *Histogram) RestoreState(st HistogramState) {
-	h.samples = h.samples[:st.n]
-	h.sum = st.sum
-	h.sorted = st.sorted
-}
-
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
 	h.samples = append(h.samples, v)

@@ -350,7 +350,7 @@ func (fm *FaultManagement) Verdict(name string) (Verdict, bool) {
 }
 
 // FaultManagementState is a checkpoint of the unit's mutable state (for
-// speculative shard windows); storage is reused across Save calls.
+// record/replay checkpoints); storage is reused across Save calls.
 type FaultManagementState struct {
 	hist     []Reading
 	verdicts []Verdict
@@ -397,8 +397,8 @@ func (a *Abstract) Name() string { return a.phys.Name() }
 // and campaigns).
 func (a *Abstract) Physical() *Physical { return a.phys }
 
-// FaultManagement exposes the wrapped detection unit (for speculative
-// checkpointing: the abstract sensor itself is stateless, its state lives
+// FaultManagement exposes the wrapped detection unit (for record/replay
+// checkpoints: the abstract sensor itself is stateless, its state lives
 // in the transducer and the detection unit).
 func (a *Abstract) FaultManagement() *FaultManagement { return a.fm }
 

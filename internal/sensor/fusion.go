@@ -270,7 +270,7 @@ func NewReliable(clock sim.Clock, inputs []*Abstract, halfWidth float64, f int, 
 func (rs *Reliable) LastErr() error { return rs.lastErr }
 
 // ReliableState is a checkpoint of the fused sensor's mutable state (for
-// speculative shard windows); storage is reused across Save calls.
+// record/replay checkpoints); storage is reused across Save calls.
 type ReliableState struct {
 	filter   TemporalFilter
 	lastErr  error

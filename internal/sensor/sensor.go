@@ -196,9 +196,9 @@ func (p *Physical) Sample() Reading {
 }
 
 // PhysicalState is a checkpoint of the transducer's mutable state (for
-// speculative shard windows). The noise stream is owned and checkpointed
-// by the entity that constructed the sensor; fault episodes only change at
-// barriers outside speculation, so they are not part of it.
+// record/replay checkpoints). The noise stream is owned and checkpointed
+// by the entity that constructed the sensor; fault episodes come only from
+// fault campaigns, which a recording refuses, so they are not part of it.
 type PhysicalState struct {
 	stuck    float64
 	stuckSet bool

@@ -31,12 +31,10 @@ type JobSpec struct {
 	// Replicas); seed 0 means the default base seed 1.
 	Seed     int64 `json:"seed,omitempty"`
 	Replicas int   `json:"replicas,omitempty"`
-	// Shards and Speculate are execution knobs that are nevertheless part
-	// of the job identity: the simulated records are byte-identical across
-	// them, but speculation telemetry records legitimately vary, and a
-	// cached stream must be byte-identical to the run it stands in for.
-	Shards    int `json:"shards,omitempty"`
-	Speculate int `json:"speculate,omitempty"`
+	// Shards is an execution knob: the simulated records are
+	// byte-identical at every width. It stays part of the job identity so
+	// a cached stream is always the output of the run it stands in for.
+	Shards int `json:"shards,omitempty"`
 	// Duration is the simulated duration (world scenarios; default 2m).
 	Duration string `json:"duration,omitempty"`
 	// Cars is the car count for highway/megahighway (0 = scenario default).
@@ -80,7 +78,7 @@ type JobSpec struct {
 // specVersion versions the canonical form. Bump it whenever the canonical
 // layout or the meaning of any field changes, so stale archives can never
 // be served for a semantically different run.
-const specVersion = "karyon-job-v1"
+const specVersion = "karyon-job-v2"
 
 // scenarioKind classifies what a normalized spec runs.
 type scenarioKind int
@@ -146,9 +144,6 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 	}
 	n.Replicas = max(1, s.Replicas)
 	n.Shards = max(1, s.Shards)
-	if s.Speculate >= 2 {
-		n.Speculate = s.Speculate
-	}
 	if s.Timeout != "" {
 		d, err := parseDur("timeout", s.Timeout)
 		if err != nil {
@@ -242,7 +237,6 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 			n.FailAt = failAt.String()
 		}
 		n.NoBackup = s.NoBackup
-		n.Speculate = 0 // the intersection has no speculative engine
 		setJam()
 		setMedium()
 	case kindEncounter:
@@ -257,7 +251,6 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 		}
 		n.Voice = s.Voice
 		n.Shards = 1 // single-kernel scenario: shards never apply
-		n.Speculate = 0
 	case kindExperiment:
 		n.Medium = s.Medium
 		n.Short = s.Short
@@ -276,7 +269,6 @@ type canonicalSpec struct {
 	Scenario  string  `json:"scenario"`
 	Seeds     []int64 `json:"seeds"`
 	Shards    int     `json:"shards"`
-	Speculate int     `json:"speculate"`
 	Duration  string  `json:"duration"`
 	Cars      int     `json:"cars"`
 	Length    float64 `json:"length"`
@@ -313,7 +305,6 @@ func (s JobSpec) CacheKey(build string) (string, error) {
 		Scenario:  n.Scenario,
 		Seeds:     harness.Seeds(n.Seed, n.Replicas),
 		Shards:    n.Shards,
-		Speculate: n.Speculate,
 		Duration:  n.Duration,
 		Cars:      n.Cars,
 		Length:    n.Length,
@@ -355,7 +346,7 @@ func (s JobSpec) scenario() (harness.Scenario, error) {
 		return harness.HighwayScenario{
 			Duration: dur, Cars: s.Cars, Mode: s.Mode,
 			SensorFaultRate: s.FaultRate, JamEvery: jamEvery, JamBurst: jamBurst,
-			Medium: s.Medium, Channels: s.Channels, SpecDepth: s.Speculate,
+			Medium: s.Medium, Channels: s.Channels,
 		}, nil
 	case kindMegaHighway:
 		loss := 0.0
@@ -365,7 +356,6 @@ func (s JobSpec) scenario() (harness.Scenario, error) {
 		return harness.MegaHighwayScenario{
 			Duration: dur, Cars: s.Cars, Length: s.Length, Loss: loss, V2VRange: s.V2VRange,
 			Medium: s.Medium, Channels: s.Channels, JamEvery: jamEvery, JamBurst: jamBurst,
-			SpecDepth: s.Speculate,
 		}, nil
 	case kindIntersection:
 		failAt, _ := parseDur("fail_at", s.FailAt)
@@ -378,7 +368,7 @@ func (s JobSpec) scenario() (harness.Scenario, error) {
 	default:
 		for _, e := range experiments.All() {
 			if e.ID == s.Scenario {
-				return experiments.Harnessed{Exp: e, Short: s.Short, Medium: s.Medium, SpecDepth: s.Speculate}, nil
+				return experiments.Harnessed{Exp: e, Short: s.Short, Medium: s.Medium}, nil
 			}
 		}
 		return nil, fmt.Errorf("unknown scenario %q", s.Scenario)

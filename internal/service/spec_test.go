@@ -56,10 +56,9 @@ func TestCacheKeyDurationSpelling(t *testing.T) {
 	}
 }
 
-// TestCacheKeyKnobSensitivity: every knob that can change the result
-// stream — including the execution-shape knobs speculate and shards,
-// whose telemetry records legitimately vary — must change the key, and
-// every mutation must yield a distinct key.
+// TestCacheKeyKnobSensitivity: every knob that is part of the job
+// identity — including the execution-shape knob shards — must change the
+// key, and every mutation must yield a distinct key.
 func TestCacheKeyKnobSensitivity(t *testing.T) {
 	loss01 := 0.1
 	base := JobSpec{Scenario: "megahighway", Seed: 7, Replicas: 2, Duration: "30s"}
@@ -67,7 +66,6 @@ func TestCacheKeyKnobSensitivity(t *testing.T) {
 		"seed":      {Scenario: "megahighway", Seed: 8, Replicas: 2, Duration: "30s"},
 		"replicas":  {Scenario: "megahighway", Seed: 7, Replicas: 3, Duration: "30s"},
 		"shards":    {Scenario: "megahighway", Seed: 7, Replicas: 2, Duration: "30s", Shards: 2},
-		"speculate": {Scenario: "megahighway", Seed: 7, Replicas: 2, Duration: "30s", Speculate: 4},
 		"duration":  {Scenario: "megahighway", Seed: 7, Replicas: 2, Duration: "45s"},
 		"cars":      {Scenario: "megahighway", Seed: 7, Replicas: 2, Duration: "30s", Cars: 150},
 		"length":    {Scenario: "megahighway", Seed: 7, Replicas: 2, Duration: "30s", Length: 20000},
@@ -127,15 +125,8 @@ func TestCacheKeyIrrelevantKnobsDoNotSplit(t *testing.T) {
 	if mustKey(t, JobSpec{Scenario: "encounter", Shards: 8}) != mustKey(t, JobSpec{Scenario: "encounter"}) {
 		t.Error("shards split the key of the single-kernel encounter scenario")
 	}
-	if mustKey(t, JobSpec{Scenario: "intersection", Speculate: 4}) != mustKey(t, JobSpec{Scenario: "intersection"}) {
-		t.Error("speculate split the key of the intersection (no speculative engine)")
-	}
 	if mustKey(t, JobSpec{Scenario: "highway", Geometry: "level-change"}) != mustKey(t, JobSpec{Scenario: "highway"}) {
 		t.Error("encounter-only geometry split a highway key")
-	}
-	// Speculate < 2 is lockstep, exactly like omitting it.
-	if mustKey(t, JobSpec{Scenario: "highway", Speculate: 1}) != mustKey(t, JobSpec{Scenario: "highway"}) {
-		t.Error("speculate=1 (lockstep) split the key")
 	}
 	// Jam knobs only act as a pair.
 	if mustKey(t, JobSpec{Scenario: "highway", JamEvery: "10s"}) != mustKey(t, JobSpec{Scenario: "highway"}) {

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -170,6 +172,22 @@ func TestClientAPIErrors(t *testing.T) {
 	}
 	if _, err := c.Cancel(ctx, "deadbeef"); !errors.As(err, &apiErr) || apiErr.Code != 404 {
 		t.Fatalf("unknown cancel error = %v", err)
+	}
+}
+
+// A submission naming a field JobSpec does not have — here the removed
+// "speculate" knob — is refused with a 400 that names the field, never
+// silently run with the field ignored.
+func TestClientUnknownFieldRefused(t *testing.T) {
+	_, c := newTestDaemon(t)
+	body := []byte(`{"scenario":"highway","duration":"10s","cars":6,"speculate":8}`)
+	_, err := c.do(context.Background(), http.MethodPost, "/v1/jobs", body, false)
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Code != http.StatusBadRequest {
+		t.Fatalf("unknown-field submit error = %v, want HTTP 400", err)
+	}
+	if !strings.Contains(apiErr.Msg, `"speculate"`) {
+		t.Fatalf("400 message %q does not name the unknown field", apiErr.Msg)
 	}
 }
 

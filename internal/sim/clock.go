@@ -30,7 +30,7 @@ func (c *ManualClock) Set(t Time) { c.t = t }
 // entity's randomness from such streams — never from a shard kernel's rng —
 // so the sequence an entity consumes is independent of which shard runs it
 // and of how other entities' events interleave. The returned Stream exposes
-// State/Restore so speculative execution can checkpoint and replay it.
+// State/Restore so a record/replay checkpoint can capture and restore it.
 func NewStream(seed, entity, dim int64) *Stream {
 	src := &source{state: uint64(SplitSeed(seed, entity*64+dim))}
 	return &Stream{Rand: rand.New(src), src: src}

@@ -325,33 +325,16 @@ func (k *Kernel) RunUntilIdle() {
 // still queued.
 func (k *Kernel) Pending() int { return k.events.Len() }
 
-// KernelMark captures a kernel's progress counters for speculative
-// rollback.
-type KernelMark struct {
-	now      Time
-	executed uint64
-}
-
-// Mark returns a rollback point at the kernel's current progress. The
-// event queue is not part of the mark: speculative models checkpoint at
-// window edges, where their queues hold only the upcoming window's seeded
-// events, which the model re-seeds after Rollback.
-func (k *Kernel) Mark() KernelMark {
-	return KernelMark{now: k.now, executed: k.executed}
-}
-
-// Rollback rewinds the kernel to a mark: every queued event is discarded
-// (recycled), and the clock and executed counter rewind so a replayed
-// stretch of virtual time counts its events exactly once. The sequence
-// counter is NOT rewound — it only breaks ties between events scheduled in
-// the same window, so continuing it preserves determinism while fencing
-// any stale Timer handles.
-func (k *Kernel) Rollback(m KernelMark) {
+// reset discards every queued event (recycling it) and sets the clock to
+// at. The executed counter is kept, and so is the sequence counter: it
+// only breaks ties between events scheduled in the same window, so
+// continuing it preserves determinism while fencing any stale Timer
+// handles.
+func (k *Kernel) reset(at Time) {
 	for _, ev := range k.events {
 		ev.index = 0
 		k.recycle(ev)
 	}
 	k.events = k.events[:0]
-	k.now = m.now
-	k.executed = m.executed
+	k.now = at
 }

@@ -120,21 +120,14 @@ type ShardedKernel struct {
 	workers []chan shardJob
 	wg      sync.WaitGroup // per-window shard completion
 	stopWG  sync.WaitGroup // worker exit at the end of Run
-
-	// spec, when non-nil, enables optimistic shard windows (see
-	// speculate.go).
-	spec *specController
 }
 
 // shardJob describes one window's worth of work for one shard. It is sent
 // by value over the worker channels and carries no pointers, so dispatch
 // does not allocate.
 type shardJob struct {
-	edge  Time
-	prev  Time // previous edge (speculative windows only)
-	spec  bool // speculative window: SpecOpen/run/SpecClose instead of lockstep
-	first bool // first window of a speculative batch
-	stop  bool // sentinel: worker exits
+	edge Time
+	stop bool // sentinel: worker exits
 }
 
 // NewShardedKernel creates a sharded kernel over n partitions with the
@@ -230,9 +223,9 @@ func (sk *ShardedKernel) NextEdge(t Time) Time {
 // and its clock set to at, outboxes are cleared, and the barrier clock
 // moves to at. The caller is responsible for re-seeding the model's
 // state and event schedule for the window that opens at the target —
-// this is the restore half of trace replay, the cross-run counterpart of
-// the in-run speculation rollback. The target must be non-negative and
-// on the window grid.
+// this is the restore half of trace replay. Executed() keeps counting
+// from where it was. The target must be non-negative and on the window
+// grid.
 func (sk *ShardedKernel) Warp(at Time) error {
 	if sk.failed != nil {
 		return sk.failed
@@ -241,7 +234,7 @@ func (sk *ShardedKernel) Warp(at Time) error {
 		return fmt.Errorf("sim: warp target %v is not on the window grid (%v)", at, sk.window)
 	}
 	for _, s := range sk.shards {
-		s.kernel.Rollback(KernelMark{now: at, executed: s.kernel.executed})
+		s.kernel.reset(at)
 		for i := range s.outbox {
 			s.outbox[i].fn = nil
 		}
@@ -278,18 +271,6 @@ func (sk *ShardedKernel) Run(ctx context.Context, until Time) error {
 		if err := ctx.Err(); err != nil {
 			sk.failed = fmt.Errorf("sim: sharded run cancelled at %v: %w", sk.now, err)
 			return sk.failed
-		}
-		if c := sk.spec; c != nil {
-			if k := sk.planBatch(until); k > 0 {
-				if err := sk.runBatch(k); err != nil {
-					sk.failed = err
-					return err
-				}
-				continue
-			}
-			if c.penalty > 0 {
-				c.penalty--
-			}
 		}
 		edge := sk.NextEdge(sk.now + 1)
 		if edge > until {
@@ -349,30 +330,14 @@ func (sk *ShardedKernel) shardWorker(s *Shard, jobs chan shardJob) {
 }
 
 // runShardWindow executes one shard's half of one window — event-queue
-// drain plus either the lockstep per-shard hooks or the speculative
-// open/close callbacks — recording any panic in the shard's errs slot.
+// drain plus the per-shard hooks — recording any panic in the shard's
+// errs slot.
 func (sk *ShardedKernel) runShardWindow(s *Shard, job shardJob) {
 	defer func() {
 		if p := recover(); p != nil {
-			phase := "shard"
-			if job.spec {
-				phase = "speculative shard"
-			}
-			sk.errs[s.idx] = windowError(fmt.Sprintf("%s %d", phase, s.idx), job.edge, p)
+			sk.errs[s.idx] = windowError(fmt.Sprintf("shard %d", s.idx), job.edge, p)
 		}
 	}()
-	if job.spec {
-		c := sk.spec
-		c.model.SpecOpen(s.idx, job.prev, job.first)
-		s.kernel.Run(job.edge)
-		ok := c.model.SpecClose(s.idx, job.edge)
-		// A Send during a speculative window violates the speculation
-		// contract; flag it as a conflict so the batch replays.
-		if !ok || len(s.outbox) > 0 {
-			c.bad[s.idx] = true
-		}
-		return
-	}
 	s.kernel.Run(job.edge)
 	for _, fn := range sk.shardHooks {
 		fn(s.idx, job.edge)

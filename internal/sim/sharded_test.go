@@ -145,6 +145,49 @@ func TestShardedKernelClampsContractViolations(t *testing.T) {
 	}
 }
 
+// Warp empties every shard's queue and outbox, moves every clock to the
+// target edge, and keeps Executed, so a re-seeded run after the warp
+// counts each event once.
+func TestShardedKernelWarp(t *testing.T) {
+	sk, err := NewShardedKernel(1, 2, 10*Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fired []int
+	k0, k1 := sk.Shard(0).Kernel(), sk.Shard(1).Kernel()
+	k0.At(5*Millisecond, func() { fired = append(fired, 1) })
+	k0.At(25*Millisecond, func() { fired = append(fired, 2) })
+	k1.At(35*Millisecond, func() { fired = append(fired, 3) })
+	if err := sk.Run(context.Background(), 20*Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	sk.Shard(1).Send(0, 20*Millisecond, 0, func() { fired = append(fired, 4) })
+	if err := sk.Warp(15 * Millisecond); err == nil {
+		t.Fatal("off-grid warp target accepted")
+	}
+	if err := sk.Warp(10 * Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if sk.Now() != 10*Millisecond || k0.Now() != 10*Millisecond || k1.Now() != 10*Millisecond {
+		t.Fatalf("warp clocks: sk=%v shard0=%v shard1=%v", sk.Now(), k0.Now(), k1.Now())
+	}
+	if k0.Pending() != 0 || k1.Pending() != 0 {
+		t.Fatalf("warp left events queued: %d, %d", k0.Pending(), k1.Pending())
+	}
+	if sk.Executed() != 1 {
+		t.Fatalf("warp changed Executed: %d, want 1", sk.Executed())
+	}
+	// Re-seeding and re-running executes only the new event: the queued
+	// events and the outbox message were discarded.
+	k0.At(15*Millisecond, func() { fired = append(fired, 5) })
+	if err := sk.Run(context.Background(), 40*Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(fired) != "[1 5]" || sk.Executed() != 2 {
+		t.Fatalf("after warp: fired=%v executed=%d", fired, sk.Executed())
+	}
+}
+
 // Executed sums shard kernels plus barrier-drained messages.
 func TestShardedKernelExecutedCount(t *testing.T) {
 	sk, err := NewShardedKernel(1, 2, 10*Millisecond)

@@ -8,9 +8,9 @@ import "math/rand"
 //   - Seeding is a single multiply-xor mix, so constructing the ~50k
 //     per-entity streams of a 10k-car world costs microseconds instead of
 //     the ~60µs-per-stream lagged-Fibonacci warm-up of rand.NewSource.
-//   - The entire generator state is one word, so a speculative shard window
-//     can checkpoint every stream it might touch and restore it exactly on
-//     abort — replay then reproduces the same draws byte for byte.
+//   - The entire generator state is one word, so a record/replay
+//     checkpoint can capture every stream and restore it exactly —
+//     replay then reproduces the same draws byte for byte.
 type source struct {
 	state uint64
 }

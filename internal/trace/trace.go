@@ -18,8 +18,10 @@ import (
 // reader reports it, because a debugging tool must never silently treat
 // a partial trace as a short run.
 const (
-	Magic   = "KARYONTR"
-	Version = 1
+	Magic = "KARYONTR"
+	// Version changes with every record or checkpoint layout change, so
+	// a trace from an older layout is refused rather than misdecoded.
+	Version = 2
 
 	// maxPayload bounds one record so corrupt lengths fail fast instead
 	// of driving gigabyte allocations.

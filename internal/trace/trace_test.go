@@ -107,6 +107,7 @@ func TestTraceCorruptionErrors(t *testing.T) {
 	cases := map[string]func([]byte) []byte{
 		"bad magic":   func(b []byte) []byte { b[0] ^= 0xFF; return b },
 		"bad version": func(b []byte) []byte { b[8] = 0xFE; return b },
+		"version 1":   func(b []byte) []byte { b[8] = 1; return b },
 		"bad kind":    func(b []byte) []byte { b[len(Magic)+4+4+headerLen(b)] = 0x77; return b },
 		"huge payload": func(b []byte) []byte {
 			i := len(Magic) + 4 + 4 + headerLen(b) + 1

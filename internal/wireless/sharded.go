@@ -149,27 +149,6 @@ type ShardedStats struct {
 	// Retries counts carrier-sense re-contentions (frames that sensed a
 	// busy channel and moved their start later within the same window).
 	Retries int64
-	// ResolvedLocal and ResolvedBoundary count (frame, receiver) outcomes
-	// decided per-arc inside a shard window versus at the barrier's
-	// boundary reconciliation. Lockstep Resolve counts everything as
-	// boundary work.
-	ResolvedLocal    int64
-	ResolvedBoundary int64
-}
-
-// add folds a delta into s, field by field.
-func (s *ShardedStats) add(d ShardedStats) {
-	s.Queued += d.Queued
-	s.Sent += d.Sent
-	s.Deferred += d.Deferred
-	s.Delivered += d.Delivered
-	s.Collisions += d.Collisions
-	s.Losses += d.Losses
-	s.Jammed += d.Jammed
-	s.OutOfRange += d.OutOfRange
-	s.Retries += d.Retries
-	s.ResolvedLocal += d.ResolvedLocal
-	s.ResolvedBoundary += d.ResolvedBoundary
 }
 
 // DeliveryRatio returns delivered over in-range delivery attempts —
@@ -291,10 +270,10 @@ func (m *ShardedMedium) rxStream(id NodeID) *sim.Stream {
 	return s
 }
 
-// Prime pre-creates the loss streams for a contiguous id range. Per-arc
-// resolution (ResolveSlice) may run concurrently across shards; priming
-// removes the lazy map insert from that path so concurrent resolvers only
-// ever read the map.
+// Prime pre-creates the loss streams for a contiguous id range at their
+// deterministic initial state. A record/replay checkpoint restore primes
+// every receiver first, so RestoreState finds a stream for each node the
+// checkpoint names.
 func (m *ShardedMedium) Prime(first, last NodeID) {
 	for id := first; id <= last; id++ {
 		m.rxStream(id)
@@ -343,7 +322,6 @@ func (m *ShardedMedium) Resolve(
 				m.stats.Delivered++
 				m.rctx.deliver(tx, to)
 			}
-			m.stats.ResolvedBoundary++
 		}
 	}
 	sortTxs(m.pending)
@@ -402,9 +380,8 @@ type resolveCtx struct {
 	drop    func(tx *ShardedTx, to NodeID, reason DropReason)
 }
 
-// sortTxs orders a frame set by (Start, From) — the canonical resolution
-// order every path (lockstep barrier, per-arc, boundary reconciliation)
-// shares.
+// sortTxs orders a frame set by (Start, From), the order Resolve decides
+// frames in.
 func sortTxs(txs []ShardedTx) {
 	// Capture-free comparator: the stable generic sort allocates nothing,
 	// unlike sort.SliceStable's closure + interface boxing.
@@ -415,10 +392,6 @@ func sortTxs(txs []ShardedTx) {
 		return cmp.Compare(a.From, b.From)
 	})
 }
-
-// SortTxs exposes the canonical (Start, From) frame ordering for callers
-// assembling per-arc frame sets.
-func SortTxs(txs []ShardedTx) { sortTxs(txs) }
 
 // reinsert places a retried frame (whose Start moved later) back into the
 // unprocessed tail of pending at its sorted position. i is the slot the
@@ -470,114 +443,11 @@ func (m *ShardedMedium) senseClears(tx *ShardedTx, onAir []int) (sim.Time, bool)
 	return clearAt, busy
 }
 
-// ResolveSlice decides outcomes for an explicit, complete, (Start, From)-
-// sorted frame set — the per-arc half of speculative resolution. No
-// carrier sense runs here (speculative windows fence CSMA worlds to
-// lockstep), every frame goes on air, and all accounting accumulates into
-// the caller-owned stats so concurrent per-arc resolvers never touch the
-// medium's own counters (fold deltas back with AddStats at the barrier).
-// countSent marks the pass that owns each frame's Sent/airtime accounting:
-// true for the owning arc's local pass, false for the boundary pass, which
-// revisits the same frames for band receivers only. txs must contain every
-// frame audible at any receiver the visit callback supplies; boundary
-// reports outcomes as ResolvedBoundary instead of ResolvedLocal.
-//
-// Concurrent ResolveSlice calls are safe once Prime has created the loss
-// streams, provided the receiver sets are disjoint.
-func (m *ShardedMedium) ResolveSlice(
-	txs []ShardedTx, countSent, boundary bool, stats *ShardedStats,
-	each func(tx *ShardedTx, visit func(to NodeID, pos Position)),
-	deliver func(tx *ShardedTx, to NodeID),
-	drop func(tx *ShardedTx, to NodeID, reason DropReason),
-) {
-	// One visit closure per call, not per frame: the per-frame state lives
-	// in cur, which the closure reads by reference. ResolveSlice runs
-	// concurrently across shards, so the context is call-local rather than
-	// medium-owned like Resolve's.
-	var cur struct {
-		tx     *ShardedTx
-		at     int
-		jammed bool
-	}
-	visit := func(to NodeID, pos Position) {
-		tx := cur.tx
-		if to == tx.From {
-			return
-		}
-		switch {
-		case m.dist(tx.Pos, pos) > m.cfg.Range:
-			stats.OutOfRange++
-			drop(tx, to, DropOutOfRange)
-		case cur.jammed:
-			stats.Jammed++
-			drop(tx, to, DropJam)
-		case collidesAll(m, txs, cur.at, pos):
-			stats.Collisions++
-			drop(tx, to, DropCollision)
-		case m.cfg.LossProb > 0 && m.rxStream(to).Float64() < m.cfg.LossProb:
-			stats.Losses++
-			drop(tx, to, DropLoss)
-		default:
-			stats.Delivered++
-			deliver(tx, to)
-		}
-		if boundary {
-			stats.ResolvedBoundary++
-		} else {
-			stats.ResolvedLocal++
-		}
-	}
-	for at := range txs {
-		cur.tx = &txs[at]
-		cur.at = at
-		cur.jammed = m.jamOverlaps(cur.tx)
-		if countSent {
-			stats.Sent++
-		}
-		each(cur.tx, visit)
-	}
-}
-
-// collidesAll is the collision predicate over a sorted slice where every
-// frame is on air — the ResolveSlice counterpart of collides.
-func collidesAll(m *ShardedMedium, txs []ShardedTx, at int, rxPos Position) bool {
-	tx := &txs[at]
-	for k := at - 1; k >= 0; k-- {
-		o := &txs[k]
-		if o.end(m.cfg.Airtime) <= tx.Start {
-			break
-		}
-		if o.Channel == tx.Channel && m.dist(o.Pos, rxPos) <= m.cfg.Range {
-			return true
-		}
-	}
-	end := tx.end(m.cfg.Airtime)
-	for k := at + 1; k < len(txs); k++ {
-		o := &txs[k]
-		if o.Start >= end {
-			break
-		}
-		if o.Channel == tx.Channel && m.dist(o.Pos, rxPos) <= m.cfg.Range {
-			return true
-		}
-	}
-	return false
-}
-
-// AddStats folds a per-shard accounting delta (accumulated by ResolveSlice
-// calls) into the medium's stats. Barrier-only.
-func (m *ShardedMedium) AddStats(d ShardedStats) { m.stats.add(d) }
-
-// CountQueued records frames that bypassed Queue (speculative per-shard
-// frame buffers) so Queued stays comparable with the lockstep path.
-// Barrier-only.
-func (m *ShardedMedium) CountQueued(n int64) { m.stats.Queued += n }
-
 // ShardedMediumState is a checkpoint of the medium's mutable state for
-// speculative abort: the accounting counters, the jam bursts, and every
-// created receiver stream's generator state. Pending lockstep frames are
-// not part of it — a speculative batch never starts with a non-empty
-// queue.
+// record/replay: the accounting counters, the jam bursts, and every
+// created receiver stream's generator state. Pending frames are not part
+// of it — checkpoints are taken at window barriers, after Resolve has
+// emptied the queue.
 type ShardedMediumState struct {
 	stats    ShardedStats
 	jamStart []sim.Time

@@ -20,8 +20,6 @@ func (st *ShardedMediumState) EncodeState(e *trace.Enc) {
 	e.I64(st.stats.Jammed)
 	e.I64(st.stats.OutOfRange)
 	e.I64(st.stats.Retries)
-	e.I64(st.stats.ResolvedLocal)
-	e.I64(st.stats.ResolvedBoundary)
 	e.U32(uint32(len(st.jamStart)))
 	for _, t := range st.jamStart {
 		e.I64(int64(t))
@@ -55,8 +53,6 @@ func (st *ShardedMediumState) DecodeState(d *trace.Dec) {
 	st.stats.Jammed = d.I64()
 	st.stats.OutOfRange = d.I64()
 	st.stats.Retries = d.I64()
-	st.stats.ResolvedLocal = d.I64()
-	st.stats.ResolvedBoundary = d.I64()
 	st.jamStart = st.jamStart[:0]
 	for i, n := 0, d.Count(8); i < n && d.Err() == nil; i++ {
 		st.jamStart = append(st.jamStart, sim.Time(d.I64()))

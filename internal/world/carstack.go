@@ -37,8 +37,9 @@ type Car struct {
 	// the car's own step, so the slot is independent of shard layout.
 	tx *sim.Stream
 	// sensorRx holds the three transducers' noise streams; the Physical
-	// sensors consume them, the car keeps the handles so speculative
-	// windows can checkpoint and restore the generator states.
+	// sensors consume them, the car keeps the handles so record/replay
+	// checkpoints (saveCar/restoreCar) can capture and restore the
+	// generator states.
 	sensorRx [3]*sim.Stream
 
 	// dist is the abstract *reliable* distance sensor: three redundant

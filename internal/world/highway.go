@@ -91,15 +91,6 @@ type HighwayConfig struct {
 	// listen-before-talk, converting most would-be collisions into
 	// deferrals.
 	CarrierSense bool
-	// SpecDepth ≥ 2 enables optimistic shard windows: shards run up to
-	// SpecDepth windows ahead speculatively, with deterministic
-	// abort-and-replay on conflict (see internal/world/speculate.go). The
-	// committed output is byte-identical to SpecDepth = 0. Zero (the
-	// default) keeps pure lockstep.
-	SpecDepth int
-	// SpecBackoff overrides the post-abort lockstep penalty in windows
-	// (0 = sim.DefaultSpecBackoff).
-	SpecBackoff int
 }
 
 // DefaultHighwayConfig returns a 30-car, 2 km ring.
@@ -167,7 +158,7 @@ type carHot struct {
 // syncHot republishes c's kinematic state into the hot table. It must run
 // wherever that state changes: the end of the car's own control step, a
 // maneuver grant at the barrier (markManeuver), and the full-rebuild
-// publishSnapshot path (startup, collision resolution, speculation abort).
+// publishSnapshot path (startup, collision resolution, checkpoint restore).
 func (h *Highway) syncHot(c *Car) {
 	lane2 := int32(-1)
 	if c.maneuver.Active() {
@@ -278,14 +269,8 @@ type Highway struct {
 	// traffic, not with world size.
 	Crossers int64
 
-	// spec holds the optimistic-window machinery (nil unless
-	// cfg.SpecDepth ≥ 2; see speculate.go).
-	spec *hwSpec
-
 	// rec is the attached trace recorder/verifier (nil unless RecordTo
-	// or a replay attached one; see record.go). Its presence pins the
-	// kernel to lockstep so every window passes through the barrier
-	// path the recorder hooks.
+	// or a replay attached one; see record.go).
 	rec *recorder
 }
 
@@ -480,16 +465,8 @@ func (h *Highway) Start() error {
 	h.seedWindow(0)
 	h.sk.OnShardWindow(h.shardPhase)
 	h.sk.OnWindow(h.onWindow)
-	if h.cfg.SpecDepth >= 2 {
-		h.initSpec()
-	}
 	return nil
 }
-
-// SpecStats returns the kernel's speculation telemetry (zero when
-// speculation is disabled). Execution-strategy counters: they vary with
-// shard count and depth, unlike the simulation output.
-func (h *Highway) SpecStats() sim.SpecStats { return h.sk.SpecStats() }
 
 // Run advances the world by d units of virtual time (rounded up to a
 // whole number of windows so barriers stay on the window grid).
@@ -573,7 +550,7 @@ func (h *Highway) publishSnapshot(edge sim.Time) {
 	for i, c := range h.cars {
 		// Resync the hot table on the full-rebuild path: it covers every
 		// out-of-band kinematic change (startup, collision teleport,
-		// speculation abort restore).
+		// checkpoint restore).
 		h.syncHot(c)
 		hot := &h.hot[c.ID]
 		snap[i] = hwSnap{
@@ -1103,14 +1080,6 @@ func (h *Highway) sendBeacon(shard *sim.Shard, c *Car, now sim.Time) {
 		Time:     now,
 		Validity: 1,
 	}
-	if s := h.spec; s != nil && s.active {
-		// Speculative window: buffer in the shard's own slice. The
-		// exchange delivers in sender-id order — the drain order, since
-		// every beacon message matures exactly at the edge.
-		s.beacons[shard.Index()] = append(s.beacons[shard.Index()],
-			specBeacon{from: c.ID, state: state, accel: c.Body.Accel, sentAt: now})
-		return
-	}
 	c.pendState = state
 	c.pendAccel = c.Body.Accel
 	c.pendSentAt = now
@@ -1195,13 +1164,6 @@ func (h *Highway) sendBeaconRadio(shard *sim.Shard, c *Car, now sim.Time) {
 		// backoff as latency, not loss.
 		Retry:   lim,
 		Payload: c.payload,
-	}
-	if s := h.spec; s != nil && s.active {
-		// Speculative window: the frame joins the shard's per-arc set
-		// instead of the mailbox (carrier sense is fenced to lockstep, so
-		// Retry is inert here).
-		s.txs[shard.Index()] = append(s.txs[shard.Index()], tx)
-		return
 	}
 	c.pendTx = tx
 	shard.Send(shard.Index(), edge, int64(c.ID), c.queueFn)

@@ -20,13 +20,12 @@ import (
 // This file is the recording half of the record/replay layer: a trace
 // writer fed from the window barrier, a width-invariant state digest,
 // decision capture in the arbitration and handoff paths, and periodic
-// full-state checkpoints built on the speculation machinery
-// (carCheckpoint / saveCar) so any window range can later be replayed
-// without re-simulating from t=0.
+// full-state checkpoints (carCheckpoint / saveCar) so any window range
+// can later be replayed without re-simulating from t=0.
 //
 // Determinism invariants the trace leans on:
 //   - every window record is a pure function of (seed, config, window):
-//     identical at every shard width and speculation depth;
+//     identical at every shard width;
 //   - the digest covers only width-invariant state — the stitched
 //     snapshot and the behavioral counters. Cross-shard handoff counts
 //     (Crossers) vary with the partition layout, so they ride the record
@@ -56,11 +55,8 @@ type JamSpec struct {
 }
 
 // recorder is attached to a Highway either to write a trace (w != nil)
-// or to verify a replay against one (expect != nil). Its presence pins
-// the kernel to lockstep (see SpecEligible): speculative batches skip
-// the per-window barrier path the recorder hooks, and lockstep is
-// byte-identical to speculation by construction, so the trace loses
-// nothing.
+// or to verify a replay against one (expect != nil). It hooks the
+// per-window barrier path.
 type recorder struct {
 	w      *trace.Writer
 	every  int // checkpoint interval in windows (0 = never)
@@ -278,9 +274,9 @@ func (e *DivergenceError) Error() string {
 }
 
 // encodeCheckpoint serializes the complete restorable world state: every
-// car's stack (via the speculation checkpoint machinery), the behavioral
-// counters, the reservation table, and the radio medium. The output-only
-// histograms are deliberately absent — see the file comment.
+// car's stack (via saveCar), the behavioral counters, the reservation
+// table, and the radio medium. The output-only histograms are
+// deliberately absent — see the file comment.
 func (h *Highway) encodeCheckpoint(e *trace.Enc) {
 	r := h.rec
 	e.U32(uint32(len(h.cars)))
@@ -310,7 +306,7 @@ func (h *Highway) encodeCheckpoint(e *trace.Enc) {
 // restoreCheckpoint rewinds a freshly built (and Started) world to a
 // decoded checkpoint taken at edge: kernel warp, per-car restore, world
 // counters, reservations, medium, then the same
-// assignShards/publishSnapshot/seedWindow sequence SpecAbort uses so the
+// assignShards/publishSnapshot/seedWindow sequence Start uses so the
 // next window opens exactly as it did in the recorded run. Scheduled
 // actions at or before the checkpoint edge already happened inside it
 // and are dropped.
@@ -382,6 +378,125 @@ func (h *Highway) dropPendingThrough(edge sim.Time) {
 		}
 	}
 	h.pending = kept
+}
+
+// carCheckpoint is one car's complete restorable state. Storage (the
+// nested state objects) is reused across checkpoints.
+type carCheckpoint struct {
+	body     vehicle.Body
+	clockAt  sim.Time
+	rx, tx   uint64
+	sensorRx [3]uint64
+	phys     [3]sensor.PhysicalState
+	fm       [3]*sensor.FaultManagementState
+	dist     *sensor.ReliableState
+	table    *coord.StateTableState
+	mgr      *core.ManagerState
+	gate     core.GateState
+	est      gear.LeadEstimator
+	hChecks  int64
+	hDisagr  int64
+	truthGap float64
+	params   vehicle.ACCParams
+
+	accelFrom []accelEntry
+
+	forcedBrakeUntil sim.Time
+	maneuver         vehicle.Maneuver
+	wantRegion       coord.Resource
+	wantLane         int
+	heldRegion       coord.Resource
+	releaseHeld      bool
+	nextAttempt      sim.Time
+
+	laneChanges     int64
+	emergencyBrakes int64
+	degradedTicks   int64
+	beaconsSent     int64
+}
+
+type accelEntry struct {
+	from  int
+	accel float64
+}
+
+// saveCar checkpoints one car's complete stack state, reusing ck's
+// nested storage.
+func saveCar(ck *carCheckpoint, c *Car) {
+	ck.body = c.Body
+	ck.clockAt = c.clock.Now()
+	ck.rx = c.rx.State()
+	ck.tx = c.tx.State()
+	for i, st := range c.sensorRx {
+		ck.sensorRx[i] = st.State()
+	}
+	for i, in := range c.inputs {
+		ck.phys[i] = in.Physical().SaveState()
+		ck.fm[i] = in.FaultManagement().SaveState(ck.fm[i])
+	}
+	ck.dist = c.dist.SaveState(ck.dist)
+	ck.table = c.table.SaveState(ck.table)
+	ck.mgr = c.manager.SaveState(ck.mgr)
+	ck.gate = c.gate.SaveState()
+	ck.est = *c.est
+	ck.hChecks = c.hidden.Checks
+	ck.hDisagr = c.hidden.Disagreements
+	ck.truthGap = c.truthGap
+	ck.params = c.params
+	ck.accelFrom = ck.accelFrom[:0]
+	for from, a := range c.accelFrom {
+		ck.accelFrom = append(ck.accelFrom, accelEntry{from: from, accel: a})
+	}
+	ck.forcedBrakeUntil = c.forcedBrakeUntil
+	ck.maneuver = c.maneuver
+	ck.wantRegion = c.wantRegion
+	ck.wantLane = c.wantLane
+	ck.heldRegion = c.heldRegion
+	ck.releaseHeld = c.releaseHeld
+	ck.nextAttempt = c.nextAttempt
+	ck.laneChanges = c.LaneChanges
+	ck.emergencyBrakes = c.EmergencyBrakes
+	ck.degradedTicks = c.DegradedTicks
+	ck.beaconsSent = c.beaconsSent
+}
+
+// restoreCar rewinds one car to its checkpoint.
+func restoreCar(ck *carCheckpoint, c *Car) {
+	c.Body = ck.body
+	c.clock.Set(ck.clockAt)
+	c.rx.Restore(ck.rx)
+	c.tx.Restore(ck.tx)
+	for i, st := range c.sensorRx {
+		st.Restore(ck.sensorRx[i])
+	}
+	for i, in := range c.inputs {
+		in.Physical().RestoreState(ck.phys[i])
+		in.FaultManagement().RestoreState(ck.fm[i])
+	}
+	c.dist.RestoreState(ck.dist)
+	c.table.RestoreState(ck.table)
+	c.manager.RestoreState(ck.mgr)
+	c.gate.RestoreState(ck.gate)
+	*c.est = ck.est
+	c.hidden.Checks = ck.hChecks
+	c.hidden.Disagreements = ck.hDisagr
+	c.truthGap = ck.truthGap
+	c.params = ck.params
+	clear(c.accelFrom)
+	for _, e := range ck.accelFrom {
+		c.accelFrom[e.from] = e.accel
+	}
+	c.forcedBrakeUntil = ck.forcedBrakeUntil
+	c.maneuver = ck.maneuver
+	c.wantRegion = ck.wantRegion
+	c.wantLane = ck.wantLane
+	c.heldRegion = ck.heldRegion
+	c.releaseHeld = ck.releaseHeld
+	c.nextAttempt = ck.nextAttempt
+	c.LaneChanges = ck.laneChanges
+	c.EmergencyBrakes = ck.emergencyBrakes
+	c.DegradedTicks = ck.degradedTicks
+	c.beaconsSent = ck.beaconsSent
 }
 
 // encodeCarCheckpoint writes one car's checkpoint in a fixed field

@@ -73,35 +73,6 @@ func TestRecordShardWidthInvariance(t *testing.T) {
 	}
 }
 
-// TestRecordSpeculationInvariance: recording pins lockstep, so a
-// speculative world records byte-identical windows (including the
-// width-dependent telemetry, same width) as a lockstep one.
-func TestRecordSpeculationInvariance(t *testing.T) {
-	cfg := DefaultHighwayConfig()
-	cfg.Cars = 24
-	dur := 6 * sim.Second
-	base := recordTrace(t, 13, 4, cfg, dur, 0, nil, 0)
-	specCfg := cfg
-	specCfg.SpecDepth = 3
-	spec := recordTrace(t, 13, 4, specCfg, dur, 0, nil, 0)
-	cb, err := trace.Parse(base)
-	if err != nil {
-		t.Fatalf("Parse base: %v", err)
-	}
-	cs, err := trace.Parse(spec)
-	if err != nil {
-		t.Fatalf("Parse spec: %v", err)
-	}
-	if len(cb.Windows) != len(cs.Windows) {
-		t.Fatalf("window counts differ: %d vs %d", len(cb.Windows), len(cs.Windows))
-	}
-	for i := range cb.Windows {
-		if !cb.Windows[i].Same(&cs.Windows[i]) || cb.Windows[i].Crossers != cs.Windows[i].Crossers {
-			t.Fatalf("window %d differs under -speculate:\n got %+v\nwant %+v", i+1, cs.Windows[i], cb.Windows[i])
-		}
-	}
-}
-
 // TestReplayRoundTrip: every window range replays byte-identically, from
 // the nearest checkpoint when one precedes the range.
 func TestReplayRoundTrip(t *testing.T) {

@@ -23,20 +23,17 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		shards int
-		spec   int
 		medium bool
 		budget float64 // max allocations per simulated second
 	}{
-		{"shards=1", 1, 0, false, 32},
-		{"shards=8", 8, 0, false, 64},
-		{"shards=8/speculate", 8, 8, false, 64},
-		{"shards=8/medium", 8, 0, true, 160},
+		{"shards=1", 1, false, 32},
+		{"shards=8", 8, false, 64},
+		{"shards=8/medium", 8, true, 160},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultHighwayConfig()
 			cfg.Length = 36000
 			cfg.Cars = 1200
-			cfg.SpecDepth = tc.spec
 			cfg.Medium = tc.medium
 			cfg.Channels = 1
 			h, err := BuildHighway(1, tc.shards, cfg)
@@ -47,7 +44,7 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Warmup: hit the free-list and scratch-buffer high-water
-			// marks (checkpoint prewarm, mailbox capacity, snapshot
+			// marks (mailbox capacity, snapshot
 			// arenas) so the measurement sees only steady-state churn.
 			if err := h.Run(2 * sim.Second); err != nil {
 				t.Fatal(err)
