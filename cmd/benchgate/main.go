@@ -6,12 +6,12 @@
 // Usage (committed-baseline mode):
 //
 //	go test -run NONE -bench ... -count 3 -benchmem . | go run ./cmd/benchgate \
-//	    -out BENCH_PR4.json -baseline BENCH_BASELINE.json -max-regress 0.20
+//	    -out BENCH.json -baseline BENCH_BASELINE.json -max-regress 0.20
 //
 // Usage (merge-base mode):
 //
 //	go test -run NONE -bench ... -count 3 -benchmem . | go run ./cmd/benchgate \
-//	    -out BENCH_PR4.json -merge-base origin/main -max-regress 0.20
+//	    -out BENCH.json -merge-base origin/main -max-regress 0.20
 //
 // With -merge-base the gate checks out the merge base of HEAD and the
 // given ref into a throwaway git worktree, benches that build in the same
@@ -423,7 +423,7 @@ func reportEfficiency(snap *Snapshot, out io.Writer) {
 func run(args []string, in io.Reader, out io.Writer) error {
 	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
 	inPath := fs.String("in", "-", "bench output to parse (- = stdin)")
-	outPath := fs.String("out", "BENCH_PR4.json", "where to write the JSON snapshot artifact")
+	outPath := fs.String("out", "BENCH.json", "where to write the JSON snapshot artifact")
 	basePath := fs.String("baseline", "BENCH_BASELINE.json", "committed baseline to gate against")
 	maxRegress := fs.Float64("max-regress", 0.20, "maximum tolerated ns/op regression (0.20 = +20%)")
 	maxAllocsRegress := fs.Float64("max-allocs-regress", 0.10, "maximum tolerated allocs/op regression when both sides carry -benchmem data (0.10 = +10%)")

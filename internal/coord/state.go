@@ -54,33 +54,6 @@ func (t *StateTable) Update(s CoopState) {
 	t.m[s.ID] = s
 }
 
-// StateTableState is a checkpoint of the table's entries (for
-// record/replay checkpoints); storage is reused across Save calls.
-type StateTableState struct {
-	entries []CoopState
-}
-
-// SaveState checkpoints the table into st (pass nil to allocate) and
-// returns it.
-func (t *StateTable) SaveState(st *StateTableState) *StateTableState {
-	if st == nil {
-		st = &StateTableState{}
-	}
-	st.entries = st.entries[:0]
-	for _, s := range t.m {
-		st.entries = append(st.entries, s)
-	}
-	return st
-}
-
-// RestoreState rewinds the table to a SaveState checkpoint.
-func (t *StateTable) RestoreState(st *StateTableState) {
-	clear(t.m)
-	for _, s := range st.entries {
-		t.m[s.ID] = s
-	}
-}
-
 // Get returns the peer's state if present and fresh.
 func (t *StateTable) Get(id wireless.NodeID) (CoopState, bool) {
 	s, ok := t.m[id]

@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"slices"
 	"sort"
 
 	"karyon/internal/sim"
@@ -8,16 +9,21 @@ import (
 	"karyon/internal/wireless"
 )
 
-// Trace-codec methods for the cooperation-layer checkpoint state. The
-// in-memory checkpoints mirror map iteration order and are only replayed
-// into the same process; the trace forms below sort everything so the
-// same logical state always encodes to the same bytes.
+// Checkpoint codecs for the cooperation layer. The live state sits in
+// maps, so the encoders sort everything: the same logical state always
+// encodes to the same bytes.
 
-// EncodeState appends the state-table checkpoint to e, sorted by node ID.
-func (st *StateTableState) EncodeState(e *trace.Enc) {
-	sort.Slice(st.entries, func(i, j int) bool { return st.entries[i].ID < st.entries[j].ID })
-	e.U32(uint32(len(st.entries)))
-	for _, c := range st.entries {
+// EncodeState appends the state table's entries to e, sorted by node ID.
+func (t *StateTable) EncodeState(e *trace.Enc) {
+	var buf [64]wireless.NodeID
+	ids := buf[:0]
+	for id := range t.m {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	e.U32(uint32(len(ids)))
+	for _, id := range ids {
+		c := t.m[id]
 		e.I64(int64(c.ID))
 		e.F64(c.Pos.X)
 		e.F64(c.Pos.Y)
@@ -30,9 +36,10 @@ func (st *StateTableState) EncodeState(e *trace.Enc) {
 	}
 }
 
-// DecodeState reads a state-table checkpoint written by EncodeState.
-func (st *StateTableState) DecodeState(d *trace.Dec) {
-	st.entries = st.entries[:0]
+// DecodeState replaces the table's entries with ones written by
+// EncodeState.
+func (t *StateTable) DecodeState(d *trace.Dec) {
+	clear(t.m)
 	for i, n := 0, d.Count(64); i < n && d.Err() == nil; i++ {
 		var c CoopState
 		c.ID = wireless.NodeID(d.I64())
@@ -44,7 +51,7 @@ func (st *StateTableState) DecodeState(d *trace.Dec) {
 		c.Intent = d.Str()
 		c.Time = sim.Time(d.I64())
 		c.Validity = d.F64()
-		st.entries = append(st.entries, c)
+		t.m[c.ID] = c
 	}
 }
 

@@ -35,8 +35,9 @@ type Functionality struct {
 
 	// Switches is the transition history.
 	Switches []Switch
-	// timeAt accumulates virtual time spent per level.
-	timeAt    map[LoS]sim.Time
+	// timeAt accumulates virtual time spent per level, indexed by level
+	// (index 0, below LevelSafe, is unused).
+	timeAt    []sim.Time
 	enteredAt sim.Time
 }
 
@@ -59,7 +60,10 @@ func (f *Functionality) OnChange(fn func(old, new LoS)) {
 // TimeAt returns the accumulated virtual time spent at the level,
 // including the current residence (up to now).
 func (f *Functionality) TimeAt(level LoS, now sim.Time) sim.Time {
-	d := f.timeAt[level]
+	var d sim.Time
+	if level >= LevelSafe && int(level) <= f.levels {
+		d = f.timeAt[level]
+	}
 	if level == f.current {
 		d += now - f.enteredAt
 	}
@@ -210,7 +214,7 @@ func (m *Manager) AddFunctionality(name string, levels int) (*Functionality, err
 		levels:    levels,
 		rules:     make(map[LoS][]Rule),
 		current:   LevelSafe,
-		timeAt:    make(map[LoS]sim.Time),
+		timeAt:    make([]sim.Time, levels+1),
 		enteredAt: m.clock.Now(),
 	}
 	m.fns[name] = f

@@ -1,72 +1,99 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"karyon/internal/sim"
 	"karyon/internal/trace"
 )
 
-// Trace-codec methods for the safety-kernel checkpoint state. The
-// runtime-indicator entries come out of a map, so the trace form sorts
-// them by key: the same logical state always encodes to the same bytes.
+// Checkpoint codecs for the safety kernel: everything the manager, its
+// functionalities, the runtime-information store and the actuation gate
+// mutate during control cycles. Design-time structure (rules, envelopes,
+// level counts) is immutable after construction and is not encoded; a
+// decoder restores into a manager built with the same structure and
+// fails on input that does not fit it. The runtime indicators sit in a
+// map, so they encode sorted by key: the same logical state always
+// encodes to the same bytes.
 
-// EncodeState appends the manager checkpoint to e.
-func (st *ManagerState) EncodeState(e *trace.Enc) {
-	e.I64(st.cycles)
-	e.U32(uint32(len(st.fns)))
-	for i := range st.fns {
-		fs := &st.fns[i]
-		e.I64(int64(fs.current))
-		e.I64(int64(fs.upStreak))
-		e.I64(int64(fs.switches))
-		e.I64(int64(fs.enteredAt))
-		e.U32(uint32(len(fs.timeAt)))
-		for _, t := range fs.timeAt {
-			e.I64(int64(t))
+// EncodeState appends the manager's cycle count, every functionality's
+// level bookkeeping and the runtime indicators to e. Of the append-only
+// Switches log only the length is encoded.
+func (m *Manager) EncodeState(e *trace.Enc) {
+	e.I64(m.Cycles)
+	e.U32(uint32(len(m.ordered)))
+	for _, f := range m.ordered {
+		e.I64(int64(f.current))
+		e.I64(int64(f.upStreak))
+		e.I64(int64(len(f.Switches)))
+		e.I64(int64(f.enteredAt))
+		e.U32(uint32(f.levels))
+		for l := LoS(1); int(l) <= f.levels; l++ {
+			e.I64(int64(f.timeAt[l]))
 		}
 	}
-	sort.Slice(st.ri, func(i, j int) bool { return st.ri[i].key < st.ri[j].key })
-	e.U32(uint32(len(st.ri)))
-	for _, r := range st.ri {
-		e.Str(r.key)
-		e.F64(r.ind.Value)
-		e.I64(int64(r.ind.UpdatedAt))
+	var buf [8]string
+	keys := buf[:0]
+	for k := range m.ri.m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	e.U32(uint32(len(keys)))
+	for _, k := range keys {
+		ind := m.ri.m[k]
+		e.Str(k)
+		e.F64(ind.Value)
+		e.I64(int64(ind.UpdatedAt))
 	}
 }
 
-// DecodeState reads a manager checkpoint written by EncodeState.
-func (st *ManagerState) DecodeState(d *trace.Dec) {
-	st.cycles = d.I64()
-	st.fns = st.fns[:0]
-	for i, n := 0, d.Count(36); i < n && d.Err() == nil; i++ {
-		var fs functionalityState
-		fs.current = LoS(d.I64())
-		fs.upStreak = int(d.I64())
-		fs.switches = int(d.I64())
-		fs.enteredAt = sim.Time(d.I64())
-		for j, m := 0, d.Count(8); j < m && d.Err() == nil; j++ {
-			fs.timeAt = append(fs.timeAt, sim.Time(d.I64()))
-		}
-		st.fns = append(st.fns, fs)
+// DecodeState restores state written by EncodeState. The Switches log is
+// truncated back to the encoded length; a freshly built manager's log is
+// shorter than that and is left as it is, because the entries themselves
+// are not in the checkpoint. Runtime indicators set since the checkpoint
+// are dropped.
+func (m *Manager) DecodeState(d *trace.Dec) {
+	m.Cycles = d.I64()
+	if !d.CountIs(len(m.ordered), "functionality") {
+		return
 	}
-	st.ri = st.ri[:0]
+	for _, f := range m.ordered {
+		f.current = LoS(d.I64())
+		f.upStreak = int(d.I64())
+		switches := d.I64()
+		f.enteredAt = sim.Time(d.I64())
+		if !d.CountIs(f.levels, "time-at-level") {
+			return
+		}
+		for l := LoS(1); int(l) <= f.levels; l++ {
+			f.timeAt[l] = sim.Time(d.I64())
+		}
+		switch {
+		case f.current < LevelSafe || int(f.current) > f.levels:
+			d.Fail("functionality %q at level %d outside 1..%d", f.name, f.current, f.levels)
+			return
+		case switches < 0:
+			d.Fail("functionality %q has %d switches", f.name, switches)
+			return
+		case switches <= int64(len(f.Switches)):
+			f.Switches = f.Switches[:switches]
+		}
+	}
+	clear(m.ri.m)
 	for i, n := 0, d.Count(20); i < n && d.Err() == nil; i++ {
-		var r riEntry
-		r.key = d.Str()
-		r.ind.Value = d.F64()
-		r.ind.UpdatedAt = sim.Time(d.I64())
-		st.ri = append(st.ri, r)
+		k := d.Str()
+		m.ri.m[k] = Indicator{Value: d.F64(), UpdatedAt: sim.Time(d.I64())}
 	}
 }
 
-// EncodeState appends the gate checkpoint to e.
-func (st GateState) EncodeState(e *trace.Enc) {
-	e.I64(st.clamped)
-	e.I64(st.passed)
+// EncodeState appends the gate's counters to e.
+func (g *Gate) EncodeState(e *trace.Enc) {
+	e.I64(g.Clamped)
+	e.I64(g.Passed)
 }
 
-// DecodeGateState reads a gate checkpoint written by EncodeState.
-func DecodeGateState(d *trace.Dec) GateState {
-	return GateState{clamped: d.I64(), passed: d.I64()}
+// DecodeState restores state written by EncodeState.
+func (g *Gate) DecodeState(d *trace.Dec) {
+	g.Clamped = d.I64()
+	g.Passed = d.I64()
 }

@@ -349,33 +349,6 @@ func (fm *FaultManagement) Verdict(name string) (Verdict, bool) {
 	return Verdict{}, false
 }
 
-// FaultManagementState is a checkpoint of the unit's mutable state (for
-// record/replay checkpoints); storage is reused across Save calls.
-type FaultManagementState struct {
-	hist     []Reading
-	verdicts []Verdict
-	assessed bool
-}
-
-// SaveState checkpoints the unit into st (pass nil to allocate) and
-// returns it.
-func (fm *FaultManagement) SaveState(st *FaultManagementState) *FaultManagementState {
-	if st == nil {
-		st = &FaultManagementState{}
-	}
-	st.hist = append(st.hist[:0], fm.hist.buf...)
-	st.verdicts = append(st.verdicts[:0], fm.lastVerdicts...)
-	st.assessed = fm.assessed
-	return st
-}
-
-// RestoreState rewinds the unit to a SaveState checkpoint.
-func (fm *FaultManagement) RestoreState(st *FaultManagementState) {
-	fm.hist.buf = append(fm.hist.buf[:0], st.hist...)
-	copy(fm.lastVerdicts, st.verdicts)
-	fm.assessed = st.assessed
-}
-
 // Abstract is the paper's abstract sensor (Fig. 2): a physical sensor plus
 // its fault-management wrapper, exposing only validity-annotated readings.
 type Abstract struct {

@@ -269,34 +269,6 @@ func NewReliable(clock sim.Clock, inputs []*Abstract, halfWidth float64, f int, 
 // fused successfully).
 func (rs *Reliable) LastErr() error { return rs.lastErr }
 
-// ReliableState is a checkpoint of the fused sensor's mutable state (for
-// record/replay checkpoints); storage is reused across Save calls.
-type ReliableState struct {
-	filter   TemporalFilter
-	lastErr  error
-	suspects []string
-}
-
-// SaveState checkpoints the sensor into st (pass nil to allocate) and
-// returns it. The inputs' own state is checkpointed separately via their
-// FaultManagement units.
-func (rs *Reliable) SaveState(st *ReliableState) *ReliableState {
-	if st == nil {
-		st = &ReliableState{}
-	}
-	st.filter = *rs.filter
-	st.lastErr = rs.lastErr
-	st.suspects = append(st.suspects[:0], rs.suspects...)
-	return st
-}
-
-// RestoreState rewinds the sensor to a SaveState checkpoint.
-func (rs *Reliable) RestoreState(st *ReliableState) {
-	*rs.filter = st.filter
-	rs.lastErr = st.lastErr
-	rs.suspects = append(rs.suspects[:0], st.suspects...)
-}
-
 // LastSuspects returns the input names the most recent Read excluded or
 // found disagreeing with the fused value.
 func (rs *Reliable) LastSuspects() []string {

@@ -195,26 +195,6 @@ func (p *Physical) Sample() Reading {
 	return Reading{Value: value, Time: t, Validity: 1, Source: p.name}
 }
 
-// PhysicalState is a checkpoint of the transducer's mutable state (for
-// record/replay checkpoints). The noise stream is owned and checkpointed
-// by the entity that constructed the sensor; fault episodes come only from
-// fault campaigns, which a recording refuses, so they are not part of it.
-type PhysicalState struct {
-	stuck    float64
-	stuckSet bool
-}
-
-// SaveState checkpoints the transducer.
-func (p *Physical) SaveState() PhysicalState {
-	return PhysicalState{stuck: p.stuck, stuckSet: p.stuckSet}
-}
-
-// RestoreState rewinds the transducer to a SaveState checkpoint.
-func (p *Physical) RestoreState(st PhysicalState) {
-	p.stuck = st.stuck
-	p.stuckSet = st.stuckSet
-}
-
 func (p *Physical) stuckActive(now sim.Time) bool {
 	for _, f := range p.faults {
 		if f.Mode == FaultStuckAt && f.ActiveAt(now) {

@@ -7,22 +7,26 @@ import (
 	"karyon/internal/trace"
 )
 
-// Trace-codec methods: deterministic binary encode/decode for the
-// checkpoint state types, used by the record/replay layer to persist a
-// world checkpoint across processes. Encoding must be a pure function of
-// the state (no map iteration, no addresses) so identical states always
-// produce identical bytes.
+// Checkpoint codecs for the record/replay trace: each method writes or
+// reads the live object's mutable state in a fixed order. Encoding must
+// be a pure function of the state (no map iteration, no addresses) so
+// identical states always produce identical bytes. A decoder restores
+// into an already constructed object and treats its input as hostile:
+// anything the object's structure cannot take fails the decode.
 
-// EncodeState appends the transducer checkpoint to e.
-func (st *PhysicalState) EncodeState(e *trace.Enc) {
-	e.F64(st.stuck)
-	e.Bool(st.stuckSet)
+// EncodeState appends the transducer's stuck-at latch to e. The noise
+// stream is owned and checkpointed by the entity that constructed the
+// sensor; fault episodes come only from fault campaigns, which a
+// recording refuses, so they are not part of it.
+func (p *Physical) EncodeState(e *trace.Enc) {
+	e.F64(p.stuck)
+	e.Bool(p.stuckSet)
 }
 
-// DecodeState reads a transducer checkpoint written by EncodeState.
-func (st *PhysicalState) DecodeState(d *trace.Dec) {
-	st.stuck = d.F64()
-	st.stuckSet = d.Bool()
+// DecodeState restores state written by EncodeState.
+func (p *Physical) DecodeState(d *trace.Dec) {
+	p.stuck = d.F64()
+	p.stuckSet = d.Bool()
 }
 
 func encodeReading(e *trace.Enc, r Reading) {
@@ -41,31 +45,37 @@ func decodeReading(d *trace.Dec) Reading {
 	return r
 }
 
-// EncodeState appends the fault-management checkpoint to e.
-func (st *FaultManagementState) EncodeState(e *trace.Enc) {
-	e.U32(uint32(len(st.hist)))
-	for _, r := range st.hist {
+// EncodeState appends the unit's history window and last verdicts to e.
+func (fm *FaultManagement) EncodeState(e *trace.Enc) {
+	e.U32(uint32(len(fm.hist.buf)))
+	for _, r := range fm.hist.buf {
 		encodeReading(e, r)
 	}
-	e.U32(uint32(len(st.verdicts)))
-	for _, v := range st.verdicts {
+	e.U32(uint32(len(fm.lastVerdicts)))
+	for _, v := range fm.lastVerdicts {
 		e.F64(v.Validity)
 		e.Bool(v.Dominant)
 	}
-	e.Bool(st.assessed)
+	e.Bool(fm.assessed)
 }
 
-// DecodeState reads a fault-management checkpoint written by EncodeState.
-func (st *FaultManagementState) DecodeState(d *trace.Dec) {
-	st.hist = st.hist[:0]
-	for i, n := 0, d.Count(25); i < n && d.Err() == nil; i++ {
-		st.hist = append(st.hist, decodeReading(d))
+// DecodeState restores state written by EncodeState. The history may not
+// outgrow the unit's window, and there must be one verdict per detector.
+func (fm *FaultManagement) DecodeState(d *trace.Dec) {
+	n := d.Count(25)
+	if n > fm.hist.size {
+		d.Fail("history of %d readings exceeds the window of %d", n, fm.hist.size)
 	}
-	st.verdicts = st.verdicts[:0]
-	for i, n := 0, d.Count(9); i < n && d.Err() == nil; i++ {
-		st.verdicts = append(st.verdicts, Verdict{Validity: d.F64(), Dominant: d.Bool()})
+	fm.hist.buf = fm.hist.buf[:0]
+	for i := 0; i < n && d.Err() == nil; i++ {
+		fm.hist.buf = append(fm.hist.buf, decodeReading(d))
 	}
-	st.assessed = d.Bool()
+	if d.CountIs(len(fm.lastVerdicts), "verdict") {
+		for i := range fm.lastVerdicts {
+			fm.lastVerdicts[i] = Verdict{Validity: d.F64(), Dominant: d.Bool()}
+		}
+	}
+	fm.assessed = d.Bool()
 }
 
 // lastErr tags: fusion errors are either nil, the sentinel ErrNoData, or
@@ -77,47 +87,51 @@ const (
 	errTagOther
 )
 
-// EncodeState appends the reliable-sensor checkpoint to e.
-func (st *ReliableState) EncodeState(e *trace.Enc) {
-	e.F64(st.filter.Alpha)
-	e.F64(st.filter.Gate)
-	e.F64(st.filter.est)
-	e.Bool(st.filter.started)
-	e.I64(st.filter.accepted)
-	e.I64(st.filter.rejected)
+// EncodeState appends the fused sensor's filter, last error and suspects
+// to e. The inputs' own state is encoded separately, through their
+// Physical and FaultManagement parts.
+func (rs *Reliable) EncodeState(e *trace.Enc) {
+	f := rs.filter
+	e.F64(f.Alpha)
+	e.F64(f.Gate)
+	e.F64(f.est)
+	e.Bool(f.started)
+	e.I64(f.accepted)
+	e.I64(f.rejected)
 	switch {
-	case st.lastErr == nil:
+	case rs.lastErr == nil:
 		e.U8(errTagNil)
-	case errors.Is(st.lastErr, ErrNoData):
+	case errors.Is(rs.lastErr, ErrNoData):
 		e.U8(errTagNoData)
 	default:
 		e.U8(errTagOther)
-		e.Str(st.lastErr.Error())
+		e.Str(rs.lastErr.Error())
 	}
-	e.U32(uint32(len(st.suspects)))
-	for _, s := range st.suspects {
+	e.U32(uint32(len(rs.suspects)))
+	for _, s := range rs.suspects {
 		e.Str(s)
 	}
 }
 
-// DecodeState reads a reliable-sensor checkpoint written by EncodeState.
-func (st *ReliableState) DecodeState(d *trace.Dec) {
-	st.filter.Alpha = d.F64()
-	st.filter.Gate = d.F64()
-	st.filter.est = d.F64()
-	st.filter.started = d.Bool()
-	st.filter.accepted = d.I64()
-	st.filter.rejected = d.I64()
+// DecodeState restores state written by EncodeState.
+func (rs *Reliable) DecodeState(d *trace.Dec) {
+	f := rs.filter
+	f.Alpha = d.F64()
+	f.Gate = d.F64()
+	f.est = d.F64()
+	f.started = d.Bool()
+	f.accepted = d.I64()
+	f.rejected = d.I64()
 	switch d.U8() {
 	case errTagNil:
-		st.lastErr = nil
+		rs.lastErr = nil
 	case errTagNoData:
-		st.lastErr = ErrNoData
+		rs.lastErr = ErrNoData
 	default:
-		st.lastErr = errors.New(d.Str())
+		rs.lastErr = errors.New(d.Str())
 	}
-	st.suspects = st.suspects[:0]
+	rs.suspects = rs.suspects[:0]
 	for i, n := 0, d.Count(4); i < n && d.Err() == nil; i++ {
-		st.suspects = append(st.suspects, d.Str())
+		rs.suspects = append(rs.suspects, d.Str())
 	}
 }

@@ -88,9 +88,14 @@ func (d *Dec) Err() error { return d.err }
 // Remaining reports the number of unread bytes.
 func (d *Dec) Remaining() int { return len(d.buf) - d.off }
 
-func (d *Dec) fail(what string) {
+// Fail records a decode failure. The first one sticks, wraps ErrCorrupt
+// and names the offset it was detected at; later reads return zero
+// values. State decoders call it for well-formed values the live object
+// cannot take (a length that does not match its structure, an unknown
+// id), so a hostile checkpoint fails like a truncated one.
+func (d *Dec) Fail(format string, args ...any) {
 	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s at offset %d", ErrCorrupt, what, d.off)
+		d.err = fmt.Errorf("%w: %s at offset %d", ErrCorrupt, fmt.Sprintf(format, args...), d.off)
 	}
 }
 
@@ -99,7 +104,7 @@ func (d *Dec) take(n int) []byte {
 		return nil
 	}
 	if n < 0 || n > len(d.buf)-d.off {
-		d.fail(fmt.Sprintf("need %d bytes, have %d", n, len(d.buf)-d.off))
+		d.Fail("need %d bytes, have %d", n, len(d.buf)-d.off)
 		return nil
 	}
 	b := d.buf[d.off : d.off+n]
@@ -170,8 +175,19 @@ func (d *Dec) Count(min int) int {
 		min = 1
 	}
 	if n < 0 || n*min > d.Remaining() {
-		d.fail(fmt.Sprintf("count %d exceeds remaining input", n))
+		d.Fail("count %d exceeds remaining input", n)
 		return 0
 	}
 	return n
+}
+
+// CountIs decodes a u32 element count that must equal want, the length of
+// a fixed structure in the object being restored, and fails otherwise. It
+// reports whether decoding can go on.
+func (d *Dec) CountIs(want int, what string) bool {
+	n := d.U32()
+	if d.err == nil && int64(n) != int64(want) {
+		d.Fail("%s count %d, want %d", what, n, want)
+	}
+	return d.err == nil
 }

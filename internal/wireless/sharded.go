@@ -272,7 +272,7 @@ func (m *ShardedMedium) rxStream(id NodeID) *sim.Stream {
 
 // Prime pre-creates the loss streams for a contiguous id range at their
 // deterministic initial state. A record/replay checkpoint restore primes
-// every receiver first, so RestoreState finds a stream for each node the
+// every receiver first, so DecodeState finds a stream for each node the
 // checkpoint names.
 func (m *ShardedMedium) Prime(first, last NodeID) {
 	for id := first; id <= last; id++ {
@@ -441,45 +441,6 @@ func (m *ShardedMedium) senseClears(tx *ShardedTx, onAir []int) (sim.Time, bool)
 		}
 	}
 	return clearAt, busy
-}
-
-// ShardedMediumState is a checkpoint of the medium's mutable state for
-// record/replay: the accounting counters, the jam bursts, and every
-// created receiver stream's generator state. Pending frames are not part
-// of it — checkpoints are taken at window barriers, after Resolve has
-// emptied the queue.
-type ShardedMediumState struct {
-	stats    ShardedStats
-	jamStart []sim.Time
-	jamUntil []sim.Time
-	rx       map[NodeID]uint64
-}
-
-// SaveState checkpoints the medium into st (reusing its storage) and
-// returns it; pass nil to allocate. Barrier-only.
-func (m *ShardedMedium) SaveState(st *ShardedMediumState) *ShardedMediumState {
-	if st == nil {
-		st = &ShardedMediumState{rx: make(map[NodeID]uint64, len(m.rx))}
-	}
-	st.stats = m.stats
-	st.jamStart = append(st.jamStart[:0], m.jamStart...)
-	st.jamUntil = append(st.jamUntil[:0], m.jamUntil...)
-	clear(st.rx)
-	for id, s := range m.rx {
-		st.rx[id] = s.State()
-	}
-	return st
-}
-
-// RestoreState rewinds the medium to a SaveState checkpoint. Barrier-only.
-func (m *ShardedMedium) RestoreState(st *ShardedMediumState) {
-	m.stats = st.stats
-	copy(m.jamStart, st.jamStart)
-	copy(m.jamUntil, st.jamUntil)
-	for id, state := range st.rx {
-		m.rx[id].Restore(state)
-	}
-	m.pending = m.pending[:0]
 }
 
 // collides reports whether another on-air frame on the same channel

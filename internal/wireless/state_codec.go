@@ -1,72 +1,78 @@
 package wireless
 
 import (
-	"sort"
+	"slices"
 
 	"karyon/internal/sim"
 	"karyon/internal/trace"
 )
 
-// EncodeState appends the sharded-medium checkpoint to e for the
-// record/replay trace. The per-receiver stream states come out of a map,
-// so the trace form sorts them by node ID for deterministic bytes.
-func (st *ShardedMediumState) EncodeState(e *trace.Enc) {
-	e.I64(st.stats.Queued)
-	e.I64(st.stats.Sent)
-	e.I64(st.stats.Deferred)
-	e.I64(st.stats.Delivered)
-	e.I64(st.stats.Collisions)
-	e.I64(st.stats.Losses)
-	e.I64(st.stats.Jammed)
-	e.I64(st.stats.OutOfRange)
-	e.I64(st.stats.Retries)
-	e.U32(uint32(len(st.jamStart)))
-	for _, t := range st.jamStart {
+// EncodeState appends the medium's checkpoint to e for the record/replay
+// trace: the accounting counters, the jam bursts, and every created
+// receiver stream's generator state, sorted by node ID for deterministic
+// bytes. Pending frames are not part of it — checkpoints are taken at
+// window barriers, after Resolve has emptied the queue. Barrier-only.
+func (m *ShardedMedium) EncodeState(e *trace.Enc) {
+	e.I64(m.stats.Queued)
+	e.I64(m.stats.Sent)
+	e.I64(m.stats.Deferred)
+	e.I64(m.stats.Delivered)
+	e.I64(m.stats.Collisions)
+	e.I64(m.stats.Losses)
+	e.I64(m.stats.Jammed)
+	e.I64(m.stats.OutOfRange)
+	e.I64(m.stats.Retries)
+	e.U32(uint32(len(m.jamStart)))
+	for _, t := range m.jamStart {
 		e.I64(int64(t))
 	}
-	e.U32(uint32(len(st.jamUntil)))
-	for _, t := range st.jamUntil {
+	e.U32(uint32(len(m.jamUntil)))
+	for _, t := range m.jamUntil {
 		e.I64(int64(t))
 	}
-	ids := make([]NodeID, 0, len(st.rx))
-	for id := range st.rx {
+	ids := make([]NodeID, 0, len(m.rx))
+	for id := range m.rx {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	e.U32(uint32(len(ids)))
 	for _, id := range ids {
 		e.I64(int64(id))
-		e.U64(st.rx[id])
+		e.U64(m.rx[id].State())
 	}
 }
 
-// DecodeState reads a medium checkpoint written by EncodeState. The
-// restore target must have its receiver streams primed (see Prime) for
-// every node the checkpoint names.
-func (st *ShardedMediumState) DecodeState(d *trace.Dec) {
-	st.stats.Queued = d.I64()
-	st.stats.Sent = d.I64()
-	st.stats.Deferred = d.I64()
-	st.stats.Delivered = d.I64()
-	st.stats.Collisions = d.I64()
-	st.stats.Losses = d.I64()
-	st.stats.Jammed = d.I64()
-	st.stats.OutOfRange = d.I64()
-	st.stats.Retries = d.I64()
-	st.jamStart = st.jamStart[:0]
-	for i, n := 0, d.Count(8); i < n && d.Err() == nil; i++ {
-		st.jamStart = append(st.jamStart, sim.Time(d.I64()))
+// DecodeState restores a checkpoint written by EncodeState and empties the
+// frame queue. The medium must have the checkpoint's channel count and a
+// primed stream (see Prime) for every receiver the checkpoint names; a
+// receiver without one fails the decode. Barrier-only.
+func (m *ShardedMedium) DecodeState(d *trace.Dec) {
+	m.stats.Queued = d.I64()
+	m.stats.Sent = d.I64()
+	m.stats.Deferred = d.I64()
+	m.stats.Delivered = d.I64()
+	m.stats.Collisions = d.I64()
+	m.stats.Losses = d.I64()
+	m.stats.Jammed = d.I64()
+	m.stats.OutOfRange = d.I64()
+	m.stats.Retries = d.I64()
+	for _, jam := range [][]sim.Time{m.jamStart, m.jamUntil} {
+		if !d.CountIs(len(jam), "jam channel") {
+			return
+		}
+		for i := range jam {
+			jam[i] = sim.Time(d.I64())
+		}
 	}
-	st.jamUntil = st.jamUntil[:0]
-	for i, n := 0, d.Count(8); i < n && d.Err() == nil; i++ {
-		st.jamUntil = append(st.jamUntil, sim.Time(d.I64()))
-	}
-	if st.rx == nil {
-		st.rx = map[NodeID]uint64{}
-	}
-	clear(st.rx)
 	for i, n := 0, d.Count(16); i < n && d.Err() == nil; i++ {
 		id := NodeID(d.I64())
-		st.rx[id] = d.U64()
+		state := d.U64()
+		s, ok := m.rx[id]
+		if !ok {
+			d.Fail("receiver %d has no loss stream", id)
+			return
+		}
+		s.Restore(state)
 	}
+	m.pending = m.pending[:0]
 }

@@ -38,7 +38,7 @@ type Car struct {
 	tx *sim.Stream
 	// sensorRx holds the three transducers' noise streams; the Physical
 	// sensors consume them, the car keeps the handles so record/replay
-	// checkpoints (saveCar/restoreCar) can capture and restore the
+	// checkpoints (encodeState/decodeState) can capture and restore the
 	// generator states.
 	sensorRx [3]*sim.Stream
 

@@ -1,0 +1,346 @@
+package world
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+
+	"karyon/internal/sim"
+	"karyon/internal/trace"
+)
+
+// goldenCheckpointSHA256 is the SHA-256 of the window-40 checkpoint of the
+// world TestCheckpointBytesGolden records. It may change only together with
+// a deliberate behaviour change or a trace.Version bump.
+const goldenCheckpointSHA256 = "c738250db573da45a3cdfe735ece624b39a5f0e3447cc5b5d7fcac03c6087e58"
+
+// TestCheckpointBytesGolden pins the checkpoint encoding across builds:
+// the same world must checkpoint to the same bytes, so a refactor of the
+// state codecs that reorders or drops a field fails here rather than in a
+// replay of an old trace.
+func TestCheckpointBytesGolden(t *testing.T) {
+	cfg := DefaultHighwayConfig()
+	cfg.Cars = 12
+	cfg.Medium = true
+	data := recordTrace(t, 7, 2, cfg, 5*sim.Second, 20, testJams(), 0)
+	c, err := trace.Parse(data)
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	ck, ok := c.Checkpoints[40]
+	if !ok {
+		t.Fatal("no checkpoint at window 40")
+	}
+	sum := sha256.Sum256(ck.State)
+	if got := hex.EncodeToString(sum[:]); got != goldenCheckpointSHA256 {
+		t.Fatalf("checkpoint bytes changed: sha256 %s, want %s (%d bytes)", got, goldenCheckpointSHA256, len(ck.State))
+	}
+}
+
+// The restore fuzz world: a small two-lane highway, recorded for 3 s with
+// a checkpoint at window 20.
+const (
+	fuzzSeed   = 5
+	fuzzWindow = 20
+)
+
+func fuzzConfig(medium bool) HighwayConfig {
+	cfg := DefaultHighwayConfig()
+	cfg.Cars = 8
+	cfg.Length = 800
+	cfg.Lanes = 2
+	cfg.Loss = 0.1
+	cfg.Medium = medium
+	return cfg
+}
+
+// fuzzTrace records the fuzz world with a jam burst inside the recording.
+func fuzzTrace(t testing.TB, medium bool) []byte {
+	jams := []JamSpec{{At: sim.Second, Burst: 500 * sim.Millisecond}}
+	return recordTrace(t, fuzzSeed, 2, fuzzConfig(medium), 3*sim.Second, fuzzWindow, jams, 0)
+}
+
+// startedFuzzWorld builds and starts a fresh fuzz world to restore into.
+func startedFuzzWorld(t testing.TB, medium bool) *Highway {
+	t.Helper()
+	h, err := BuildHighway(fuzzSeed, 2, fuzzConfig(medium))
+	if err != nil {
+		t.Fatalf("BuildHighway: %v", err)
+	}
+	if err := h.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	return h
+}
+
+// FuzzRestoreCheckpoint feeds hostile checkpoint bytes to a fresh world's
+// restore. No input may panic, and a restore that succeeds must be a
+// fixed point of the codec: encoding the restored world, restoring that
+// into another fresh world and encoding again gives the same bytes.
+func FuzzRestoreCheckpoint(f *testing.F) {
+	for _, medium := range []bool{false, true} {
+		c, err := trace.Parse(fuzzTrace(f, medium))
+		if err != nil {
+			f.Fatalf("Parse: %v", err)
+		}
+		f.Add(medium, c.Checkpoints[fuzzWindow].State)
+	}
+	edge := sim.Time(fuzzWindow) * DefaultHighwayConfig().ControlPeriod
+	f.Fuzz(func(t *testing.T, medium bool, state []byte) {
+		h := startedFuzzWorld(t, medium)
+		if err := h.restoreCheckpoint(state, edge); err != nil {
+			return
+		}
+		var once, twice trace.Enc
+		h.encodeCheckpoint(&once)
+		h2 := startedFuzzWorld(t, medium)
+		if err := h2.restoreCheckpoint(once.Bytes(), edge); err != nil {
+			t.Fatalf("restoring an encoded world: %v", err)
+		}
+		h2.encodeCheckpoint(&twice)
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("encode → decode → encode is not a fixed point (%d vs %d bytes)", once.Len(), twice.Len())
+		}
+	})
+}
+
+// readFuzzSeed parses a FuzzRestoreCheckpoint corpus file: the go test
+// fuzz v1 header, a bool line and a []byte line.
+func readFuzzSeed(t *testing.T, path string) (bool, []byte) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if len(lines) != 3 || lines[0] != "go test fuzz v1" {
+		t.Fatalf("%s: not a two-value fuzz corpus file", path)
+	}
+	medium, err := strconv.ParseBool(strings.TrimSuffix(strings.TrimPrefix(lines[1], "bool("), ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	state, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[2], "[]byte("), ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return medium, []byte(state)
+}
+
+// withCheckpoint rewrites a trace with the checkpoint at window k replaced
+// by state.
+func withCheckpoint(t *testing.T, data []byte, k uint64, state []byte) []byte {
+	t.Helper()
+	c, err := trace.Parse(data)
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	var buf bytes.Buffer
+	w, err := trace.NewWriter(&buf, &c.Header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range c.Windows {
+		if err := w.WriteWindow(&c.Windows[i]); err != nil {
+			t.Fatal(err)
+		}
+		if ck, ok := c.Checkpoints[c.Windows[i].Index]; ok {
+			if ck.Index == k {
+				ck.State = state
+			}
+			if err := w.WriteCheckpoint(&ck); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := w.Close(&c.End); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestReplayRejectsHostileCheckpoints replays a trace whose checkpoint is
+// each hostile FuzzRestoreCheckpoint seed: a negative Switches length, a
+// functionality count that does not match the manager, and a radio
+// receiver outside the world. Each must be a decode error from
+// ReplayTrace, not a panic and not a divergence.
+func TestReplayRejectsHostileCheckpoints(t *testing.T) {
+	traces := map[bool][]byte{}
+	for _, name := range []string{"negative-switches", "functionality-count", "unknown-receiver"} {
+		t.Run(name, func(t *testing.T) {
+			medium, state := readFuzzSeed(t, filepath.Join("testdata", "fuzz", "FuzzRestoreCheckpoint", name))
+			if traces[medium] == nil {
+				traces[medium] = fuzzTrace(t, medium)
+			}
+			data := withCheckpoint(t, traces[medium], fuzzWindow, state)
+			_, err := ReplayTrace(data, ReplayOptions{From: fuzzWindow + 1, To: fuzzWindow + 2})
+			if !errors.Is(err, trace.ErrCorrupt) {
+				t.Fatalf("ReplayTrace = %v, want a decode error", err)
+			}
+			t.Log(err)
+		})
+	}
+}
+
+// notCheckpointed lists the Car fields a checkpoint leaves out, each with
+// the reason it may.
+var notCheckpointed = map[string]string{
+	"stepFn":     "closure: the cached control step, built by Start",
+	"deliverFn":  "closure: the cached beacon delivery, built by Start",
+	"queueFn":    "closure: the cached radio enqueue, built by Start",
+	"pendState":  "scratch: the pending beacon, drained at the barrier before a checkpoint",
+	"pendAccel":  "scratch: the pending beacon, drained at the barrier before a checkpoint",
+	"pendSentAt": "scratch: the pending beacon, drained at the barrier before a checkpoint",
+	"pendTx":     "scratch: the pending frame, resolved at the barrier before a checkpoint",
+	"payload":    "scratch: the pending frame's payload, resolved at the barrier before a checkpoint",
+}
+
+// notCheckpointedWithin lists the fields of a car's components a
+// checkpoint leaves out, keyed by type and field name.
+var notCheckpointedWithin = map[string]string{
+	"core.Functionality.Switches": "output-only transition log: the checkpoint keeps only its length",
+	"sensor.Reliable.readings":    "scratch: per-Read fusion buffer",
+	"sensor.Reliable.intervals":   "scratch: per-Read fusion buffer",
+	"sensor.Reliable.edges":       "scratch: per-Read fusion buffer",
+}
+
+// TestCheckpointCompleteness is the completeness wall for Car: every field
+// is either on notCheckpointed or survives encode → restoreCheckpoint into
+// a freshly built world unchanged. A new Car field fails here until it is
+// encoded or listed with a reason. The worlds run long enough, with a
+// slow leader and a forced brake, for lane changes, emergency brakes and
+// both beacon paths (abstract loss and the radio) to leave state behind.
+func TestCheckpointCompleteness(t *testing.T) {
+	typ := reflect.TypeOf(Car{})
+	for name := range notCheckpointed {
+		if _, ok := typ.FieldByName(name); !ok {
+			t.Errorf("notCheckpointed names %q, which Car no longer has", name)
+		}
+	}
+	for _, medium := range []bool{false, true} {
+		build := func() *Highway {
+			h := startedFuzzWorld(t, medium)
+			h.cars[0].SetCruiseSpeed(8)
+			h.Schedule(sim.Second, func() { h.JamV2V(500 * sim.Millisecond) })
+			h.Schedule(3*sim.Second, func() { h.cars[3].ForceBrake(3*sim.Second, 10*sim.Second) })
+			return h
+		}
+		h := build()
+		if err := h.Run(12 * sim.Second); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		var e trace.Enc
+		h.encodeCheckpoint(&e)
+		fresh := build()
+		if err := fresh.restoreCheckpoint(e.Bytes(), h.sk.Now()); err != nil {
+			t.Fatalf("restoreCheckpoint: %v", err)
+		}
+		for i := range h.cars {
+			want, got := reflect.ValueOf(h.cars[i]).Elem(), reflect.ValueOf(fresh.cars[i]).Elem()
+			for f := 0; f < typ.NumField(); f++ {
+				name := typ.Field(f).Name
+				if _, skip := notCheckpointed[name]; skip {
+					continue
+				}
+				var diff []string
+				sameState(want.Field(f), got.Field(f), "Car."+name, map[[2]uintptr]bool{}, &diff)
+				for _, d := range diff {
+					t.Errorf("medium=%v car %d: %s differs after a checkpoint restore: encode it in (*Car).encodeState or list it in notCheckpointed", medium, i, d)
+				}
+			}
+		}
+	}
+}
+
+// sameState is reflect.DeepEqual for checkpointed state, with four
+// differences: func values (construction-time closures) compare by
+// nil-ness, nil and empty slices and maps are equal, floats compare by
+// bits so a restored NaN matches, and fields on notCheckpointedWithin are
+// skipped. Differences are appended to diff by path.
+func sameState(a, b reflect.Value, path string, seen map[[2]uintptr]bool, diff *[]string) {
+	if a.Type() != b.Type() {
+		*diff = append(*diff, path+" (type)")
+		return
+	}
+	switch a.Kind() {
+	case reflect.Func:
+		if a.IsNil() != b.IsNil() {
+			*diff = append(*diff, path)
+		}
+	case reflect.Pointer, reflect.Interface:
+		if a.IsNil() || b.IsNil() {
+			if a.IsNil() != b.IsNil() {
+				*diff = append(*diff, path)
+			}
+			return
+		}
+		if a.Kind() == reflect.Pointer {
+			key := [2]uintptr{a.Pointer(), b.Pointer()}
+			if seen[key] {
+				return
+			}
+			seen[key] = true
+		}
+		sameState(a.Elem(), b.Elem(), path, seen, diff)
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			field := a.Type().Field(i).Name
+			if _, skip := notCheckpointedWithin[a.Type().String()+"."+field]; skip {
+				continue
+			}
+			sameState(a.Field(i), b.Field(i), path+"."+field, seen, diff)
+		}
+	case reflect.Slice, reflect.Array:
+		if a.Len() != b.Len() {
+			*diff = append(*diff, path+" (length)")
+			return
+		}
+		for i := 0; i < a.Len(); i++ {
+			sameState(a.Index(i), b.Index(i), path+"["+strconv.Itoa(i)+"]", seen, diff)
+		}
+	case reflect.Map:
+		if a.Len() != b.Len() {
+			*diff = append(*diff, path+" (size)")
+			return
+		}
+		for it := a.MapRange(); it.Next(); {
+			bv := b.MapIndex(it.Key())
+			if !bv.IsValid() {
+				*diff = append(*diff, path+" (keys)")
+				return
+			}
+			sameState(it.Value(), bv, fmt.Sprintf("%s[%v]", path, it.Key()), seen, diff)
+		}
+	case reflect.Float32, reflect.Float64:
+		if math.Float64bits(a.Float()) != math.Float64bits(b.Float()) {
+			*diff = append(*diff, path)
+		}
+	case reflect.Bool:
+		if a.Bool() != b.Bool() {
+			*diff = append(*diff, path)
+		}
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		if a.Int() != b.Int() {
+			*diff = append(*diff, path)
+		}
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		if a.Uint() != b.Uint() {
+			*diff = append(*diff, path)
+		}
+	case reflect.String:
+		if a.String() != b.String() {
+			*diff = append(*diff, path)
+		}
+	default:
+		*diff = append(*diff, path+" (unsupported kind "+a.Kind().String()+")")
+	}
+}

@@ -5,23 +5,20 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 
 	"karyon/internal/coord"
-	"karyon/internal/core"
-	"karyon/internal/gear"
-	"karyon/internal/sensor"
 	"karyon/internal/sim"
 	"karyon/internal/trace"
-	"karyon/internal/vehicle"
 	"karyon/internal/wireless"
 )
 
 // This file is the recording half of the record/replay layer: a trace
 // writer fed from the window barrier, a width-invariant state digest,
 // decision capture in the arbitration and handoff paths, and periodic
-// full-state checkpoints (carCheckpoint / saveCar) so any window range
-// can later be replayed without re-simulating from t=0.
+// full-state checkpoints, encoded straight from the live world by each
+// component's EncodeState, so any window range can later be replayed
+// without re-simulating from t=0.
 //
 // Determinism invariants the trace leans on:
 //   - every window record is a pure function of (seed, config, window):
@@ -75,12 +72,8 @@ type recorder struct {
 	expect []trace.WindowRecord
 	strict bool
 
-	// Checkpoint scratch, reused across checkpoints.
-	enc     trace.Enc
-	carEnc  trace.Enc
-	ck      carCheckpoint
-	mstate  *wireless.ShardedMediumState
-	sortBuf []accelEntry
+	// enc is the checkpoint buffer, reused across checkpoints.
+	enc trace.Enc
 }
 
 // RecordTo attaches a trace writer to the world. It must be called after
@@ -273,16 +266,14 @@ func (e *DivergenceError) Error() string {
 		e.Window, kind, e.Got.Digest, e.Want.Digest)
 }
 
-// encodeCheckpoint serializes the complete restorable world state: every
-// car's stack (via saveCar), the behavioral counters, the reservation
-// table, and the radio medium. The output-only histograms are
-// deliberately absent — see the file comment.
+// encodeCheckpoint serializes the complete restorable world state
+// straight from the live world: every car's stack, the behavioral
+// counters, the reservation table, and the radio medium. The output-only
+// histograms are deliberately absent — see the file comment.
 func (h *Highway) encodeCheckpoint(e *trace.Enc) {
-	r := h.rec
 	e.U32(uint32(len(h.cars)))
 	for _, c := range h.cars {
-		saveCar(&r.ck, c)
-		encodeCarCheckpoint(e, &r.ck, &r.sortBuf)
+		c.encodeState(e)
 	}
 	e.I64(h.Collisions)
 	e.I64(h.Crossers)
@@ -298,33 +289,29 @@ func (h *Highway) encodeCheckpoint(e *trace.Enc) {
 	h.res.EncodeState(e)
 	e.Bool(h.medium != nil)
 	if h.medium != nil {
-		r.mstate = h.medium.SaveState(r.mstate)
-		r.mstate.EncodeState(e)
+		h.medium.EncodeState(e)
 	}
 }
 
 // restoreCheckpoint rewinds a freshly built (and Started) world to a
-// decoded checkpoint taken at edge: kernel warp, per-car restore, world
+// checkpoint taken at edge: kernel warp, per-car restore, world
 // counters, reservations, medium, then the same
 // assignShards/publishSnapshot/seedWindow sequence Start uses so the
 // next window opens exactly as it did in the recorded run. Scheduled
 // actions at or before the checkpoint edge already happened inside it
-// and are dropped.
+// and are dropped. The checkpoint bytes are hostile input: anything that
+// does not fit the world is an error, never a panic. A failed restore
+// leaves the world half rewound; discard it.
 func (h *Highway) restoreCheckpoint(state []byte, edge sim.Time) error {
 	d := trace.NewDec(state)
-	n := int(d.U32())
-	if d.Err() == nil && n != len(h.cars) {
-		return fmt.Errorf("world: checkpoint has %d cars, world has %d", n, len(h.cars))
+	if !d.CountIs(len(h.cars), "car") {
+		return fmt.Errorf("world: decoding checkpoint: %w", d.Err())
 	}
 	if err := h.sk.Warp(edge); err != nil {
 		return err
 	}
-	var ck carCheckpoint
 	for _, c := range h.cars {
-		if decodeCarCheckpoint(d, &ck); d.Err() != nil {
-			return fmt.Errorf("world: decoding checkpoint: %w", d.Err())
-		}
-		restoreCar(&ck, c)
+		c.decodeState(d)
 	}
 	h.Collisions = d.I64()
 	h.Crossers = d.I64()
@@ -338,11 +325,7 @@ func (h *Highway) restoreCheckpoint(state []byte, edge sim.Time) error {
 	h.jamStart = sim.Time(d.I64())
 	h.jamUntil = sim.Time(d.I64())
 	h.res.DecodeState(d)
-	hasMedium := d.Bool()
-	if d.Err() != nil {
-		return fmt.Errorf("world: decoding checkpoint: %w", d.Err())
-	}
-	if hasMedium != (h.medium != nil) {
+	if hasMedium := d.Bool(); d.Err() == nil && hasMedium != (h.medium != nil) {
 		return fmt.Errorf("world: checkpoint medium presence (%v) does not match the world (%v)", hasMedium, h.medium != nil)
 	}
 	if h.medium != nil {
@@ -351,15 +334,13 @@ func (h *Highway) restoreCheckpoint(state []byte, edge sim.Time) error {
 		// receiver's stream at its deterministic initial state first, so
 		// the restore is exact for both populations.
 		h.medium.Prime(0, wireless.NodeID(len(h.cars)-1))
-		var ms wireless.ShardedMediumState
-		ms.DecodeState(d)
-		if d.Err() != nil {
-			return fmt.Errorf("world: decoding checkpoint: %w", d.Err())
-		}
-		h.medium.RestoreState(&ms)
+		h.medium.DecodeState(d)
 	}
-	if d.Err() != nil {
-		return fmt.Errorf("world: decoding checkpoint: %w", d.Err())
+	if n := d.Remaining(); d.Err() == nil && n > 0 {
+		d.Fail("%d trailing bytes", n)
+	}
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("world: decoding checkpoint: %w", err)
 	}
 	h.dropPendingThrough(edge)
 	h.assignShards()
@@ -380,242 +361,121 @@ func (h *Highway) dropPendingThrough(edge sim.Time) {
 	h.pending = kept
 }
 
-// carCheckpoint is one car's complete restorable state. Storage (the
-// nested state objects) is reused across checkpoints.
-type carCheckpoint struct {
-	body     vehicle.Body
-	clockAt  sim.Time
-	rx, tx   uint64
-	sensorRx [3]uint64
-	phys     [3]sensor.PhysicalState
-	fm       [3]*sensor.FaultManagementState
-	dist     *sensor.ReliableState
-	table    *coord.StateTableState
-	mgr      *core.ManagerState
-	gate     core.GateState
-	est      gear.LeadEstimator
-	hChecks  int64
-	hDisagr  int64
-	truthGap float64
-	params   vehicle.ACCParams
-
-	accelFrom []accelEntry
-
-	forcedBrakeUntil sim.Time
-	maneuver         vehicle.Maneuver
-	wantRegion       coord.Resource
-	wantLane         int
-	heldRegion       coord.Resource
-	releaseHeld      bool
-	nextAttempt      sim.Time
-
-	laneChanges     int64
-	emergencyBrakes int64
-	degradedTicks   int64
-	beaconsSent     int64
+// encodeState writes the car's complete restorable state, read straight
+// from its stack, in a fixed field order. The accel inbox comes out of a
+// map, so it is sorted by sender.
+func (c *Car) encodeState(e *trace.Enc) {
+	e.F64(c.Body.X)
+	e.I64(int64(c.Body.Lane))
+	e.F64(c.Body.Speed)
+	e.F64(c.Body.Accel)
+	e.F64(c.Body.Length)
+	e.I64(int64(c.clock.Now()))
+	e.U64(c.rx.State())
+	e.U64(c.tx.State())
+	for _, s := range c.sensorRx {
+		e.U64(s.State())
+	}
+	for _, in := range c.inputs {
+		in.Physical().EncodeState(e)
+	}
+	for _, in := range c.inputs {
+		in.FaultManagement().EncodeState(e)
+	}
+	c.dist.EncodeState(e)
+	c.table.EncodeState(e)
+	c.manager.EncodeState(e)
+	c.gate.EncodeState(e)
+	c.est.EncodeState(e)
+	e.I64(c.hidden.Checks)
+	e.I64(c.hidden.Disagreements)
+	e.F64(c.truthGap)
+	p := &c.params
+	e.F64(p.TimeGap)
+	e.F64(p.StandStill)
+	e.F64(p.GapGain)
+	e.F64(p.SpeedGain)
+	e.F64(p.CruiseSpeed)
+	e.F64(p.MaxAccel)
+	e.F64(p.MaxBrake)
+	var buf [64]int
+	senders := buf[:0]
+	for from := range c.accelFrom {
+		senders = append(senders, from)
+	}
+	slices.Sort(senders)
+	e.U32(uint32(len(senders)))
+	for _, from := range senders {
+		e.I64(int64(from))
+		e.F64(c.accelFrom[from])
+	}
+	e.I64(int64(c.forcedBrakeUntil))
+	c.maneuver.EncodeState(e)
+	e.Str(string(c.wantRegion))
+	e.I64(int64(c.wantLane))
+	e.Str(string(c.heldRegion))
+	e.Bool(c.releaseHeld)
+	e.I64(int64(c.nextAttempt))
+	e.I64(c.LaneChanges)
+	e.I64(c.EmergencyBrakes)
+	e.I64(c.DegradedTicks)
+	e.I64(c.beaconsSent)
 }
 
-type accelEntry struct {
-	from  int
-	accel float64
-}
-
-// saveCar checkpoints one car's complete stack state, reusing ck's
-// nested storage.
-func saveCar(ck *carCheckpoint, c *Car) {
-	ck.body = c.Body
-	ck.clockAt = c.clock.Now()
-	ck.rx = c.rx.State()
-	ck.tx = c.tx.State()
-	for i, st := range c.sensorRx {
-		ck.sensorRx[i] = st.State()
+// decodeState restores the car from state written by encodeState. A
+// position that is not a finite number fails the decode: shard
+// ownership is a function of it.
+func (c *Car) decodeState(d *trace.Dec) {
+	c.Body.X = d.F64()
+	c.Body.Lane = int(d.I64())
+	c.Body.Speed = d.F64()
+	c.Body.Accel = d.F64()
+	c.Body.Length = d.F64()
+	if math.IsNaN(c.Body.X) || math.IsInf(c.Body.X, 0) {
+		d.Fail("car %d at position %v", c.ID, c.Body.X)
 	}
-	for i, in := range c.inputs {
-		ck.phys[i] = in.Physical().SaveState()
-		ck.fm[i] = in.FaultManagement().SaveState(ck.fm[i])
+	c.clock.Set(sim.Time(d.I64()))
+	c.rx.Restore(d.U64())
+	c.tx.Restore(d.U64())
+	for _, s := range c.sensorRx {
+		s.Restore(d.U64())
 	}
-	ck.dist = c.dist.SaveState(ck.dist)
-	ck.table = c.table.SaveState(ck.table)
-	ck.mgr = c.manager.SaveState(ck.mgr)
-	ck.gate = c.gate.SaveState()
-	ck.est = *c.est
-	ck.hChecks = c.hidden.Checks
-	ck.hDisagr = c.hidden.Disagreements
-	ck.truthGap = c.truthGap
-	ck.params = c.params
-	ck.accelFrom = ck.accelFrom[:0]
-	for from, a := range c.accelFrom {
-		ck.accelFrom = append(ck.accelFrom, accelEntry{from: from, accel: a})
+	for _, in := range c.inputs {
+		in.Physical().DecodeState(d)
 	}
-	ck.forcedBrakeUntil = c.forcedBrakeUntil
-	ck.maneuver = c.maneuver
-	ck.wantRegion = c.wantRegion
-	ck.wantLane = c.wantLane
-	ck.heldRegion = c.heldRegion
-	ck.releaseHeld = c.releaseHeld
-	ck.nextAttempt = c.nextAttempt
-	ck.laneChanges = c.LaneChanges
-	ck.emergencyBrakes = c.EmergencyBrakes
-	ck.degradedTicks = c.DegradedTicks
-	ck.beaconsSent = c.beaconsSent
-}
-
-// restoreCar rewinds one car to its checkpoint.
-func restoreCar(ck *carCheckpoint, c *Car) {
-	c.Body = ck.body
-	c.clock.Set(ck.clockAt)
-	c.rx.Restore(ck.rx)
-	c.tx.Restore(ck.tx)
-	for i, st := range c.sensorRx {
-		st.Restore(ck.sensorRx[i])
+	for _, in := range c.inputs {
+		in.FaultManagement().DecodeState(d)
 	}
-	for i, in := range c.inputs {
-		in.Physical().RestoreState(ck.phys[i])
-		in.FaultManagement().RestoreState(ck.fm[i])
-	}
-	c.dist.RestoreState(ck.dist)
-	c.table.RestoreState(ck.table)
-	c.manager.RestoreState(ck.mgr)
-	c.gate.RestoreState(ck.gate)
-	*c.est = ck.est
-	c.hidden.Checks = ck.hChecks
-	c.hidden.Disagreements = ck.hDisagr
-	c.truthGap = ck.truthGap
-	c.params = ck.params
+	c.dist.DecodeState(d)
+	c.table.DecodeState(d)
+	c.manager.DecodeState(d)
+	c.gate.DecodeState(d)
+	c.est.DecodeState(d)
+	c.hidden.Checks = d.I64()
+	c.hidden.Disagreements = d.I64()
+	c.truthGap = d.F64()
+	p := &c.params
+	p.TimeGap = d.F64()
+	p.StandStill = d.F64()
+	p.GapGain = d.F64()
+	p.SpeedGain = d.F64()
+	p.CruiseSpeed = d.F64()
+	p.MaxAccel = d.F64()
+	p.MaxBrake = d.F64()
 	clear(c.accelFrom)
-	for _, e := range ck.accelFrom {
-		c.accelFrom[e.from] = e.accel
-	}
-	c.forcedBrakeUntil = ck.forcedBrakeUntil
-	c.maneuver = ck.maneuver
-	c.wantRegion = ck.wantRegion
-	c.wantLane = ck.wantLane
-	c.heldRegion = ck.heldRegion
-	c.releaseHeld = ck.releaseHeld
-	c.nextAttempt = ck.nextAttempt
-	c.LaneChanges = ck.laneChanges
-	c.EmergencyBrakes = ck.emergencyBrakes
-	c.DegradedTicks = ck.degradedTicks
-	c.beaconsSent = ck.beaconsSent
-}
-
-// encodeCarCheckpoint writes one car's checkpoint in a fixed field
-// order. The accel inbox comes out of a map, so it is sorted by sender.
-func encodeCarCheckpoint(e *trace.Enc, ck *carCheckpoint, sortBuf *[]accelEntry) {
-	e.F64(ck.body.X)
-	e.I64(int64(ck.body.Lane))
-	e.F64(ck.body.Speed)
-	e.F64(ck.body.Accel)
-	e.F64(ck.body.Length)
-	e.I64(int64(ck.clockAt))
-	e.U64(ck.rx)
-	e.U64(ck.tx)
-	for _, s := range ck.sensorRx {
-		e.U64(s)
-	}
-	for i := range ck.phys {
-		ck.phys[i].EncodeState(e)
-	}
-	for _, fm := range ck.fm {
-		fm.EncodeState(e)
-	}
-	ck.dist.EncodeState(e)
-	ck.table.EncodeState(e)
-	ck.mgr.EncodeState(e)
-	ck.gate.EncodeState(e)
-	ck.est.EncodeState(e)
-	e.I64(ck.hChecks)
-	e.I64(ck.hDisagr)
-	e.F64(ck.truthGap)
-	e.F64(ck.params.TimeGap)
-	e.F64(ck.params.StandStill)
-	e.F64(ck.params.GapGain)
-	e.F64(ck.params.SpeedGain)
-	e.F64(ck.params.CruiseSpeed)
-	e.F64(ck.params.MaxAccel)
-	e.F64(ck.params.MaxBrake)
-	*sortBuf = append((*sortBuf)[:0], ck.accelFrom...)
-	sort.Slice(*sortBuf, func(i, j int) bool { return (*sortBuf)[i].from < (*sortBuf)[j].from })
-	e.U32(uint32(len(*sortBuf)))
-	for _, a := range *sortBuf {
-		e.I64(int64(a.from))
-		e.F64(a.accel)
-	}
-	e.I64(int64(ck.forcedBrakeUntil))
-	ck.maneuver.EncodeState(e)
-	e.Str(string(ck.wantRegion))
-	e.I64(int64(ck.wantLane))
-	e.Str(string(ck.heldRegion))
-	e.Bool(ck.releaseHeld)
-	e.I64(int64(ck.nextAttempt))
-	e.I64(ck.laneChanges)
-	e.I64(ck.emergencyBrakes)
-	e.I64(ck.degradedTicks)
-	e.I64(ck.beaconsSent)
-}
-
-// decodeCarCheckpoint reads one car's checkpoint into ck, allocating the
-// nested state objects on first use.
-func decodeCarCheckpoint(d *trace.Dec, ck *carCheckpoint) {
-	ck.body.X = d.F64()
-	ck.body.Lane = int(d.I64())
-	ck.body.Speed = d.F64()
-	ck.body.Accel = d.F64()
-	ck.body.Length = d.F64()
-	ck.clockAt = sim.Time(d.I64())
-	ck.rx = d.U64()
-	ck.tx = d.U64()
-	for i := range ck.sensorRx {
-		ck.sensorRx[i] = d.U64()
-	}
-	for i := range ck.phys {
-		ck.phys[i].DecodeState(d)
-	}
-	for i := range ck.fm {
-		if ck.fm[i] == nil {
-			ck.fm[i] = &sensor.FaultManagementState{}
-		}
-		ck.fm[i].DecodeState(d)
-	}
-	if ck.dist == nil {
-		ck.dist = &sensor.ReliableState{}
-	}
-	ck.dist.DecodeState(d)
-	if ck.table == nil {
-		ck.table = &coord.StateTableState{}
-	}
-	ck.table.DecodeState(d)
-	if ck.mgr == nil {
-		ck.mgr = &core.ManagerState{}
-	}
-	ck.mgr.DecodeState(d)
-	ck.gate = core.DecodeGateState(d)
-	ck.est = gear.LeadEstimator{}
-	ck.est.DecodeState(d)
-	ck.hChecks = d.I64()
-	ck.hDisagr = d.I64()
-	ck.truthGap = d.F64()
-	ck.params.TimeGap = d.F64()
-	ck.params.StandStill = d.F64()
-	ck.params.GapGain = d.F64()
-	ck.params.SpeedGain = d.F64()
-	ck.params.CruiseSpeed = d.F64()
-	ck.params.MaxAccel = d.F64()
-	ck.params.MaxBrake = d.F64()
-	ck.accelFrom = ck.accelFrom[:0]
 	for i, n := 0, d.Count(16); i < n && d.Err() == nil; i++ {
-		ck.accelFrom = append(ck.accelFrom, accelEntry{from: int(d.I64()), accel: d.F64()})
+		from := int(d.I64())
+		c.accelFrom[from] = d.F64()
 	}
-	ck.forcedBrakeUntil = sim.Time(d.I64())
-	ck.maneuver = vehicle.Maneuver{}
-	ck.maneuver.DecodeState(d)
-	ck.wantRegion = coord.Resource(d.Str())
-	ck.wantLane = int(d.I64())
-	ck.heldRegion = coord.Resource(d.Str())
-	ck.releaseHeld = d.Bool()
-	ck.nextAttempt = sim.Time(d.I64())
-	ck.laneChanges = d.I64()
-	ck.emergencyBrakes = d.I64()
-	ck.degradedTicks = d.I64()
-	ck.beaconsSent = d.I64()
+	c.forcedBrakeUntil = sim.Time(d.I64())
+	c.maneuver.DecodeState(d)
+	c.wantRegion = coord.Resource(d.Str())
+	c.wantLane = int(d.I64())
+	c.heldRegion = coord.Resource(d.Str())
+	c.releaseHeld = d.Bool()
+	c.nextAttempt = sim.Time(d.I64())
+	c.LaneChanges = d.I64()
+	c.EmergencyBrakes = d.I64()
+	c.DegradedTicks = d.I64()
+	c.beaconsSent = d.I64()
 }

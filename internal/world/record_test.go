@@ -9,7 +9,7 @@ import (
 	"karyon/internal/trace"
 )
 
-func recordTrace(t *testing.T, seed int64, shards int, cfg HighwayConfig, dur sim.Time, every int, jams []JamSpec, perturb uint64) []byte {
+func recordTrace(t testing.TB, seed int64, shards int, cfg HighwayConfig, dur sim.Time, every int, jams []JamSpec, perturb uint64) []byte {
 	t.Helper()
 	h, err := BuildHighway(seed, shards, cfg)
 	if err != nil {
