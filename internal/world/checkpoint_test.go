@@ -18,31 +18,49 @@ import (
 	"karyon/internal/trace"
 )
 
-// goldenCheckpointSHA256 is the SHA-256 of the window-40 checkpoint of the
-// world TestCheckpointBytesGolden records. It may change only together with
-// a deliberate behaviour change or a trace.Version bump.
-const goldenCheckpointSHA256 = "c738250db573da45a3cdfe735ece624b39a5f0e3447cc5b5d7fcac03c6087e58"
+// goldenCheckpoints are the SHA-256 sums of the window-40 checkpoints of
+// the worlds TestCheckpointBytesGolden records. They may change only
+// together with a deliberate behaviour change or a trace.Version bump.
+var goldenCheckpoints = []struct {
+	name   string
+	medium bool
+	cars   int
+	loss   float64
+	sha256 string
+}{
+	// The radio world without loss: no receiver draws any loss stream.
+	{"medium", true, 12, 0, "c738250db573da45a3cdfe735ece624b39a5f0e3447cc5b5d7fcac03c6087e58"},
+	// Lossy worlds pin the receivers' loss streams: the cars' rx streams
+	// on the abstract path, the medium's per-receiver streams on the radio.
+	{"abstract-lossy", false, 24, 0.2, "f84d1591192dba031ada79cf4c3065c00502a77376d64d43d8de4bd40c3fdb69"},
+	{"medium-lossy", true, 24, 0.2, "0a860f953af153ad490fca1bb05cdc0159c3b6ce9dd06ccc19b01303d44bfd9c"},
+}
 
 // TestCheckpointBytesGolden pins the checkpoint encoding across builds:
 // the same world must checkpoint to the same bytes, so a refactor of the
 // state codecs that reorders or drops a field fails here rather than in a
 // replay of an old trace.
 func TestCheckpointBytesGolden(t *testing.T) {
-	cfg := DefaultHighwayConfig()
-	cfg.Cars = 12
-	cfg.Medium = true
-	data := recordTrace(t, 7, 2, cfg, 5*sim.Second, 20, testJams(), 0)
-	c, err := trace.Parse(data)
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
-	}
-	ck, ok := c.Checkpoints[40]
-	if !ok {
-		t.Fatal("no checkpoint at window 40")
-	}
-	sum := sha256.Sum256(ck.State)
-	if got := hex.EncodeToString(sum[:]); got != goldenCheckpointSHA256 {
-		t.Fatalf("checkpoint bytes changed: sha256 %s, want %s (%d bytes)", got, goldenCheckpointSHA256, len(ck.State))
+	for _, g := range goldenCheckpoints {
+		t.Run(g.name, func(t *testing.T) {
+			cfg := DefaultHighwayConfig()
+			cfg.Cars = g.cars
+			cfg.Medium = g.medium
+			cfg.Loss = g.loss
+			data := recordTrace(t, 7, 2, cfg, 5*sim.Second, 20, testJams(), 0)
+			c, err := trace.Parse(data)
+			if err != nil {
+				t.Fatalf("Parse: %v", err)
+			}
+			ck, ok := c.Checkpoints[40]
+			if !ok {
+				t.Fatal("no checkpoint at window 40")
+			}
+			sum := sha256.Sum256(ck.State)
+			if got := hex.EncodeToString(sum[:]); got != g.sha256 {
+				t.Fatalf("checkpoint bytes changed: sha256 %s, want %s (%d bytes)", got, g.sha256, len(ck.State))
+			}
+		})
 	}
 }
 
