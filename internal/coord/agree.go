@@ -133,8 +133,8 @@ type pendingReq struct {
 }
 
 // NewAgreement creates the protocol instance. peers supplies the current
-// cooperation scope (e.g. from a StateTable); every peer in scope at
-// request time must grant.
+// cooperation scope — the peers whose grant a maneuver needs; every peer
+// in scope at request time must grant.
 func NewAgreement(kernel *sim.Kernel, radio *wireless.Radio, cfg AgreementConfig, peers func() []wireless.NodeID) *Agreement {
 	return &Agreement{
 		cfg:       cfg,

@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"slices"
 	"testing"
 
 	"karyon/internal/sim"
@@ -10,16 +11,25 @@ import (
 func TestStateTableFreshness(t *testing.T) {
 	k := sim.NewKernel(1)
 	tab := NewStateTable(k, 100*sim.Millisecond)
-	tab.Update(CoopState{ID: 1, Speed: 10, Time: 0, Validity: 0.9})
+	tab.Update(CoopState{ID: 1, Speed: 10, Time: 0, Validity: 0.9}, 0.5)
 	if _, ok := tab.Get(1); !ok {
 		t.Fatal("fresh entry missing")
 	}
+	if _, ok := tab.Get(2); ok {
+		t.Fatal("unheard peer returned")
+	}
+	k.Schedule(100*sim.Millisecond, func() {
+		if _, ok := tab.Get(1); !ok {
+			t.Error("entry exactly maxAge old reported stale")
+		}
+	})
 	k.Schedule(200*sim.Millisecond, func() {
 		if _, ok := tab.Get(1); ok {
 			t.Error("stale entry still returned")
 		}
-		if len(tab.Fresh()) != 0 {
-			t.Error("stale entry in Fresh()")
+		tab.Update(CoopState{ID: 1, Speed: 12, Time: 200 * sim.Millisecond, Validity: 0.9}, 0)
+		if s, ok := tab.Get(1); !ok || s.Speed != 12 {
+			t.Errorf("refreshed entry = %+v, %v", s, ok)
 		}
 	})
 	k.RunUntilIdle()
@@ -28,29 +38,40 @@ func TestStateTableFreshness(t *testing.T) {
 func TestStateTableKeepsNewest(t *testing.T) {
 	k := sim.NewKernel(1)
 	tab := NewStateTable(k, sim.Second)
-	tab.Update(CoopState{ID: 1, Speed: 10, Time: 50 * sim.Millisecond})
-	tab.Update(CoopState{ID: 1, Speed: 5, Time: 10 * sim.Millisecond}) // older
+	tab.Update(CoopState{ID: 1, Speed: 10, Time: 50 * sim.Millisecond}, 1.5)
+	tab.Update(CoopState{ID: 1, Speed: 5, Time: 10 * sim.Millisecond}, -2) // older
 	s, ok := tab.Get(1)
 	if !ok || s.Speed != 10 {
 		t.Fatalf("got %+v, want newest (speed 10)", s)
 	}
+	// The acceleration is the last delivered, whatever its state's age.
+	if a, ok := tab.Accel(1); !ok || a != -2 {
+		t.Fatalf("Accel = %v, %v, want the last delivered (-2)", a, ok)
+	}
+	if _, ok := tab.Accel(2); ok {
+		t.Fatal("acceleration for an unheard peer")
+	}
 }
 
-func TestStateTableScopeAndValidity(t *testing.T) {
+// Peers stay sorted by sender whatever order they are first heard in, so
+// the checkpoint encoding is a pure function of the table's contents.
+func TestStateTableSortedBySender(t *testing.T) {
 	k := sim.NewKernel(1)
 	tab := NewStateTable(k, sim.Second)
-	tab.Update(CoopState{ID: 1, Pos: wireless.Position{X: 10}, Validity: 0.9})
-	tab.Update(CoopState{ID: 2, Pos: wireless.Position{X: 50}, Validity: 0.6})
-	tab.Update(CoopState{ID: 3, Pos: wireless.Position{X: 900}, Validity: 0.1})
-	scope := tab.Scope(wireless.Position{}, 100)
-	if len(scope) != 2 || scope[0] != 1 || scope[1] != 2 {
-		t.Fatalf("scope = %v", scope)
+	for _, id := range []wireless.NodeID{7, 2, 9, 2, 4, 0} {
+		tab.Update(CoopState{ID: id, Speed: float64(id)}, float64(id)/10)
 	}
-	if mv := tab.MinValidity(wireless.Position{}, 100); mv != 0.6 {
-		t.Fatalf("MinValidity = %v, want 0.6", mv)
+	var got []wireless.NodeID
+	for _, p := range tab.peers {
+		got = append(got, p.state.ID)
 	}
-	if mv := tab.MinValidity(wireless.Position{X: 5000}, 10); mv != 0 {
-		t.Fatalf("empty-scope MinValidity = %v, want 0", mv)
+	if want := []wireless.NodeID{0, 2, 4, 7, 9}; !slices.Equal(got, want) {
+		t.Fatalf("peers = %v, want %v", got, want)
+	}
+	for _, id := range got {
+		if s, ok := tab.Get(id); !ok || s.Speed != float64(id) {
+			t.Fatalf("Get(%d) = %+v, %v", id, s, ok)
+		}
 	}
 }
 

@@ -8,7 +8,7 @@
 package coord
 
 import (
-	"sort"
+	"slices"
 
 	"karyon/internal/sim"
 	"karyon/internal/wireless"
@@ -31,79 +31,75 @@ type CoopState struct {
 	Validity float64
 }
 
-// StateTable tracks the latest cooperative state heard from each peer.
+// StateTable tracks the latest cooperative state heard from each peer,
+// together with the acceleration the peer's last delivered beacon
+// carried. The peers sit in one slice sorted by sender id and are updated
+// in place: a receiver hears only its radio neighbours, so the slice stays
+// short, and a delivery costs a short search and no allocation once the
+// neighbours are known.
 type StateTable struct {
 	clock sim.Clock
 	// MaxAge bounds how old an entry may be before it is reported stale.
 	maxAge sim.Time
-	m      map[wireless.NodeID]CoopState
+	peers  []peer
+}
+
+// peer is one sender's entry in a StateTable.
+type peer struct {
+	state CoopState
+	accel float64
 }
 
 // NewStateTable creates a table treating entries older than maxAge as gone.
 // The clock is usually the kernel; a sharded world passes the owning
 // entity's clock so freshness stays correct across shard handoffs.
 func NewStateTable(clock sim.Clock, maxAge sim.Time) *StateTable {
-	return &StateTable{clock: clock, maxAge: maxAge, m: make(map[wireless.NodeID]CoopState)}
+	return &StateTable{clock: clock, maxAge: maxAge}
 }
 
-// Update records a heard state (keeping only the newest per peer).
-func (t *StateTable) Update(s CoopState) {
-	if prev, ok := t.m[s.ID]; ok && prev.Time > s.Time {
-		return
+// find returns the index of id's entry, or where it would be inserted.
+func (t *StateTable) find(id wireless.NodeID) (int, bool) {
+	lo, hi := 0, len(t.peers)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if t.peers[mid].state.ID < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	t.m[s.ID] = s
+	return lo, lo < len(t.peers) && t.peers[lo].state.ID == id
+}
+
+// Update records a heard state and the acceleration its beacon carried.
+// The state keeps only the newest per peer (an older one is ignored); the
+// acceleration is the last one delivered, whatever its state's age.
+func (t *StateTable) Update(s CoopState, accel float64) {
+	i, ok := t.find(s.ID)
+	if !ok {
+		t.peers = slices.Insert(t.peers, i, peer{state: s})
+	} else if t.peers[i].state.Time <= s.Time {
+		t.peers[i].state = s
+	}
+	t.peers[i].accel = accel
 }
 
 // Get returns the peer's state if present and fresh.
 func (t *StateTable) Get(id wireless.NodeID) (CoopState, bool) {
-	s, ok := t.m[id]
-	if !ok || t.clock.Now()-s.Time > t.maxAge {
+	i, ok := t.find(id)
+	if !ok || t.clock.Now()-t.peers[i].state.Time > t.maxAge {
 		return CoopState{}, false
 	}
-	return s, true
+	return t.peers[i].state, true
 }
 
-// Fresh returns all fresh states sorted by id.
-func (t *StateTable) Fresh() []CoopState {
-	now := t.clock.Now()
-	out := make([]CoopState, 0, len(t.m))
-	for _, s := range t.m {
-		if now-s.Time <= t.maxAge {
-			out = append(out, s)
-		}
+// Accel returns the acceleration the peer's last delivered beacon carried,
+// if the peer was ever heard. It does not check freshness: callers guard
+// it with Get.
+func (t *StateTable) Accel(id wireless.NodeID) (float64, bool) {
+	i, ok := t.find(id)
+	if !ok {
+		return 0, false
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// Scope returns the ids of fresh peers within radius of pos — the paper's
-// "scope for the realization of cooperative functionality".
-func (t *StateTable) Scope(pos wireless.Position, radius float64) []wireless.NodeID {
-	out := make([]wireless.NodeID, 0, len(t.m))
-	for _, s := range t.Fresh() {
-		if s.Pos.Distance(pos) <= radius {
-			out = append(out, s.ID)
-		}
-	}
-	return out
-}
-
-// MinValidity returns the lowest validity among fresh states in scope, and
-// 0 when the scope is empty — feeding the safety kernel's "health of ...
-// the vehicles in front" indicator.
-func (t *StateTable) MinValidity(pos wireless.Position, radius float64) float64 {
-	min := 1.0
-	n := 0
-	for _, s := range t.Fresh() {
-		if s.Pos.Distance(pos) <= radius {
-			n++
-			if s.Validity < min {
-				min = s.Validity
-			}
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return min
+	return t.peers[i].accel, true
 }

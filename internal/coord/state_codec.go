@@ -1,7 +1,6 @@
 package coord
 
 import (
-	"slices"
 	"sort"
 
 	"karyon/internal/sim"
@@ -9,21 +8,16 @@ import (
 	"karyon/internal/wireless"
 )
 
-// Checkpoint codecs for the cooperation layer. The live state sits in
-// maps, so the encoders sort everything: the same logical state always
-// encodes to the same bytes.
+// Checkpoint codecs for the cooperation layer. Every encoder writes in a
+// fixed order — the state table by sender, the reservations by name — so
+// the same logical state always encodes to the same bytes.
 
-// EncodeState appends the state table's entries to e, sorted by node ID.
+// EncodeState appends the table's states to e in sender order. The
+// accelerations are written separately, by EncodeAccels.
 func (t *StateTable) EncodeState(e *trace.Enc) {
-	var buf [64]wireless.NodeID
-	ids := buf[:0]
-	for id := range t.m {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	e.U32(uint32(len(ids)))
-	for _, id := range ids {
-		c := t.m[id]
+	e.U32(uint32(len(t.peers)))
+	for i := range t.peers {
+		c := &t.peers[i].state
 		e.I64(int64(c.ID))
 		e.F64(c.Pos.X)
 		e.F64(c.Pos.Y)
@@ -36,10 +30,11 @@ func (t *StateTable) EncodeState(e *trace.Enc) {
 	}
 }
 
-// DecodeState replaces the table's entries with ones written by
-// EncodeState.
+// DecodeState replaces the table's entries with the states written by
+// EncodeState, which must name each sender once, in ascending order. The
+// accelerations stay zero until DecodeAccels.
 func (t *StateTable) DecodeState(d *trace.Dec) {
-	clear(t.m)
+	t.peers = t.peers[:0]
 	for i, n := 0, d.Count(64); i < n && d.Err() == nil; i++ {
 		var c CoopState
 		c.ID = wireless.NodeID(d.I64())
@@ -51,7 +46,38 @@ func (t *StateTable) DecodeState(d *trace.Dec) {
 		c.Intent = d.Str()
 		c.Time = sim.Time(d.I64())
 		c.Validity = d.F64()
-		t.m[c.ID] = c
+		if k := len(t.peers); k > 0 && t.peers[k-1].state.ID >= c.ID {
+			d.Fail("state table sender %d after %d", c.ID, t.peers[k-1].state.ID)
+			return
+		}
+		t.peers = append(t.peers, peer{state: c})
+	}
+}
+
+// EncodeAccels appends the peers' accelerations to e in sender order: a
+// count, then each sender's id and acceleration.
+func (t *StateTable) EncodeAccels(e *trace.Enc) {
+	e.U32(uint32(len(t.peers)))
+	for i := range t.peers {
+		e.I64(int64(t.peers[i].state.ID))
+		e.F64(t.peers[i].accel)
+	}
+}
+
+// DecodeAccels restores the accelerations written by EncodeAccels. Every
+// delivered beacon writes a state and an acceleration, so they must name
+// exactly the senders DecodeState restored, in the same order.
+func (t *StateTable) DecodeAccels(d *trace.Dec) {
+	if !d.CountIs(len(t.peers), "acceleration") {
+		return
+	}
+	for i := range t.peers {
+		id := wireless.NodeID(d.I64())
+		if d.Err() == nil && id != t.peers[i].state.ID {
+			d.Fail("acceleration from sender %d, want %d", id, t.peers[i].state.ID)
+			return
+		}
+		t.peers[i].accel = d.F64()
 	}
 }
 

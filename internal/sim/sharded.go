@@ -116,18 +116,21 @@ type ShardedKernel struct {
 	// themselves live only for the duration of one Run call (an idle
 	// kernel must hold no goroutines — tests build thousands and there is
 	// no Close), but the channels are allocated once, so the steady-state
-	// window dispatch allocates nothing.
+	// window dispatch allocates nothing. running is set while they are up.
 	workers []chan shardJob
+	running bool
 	wg      sync.WaitGroup // per-window shard completion
 	stopWG  sync.WaitGroup // worker exit at the end of Run
 }
 
-// shardJob describes one window's worth of work for one shard. It is sent
-// by value over the worker channels and carries no pointers, so dispatch
-// does not allocate.
+// shardJob describes one unit of work for one shard: a window's event
+// drain up to edge, or, when stage is set, one call of a barrier stage.
+// It is sent by value over the worker channels; the stage is a func value
+// the caller already holds, so dispatch does not allocate.
 type shardJob struct {
-	edge Time
-	stop bool // sentinel: worker exits
+	edge  Time
+	stage func(shard int)
+	stop  bool // sentinel: worker exits
 }
 
 // NewShardedKernel creates a sharded kernel over n partitions with the
@@ -245,8 +248,8 @@ func (sk *ShardedKernel) Warp(at Time) error {
 }
 
 // windowError wraps a panic recovered inside a sharded window so callers
-// can identify which phase (shard execution, barrier drain, window hook)
-// blew up.
+// can identify which phase (shard execution, barrier drain, barrier
+// stage, window hook) blew up.
 func windowError(phase string, edge Time, p any) error {
 	return fmt.Errorf("sim: panic in %s at window edge %v: %v", phase, edge, p)
 }
@@ -294,6 +297,7 @@ func (sk *ShardedKernel) startWorkers() {
 	if len(sk.shards) == 1 {
 		return
 	}
+	sk.running = true
 	if sk.workers == nil {
 		sk.workers = make([]chan shardJob, len(sk.shards)-1)
 		for i := range sk.workers {
@@ -316,6 +320,7 @@ func (sk *ShardedKernel) stopWorkers() {
 		ch <- shardJob{stop: true}
 	}
 	sk.stopWG.Wait()
+	sk.running = false
 }
 
 func (sk *ShardedKernel) shardWorker(s *Shard, jobs chan shardJob) {
@@ -324,7 +329,11 @@ func (sk *ShardedKernel) shardWorker(s *Shard, jobs chan shardJob) {
 		if job.stop {
 			return
 		}
-		sk.runShardWindow(s, job)
+		if job.stage != nil {
+			sk.runStage(s, job)
+		} else {
+			sk.runShardWindow(s, job)
+		}
 		sk.wg.Done()
 	}
 }
@@ -344,9 +353,21 @@ func (sk *ShardedKernel) runShardWindow(s *Shard, job shardJob) {
 	}
 }
 
-// dispatch runs one window's parallel shard phase: shards 1..n-1 through
-// the Run workers, shard 0 inline on the coordinating goroutine, returning
-// once every shard has finished. Allocation-free in the steady state.
+// runStage runs one shard's call of a barrier stage, recording any panic
+// in the shard's errs slot.
+func (sk *ShardedKernel) runStage(s *Shard, job shardJob) {
+	defer func() {
+		if p := recover(); p != nil {
+			sk.errs[s.idx] = windowError(fmt.Sprintf("barrier stage on shard %d", s.idx), job.edge, p)
+		}
+	}()
+	job.stage(s.idx)
+}
+
+// dispatch runs one job on every shard: shards 1..n-1 through the Run
+// workers, shard 0 inline on the coordinating goroutine, returning once
+// every shard has finished, with the lowest-indexed shard's error.
+// Allocation-free in the steady state.
 func (sk *ShardedKernel) dispatch(job shardJob) error {
 	for i := range sk.errs {
 		sk.errs[i] = nil
@@ -355,10 +376,47 @@ func (sk *ShardedKernel) dispatch(job shardJob) error {
 	for _, ch := range sk.workers {
 		ch <- job
 	}
-	sk.runShardWindow(sk.shards[0], job)
+	if job.stage != nil {
+		sk.runStage(sk.shards[0], job)
+	} else {
+		sk.runShardWindow(sk.shards[0], job)
+	}
 	sk.wg.Wait()
 	for _, err := range sk.errs {
 		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Stage runs fn(shard) exactly once for every shard, in parallel on the
+// Run's shard workers, and returns when every call has finished. It is
+// the barrier's parallel phase: call it only from barrier context (a
+// window hook or a drained mailbox message). Every shard is idle then, so
+// fn(i) may write state owned by shard i and read anything no concurrent
+// call writes; it must not Send or schedule events. Models reconcile the
+// calls' results afterwards in shard order, which keeps the output
+// independent of the width.
+//
+// At width 1, and outside Run (when no workers are up), the calls run
+// inline in shard order. Stage allocates nothing. A panic in fn becomes a
+// window error naming the stage and shard; Stage returns it and latches
+// it, so the Run fails at this barrier and the kernel stays failed.
+func (sk *ShardedKernel) Stage(fn func(shard int)) error {
+	if sk.failed != nil {
+		return sk.failed
+	}
+	job := shardJob{edge: sk.now, stage: fn}
+	if sk.running {
+		sk.failed = sk.dispatch(job)
+		return sk.failed
+	}
+	for _, s := range sk.shards {
+		sk.errs[s.idx] = nil
+		sk.runStage(s, job)
+		if err := sk.errs[s.idx]; err != nil {
+			sk.failed = err
 			return err
 		}
 	}
@@ -380,6 +438,9 @@ func (sk *ShardedKernel) runWindow(edge Time) error {
 	for _, hook := range sk.hooks {
 		if err := runHook(hook, edge); err != nil {
 			return err
+		}
+		if sk.failed != nil {
+			return sk.failed // a barrier stage inside the hook failed
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -374,5 +375,127 @@ func TestOnShardWindowPanicSurfaces(t *testing.T) {
 	err = sk.Run(context.Background(), 30*Millisecond)
 	if err == nil || !strings.Contains(err.Error(), "shard 1") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// goroutineID parses the running goroutine's id from its stack header.
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(string(buf))[1]
+}
+
+// A barrier stage runs fn exactly once per shard per call: shard 0 inline
+// on the coordinating goroutine, the others on the Run's shard workers.
+func TestStageRunsOncePerShard(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		sk, err := NewShardedKernel(1, shards, 10*Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls := make([]int, shards)
+		ran := make([]string, shards)
+		var hook string
+		stage := func(shard int) {
+			calls[shard]++
+			ran[shard] = goroutineID()
+		}
+		sk.OnWindow(func(Time) {
+			hook = goroutineID()
+			if err := sk.Stage(stage); err != nil {
+				t.Error(err)
+			}
+			if err := sk.Stage(stage); err != nil {
+				t.Error(err)
+			}
+			for s := range ran {
+				if inline := ran[s] == hook; inline != (s == 0) {
+					t.Errorf("shards=%d: shard %d ran inline=%v", shards, s, inline)
+				}
+			}
+		})
+		if err := sk.Run(context.Background(), 30*Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		for s, n := range calls {
+			if n != 6 {
+				t.Fatalf("shards=%d: shard %d ran %d stage calls over 3 windows x 2, want 6", shards, s, n)
+			}
+		}
+		// Outside Run no workers are up: every call runs inline, in
+		// shard order.
+		var order []int
+		if err := sk.Stage(func(shard int) { order = append(order, shard) }); err != nil {
+			t.Fatal(err)
+		}
+		if len(order) != shards || order[0] != 0 || order[shards-1] != shards-1 {
+			t.Fatalf("shards=%d: stage outside Run ran %v", shards, order)
+		}
+	}
+}
+
+// A panic in a barrier stage is a window error naming the stage and the
+// shard; it stops the Run at that barrier and stays latched.
+func TestStagePanicSurfaces(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		sk, err := NewShardedKernel(1, shards, 10*Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := shards - 1
+		var after []Time
+		sk.OnWindow(func(edge Time) {
+			if edge == 20*Millisecond {
+				_ = sk.Stage(func(shard int) {
+					if shard == bad {
+						panic("stage boom")
+					}
+				})
+			}
+		})
+		sk.OnWindow(func(edge Time) { after = append(after, edge) })
+		err = sk.Run(context.Background(), 50*Millisecond)
+		want := fmt.Sprintf("barrier stage on shard %d", bad)
+		if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "stage boom") {
+			t.Fatalf("shards=%d: err = %v, want %q", shards, err, want)
+		}
+		if sk.Now() != 20*Millisecond || len(after) != 1 {
+			t.Fatalf("shards=%d: run went on past the failed stage (now %v, later hooks at %v)", shards, sk.Now(), after)
+		}
+		if err2 := sk.Run(context.Background(), 60*Millisecond); err2 == nil || err2.Error() != err.Error() {
+			t.Fatalf("shards=%d: failed kernel re-ran: %v", shards, err2)
+		}
+		if err3 := sk.Stage(func(int) {}); err3 == nil || err3.Error() != err.Error() {
+			t.Fatalf("shards=%d: failed kernel ran a stage: %v", shards, err3)
+		}
+	}
+}
+
+// Dispatching a barrier stage allocates nothing.
+func TestStageAllocs(t *testing.T) {
+	sk, err := NewShardedKernel(1, 2, 10*Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var counts [2]int
+	stage := func(shard int) { counts[shard]++ }
+	per := -1.0
+	sk.OnWindow(func(edge Time) {
+		if edge == 20*Millisecond {
+			per = testing.AllocsPerRun(100, func() {
+				if err := sk.Stage(stage); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+	})
+	if err := sk.Run(context.Background(), 30*Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if per != 0 {
+		t.Fatalf("Stage: %.1f allocs per call, want 0", per)
+	}
+	if counts[0] != counts[1] || counts[1] < 100 {
+		t.Fatalf("stage calls per shard = %v", counts)
 	}
 }

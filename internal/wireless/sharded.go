@@ -25,11 +25,16 @@ import (
 //     the worlds' beacon fan-out). Cross-arc frames therefore travel as
 //     barrier mailbox messages, drained in deterministic (edge, sender)
 //     order.
-//   - Resolve runs single-threaded at the barrier over the whole window's
-//     frame set, sorted by (start, sender): airtime overlap, carrier
-//     sense, jam overlap and range are pure interval/geometry functions of
-//     that set, so the outcome is a pure function of (seed, config) —
-//     byte-identical at every shard width.
+//   - Resolution runs at the barrier over the whole window's frame set,
+//     sorted by (start, sender): airtime overlap, carrier sense, jam
+//     overlap and range are pure interval/geometry functions of that set,
+//     so the outcome is a pure function of (seed, config) — byte-identical
+//     at every shard width. It has two passes. The contention pass
+//     (Contend) is serial, because carrier sense depends on order; it
+//     fixes the on-air set. The visit pass (Visit) then decides every
+//     (frame, receiver) pair and may run once per receiver partition, in
+//     parallel: each outcome depends only on the on-air set, the jam
+//     state and the receiver's own loss stream.
 //   - Every stochastic decision comes from sim.SplitSeed per-entity
 //     streams: the sender's slot jitter is drawn by the sending entity
 //     (from its own stream, on its own shard), and per-receiver loss is
@@ -41,23 +46,23 @@ import (
 // The medium is geometry-agnostic: positions are opaque to it except
 // through the configured distance function, so a ring highway supplies
 // arc distance and the intersection plane supplies the Euclidean default.
-// All methods are barrier-only (single-threaded); the in-window half of a
+// All methods are barrier-only and single-threaded, except that Visit may
+// run concurrently for distinct partitions; the in-window half of a
 // transmission is just building the ShardedTx value.
 type ShardedMedium struct {
 	seed int64
 	cfg  ShardedConfig
 
 	pending []ShardedTx
-	// onAir is the Resolve scratch reused across barriers.
+	// onAir indexes the frames the contention pass put on air, in start
+	// order: scratch reused across barriers.
 	onAir []int
 
-	// rctx and visitFn implement Resolve's per-frame receiver visit
-	// without allocating: the closure a caller's each callback receives is
-	// built once (lazily) and reads the current frame's state from rctx,
-	// instead of a fresh closure per frame escaping through each.
-	// Barrier-only, like every other Resolve structure.
-	rctx    resolveCtx
-	visitFn func(to NodeID, pos Position)
+	// parts holds one visit context per receiver partition; the first
+	// nparts are in use between Contend and Settle. Built once and reused,
+	// so resolution allocates nothing in the steady state.
+	parts  []*visitPart
+	nparts int
 
 	// jamStart/jamUntil track the current (or last) jam burst per channel,
 	// with Jam extending an ongoing burst — the same single-burst model as
@@ -67,7 +72,11 @@ type ShardedMedium struct {
 	jamStart []sim.Time
 	jamUntil []sim.Time
 
-	rx    map[NodeID]*sim.Stream
+	// rx holds the per-receiver loss streams, indexed by node id; nil
+	// until the receiver's first draw (or Prime). A partitioned visit
+	// creates streams in place, so the table is sized beforehand by
+	// Reserve.
+	rx    []*sim.Stream
 	stats ShardedStats
 }
 
@@ -181,7 +190,6 @@ func NewShardedMedium(seed int64, cfg ShardedConfig) *ShardedMedium {
 		cfg:      cfg,
 		jamStart: make([]sim.Time, cfg.Channels),
 		jamUntil: make([]sim.Time, cfg.Channels),
-		rx:       make(map[NodeID]*sim.Stream),
 	}
 }
 
@@ -260,14 +268,31 @@ func airtimesOverlap(a, b *ShardedTx, airtime sim.Time) bool {
 
 // rxStream returns the receiver's loss stream, creating it on first use.
 // Streams are keyed by entity id and derived from SplitSeed, so creation
-// order — and therefore shard layout — cannot perturb the draws.
+// order — and therefore shard layout — cannot perturb the draws. Only a
+// serial caller may grow the table; a partitioned visit finds it sized by
+// Reserve.
 func (m *ShardedMedium) rxStream(id NodeID) *sim.Stream {
-	s, ok := m.rx[id]
-	if !ok {
+	if int(id) >= len(m.rx) {
+		if m.nparts > 1 {
+			panic(fmt.Sprintf("wireless: receiver %d outside the %d reserved loss streams in a partitioned visit", id, len(m.rx)))
+		}
+		m.Reserve(int(id) + 1)
+	}
+	s := m.rx[id]
+	if s == nil {
 		s = sim.NewStream(m.seed, int64(id), shardedLossDim)
 		m.rx[id] = s
 	}
 	return s
+}
+
+// Reserve sizes the loss-stream table for node ids below n without
+// creating any stream. A caller that visits receivers in several
+// partitions reserves every id it will visit first.
+func (m *ShardedMedium) Reserve(n int) {
+	if n > len(m.rx) {
+		m.rx = append(m.rx, make([]*sim.Stream, n-len(m.rx))...)
+	}
 }
 
 // Prime pre-creates the loss streams for a contiguous id range at their
@@ -281,7 +306,9 @@ func (m *ShardedMedium) Prime(first, last NodeID) {
 }
 
 // Resolve decides every queued frame's fate in deterministic (start,
-// sender) order and clears the queue. Single-threaded barrier work.
+// sender) order and clears the queue: Contend, one Visit, and Settle, for
+// a caller that visits every receiver itself. Single-threaded barrier
+// work.
 //
 // each is invoked once per frame that goes on air (carrier-sense deferrals
 // are reported through drop with to == tx.From and DropBusy, and skip
@@ -299,31 +326,27 @@ func (m *ShardedMedium) Resolve(
 	if len(m.pending) == 0 {
 		return
 	}
-	if m.visitFn == nil {
-		m.visitFn = func(to NodeID, pos Position) {
-			tx := m.rctx.tx
-			if to == tx.From {
-				return
-			}
-			switch {
-			case m.dist(tx.Pos, pos) > m.cfg.Range:
-				m.stats.OutOfRange++
-				m.rctx.drop(tx, to, DropOutOfRange)
-			case m.rctx.jammed:
-				m.stats.Jammed++
-				m.rctx.drop(tx, to, DropJam)
-			case m.collides(tx, m.rctx.at, pos, m.onAir):
-				m.stats.Collisions++
-				m.rctx.drop(tx, to, DropCollision)
-			case m.cfg.LossProb > 0 && m.rxStream(to).Float64() < m.cfg.LossProb:
-				m.stats.Losses++
-				m.rctx.drop(tx, to, DropLoss)
-			default:
-				m.stats.Delivered++
-				m.rctx.deliver(tx, to)
-			}
-		}
+	m.Contend(1, drop)
+	m.Visit(0, each, deliver, drop)
+	m.Settle()
+}
+
+// Contend is the serial half of resolution: it sorts the queued frames
+// into (start, sender) order and runs carrier sense, which fixes the set
+// of frames that go on air. Deferrals are reported through drop with
+// to == tx.From and DropBusy. parts is the number of receiver partitions
+// the visit pass will run in (at least 1); every one of them must then be
+// visited exactly once before Settle.
+func (m *ShardedMedium) Contend(parts int, drop func(tx *ShardedTx, to NodeID, reason DropReason)) {
+	if parts < 1 {
+		parts = 1
 	}
+	for len(m.parts) < parts {
+		vp := &visitPart{m: m}
+		vp.visit = vp.decide
+		m.parts = append(m.parts, vp)
+	}
+	m.nparts = parts
 	sortTxs(m.pending)
 
 	// Carrier-sense pass, in start order: a frame defers when its start
@@ -356,28 +379,86 @@ func (m *ShardedMedium) Resolve(
 		onAir = append(onAir, i)
 	}
 	m.onAir = onAir
+	m.stats.Sent += int64(len(onAir))
+}
 
-	m.rctx.deliver, m.rctx.drop = deliver, drop
-	for at, i := range onAir {
-		m.rctx.tx = &m.pending[i]
-		m.rctx.at = at
-		m.rctx.jammed = m.jamOverlaps(m.rctx.tx)
-		m.stats.Sent++
-		each(m.rctx.tx, m.visitFn)
+// Visit is the visit pass for receiver partition part, after Contend: it
+// hands every on-air frame, in on-air order, to each, which visits the
+// partition's candidate receivers. Visits of distinct partitions may run
+// concurrently, provided each partition's callbacks touch only that
+// partition's receivers and the ids were reserved (Reserve). Outcomes are
+// counted per partition and added to Stats by Settle.
+func (m *ShardedMedium) Visit(
+	part int,
+	each func(tx *ShardedTx, visit func(to NodeID, pos Position)),
+	deliver func(tx *ShardedTx, to NodeID),
+	drop func(tx *ShardedTx, to NodeID, reason DropReason),
+) {
+	vp := m.parts[part]
+	vp.deliver, vp.drop = deliver, drop
+	for at, i := range m.onAir {
+		vp.tx, vp.at = &m.pending[i], at
+		vp.jammed = m.jamOverlaps(vp.tx)
+		each(vp.tx, vp.visit)
 	}
 	// Unpin the caller's callbacks (and the last frame) between barriers.
-	m.rctx = resolveCtx{}
+	vp.tx, vp.deliver, vp.drop = nil, nil, nil
+}
+
+// Settle ends a resolution: it adds the partitions' outcome counts to
+// Stats in partition order and clears the queue.
+func (m *ShardedMedium) Settle() {
+	for _, vp := range m.parts[:m.nparts] {
+		m.stats.Delivered += vp.stats.Delivered
+		m.stats.Collisions += vp.stats.Collisions
+		m.stats.Losses += vp.stats.Losses
+		m.stats.Jammed += vp.stats.Jammed
+		m.stats.OutOfRange += vp.stats.OutOfRange
+		vp.stats = ShardedStats{}
+	}
+	m.nparts = 0
 	m.pending = m.pending[:0]
 }
 
-// resolveCtx carries the frame Resolve's reusable visit closure is
-// currently deciding, plus the caller's outcome callbacks for this pass.
-type resolveCtx struct {
+// visitPart is one receiver partition's visit context: the frame being
+// decided, the caller's outcome callbacks, and the partition's outcome
+// counts. visit is its decide method, bound once, so the closure a
+// caller's each callback receives is never rebuilt per frame.
+type visitPart struct {
+	m       *ShardedMedium
 	tx      *ShardedTx
 	at      int
 	jammed  bool
 	deliver func(tx *ShardedTx, to NodeID)
 	drop    func(tx *ShardedTx, to NodeID, reason DropReason)
+	visit   func(to NodeID, pos Position)
+	stats   ShardedStats
+}
+
+// decide runs the outcome ladder for the current frame at one receiver:
+// range, jam, collision, loss, delivery.
+func (vp *visitPart) decide(to NodeID, pos Position) {
+	m, tx := vp.m, vp.tx
+	if to == tx.From {
+		return
+	}
+	switch {
+	case m.dist(tx.Pos, pos) > m.cfg.Range:
+		vp.stats.OutOfRange++
+		vp.drop(tx, to, DropOutOfRange)
+	case vp.jammed:
+		vp.stats.Jammed++
+		vp.drop(tx, to, DropJam)
+	case m.collides(tx, vp.at, pos, m.onAir):
+		vp.stats.Collisions++
+		vp.drop(tx, to, DropCollision)
+	case m.cfg.LossProb > 0 && m.rxStream(to).Float64() < m.cfg.LossProb:
+		vp.stats.Losses++
+		vp.drop(tx, to, DropLoss)
+	default:
+		vp.stats.Delivered++
+		vp.deliver(tx, to)
+	}
 }
 
 // sortTxs orders a frame set by (Start, From), the order Resolve decides

@@ -1,12 +1,15 @@
 package wireless
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"karyon/internal/sim"
+	"karyon/internal/trace"
 )
 
 // outcomeLog collects per-receiver outcomes as comparable strings.
@@ -356,6 +359,102 @@ func TestShardedMediumMatchesLegacyMedium(t *testing.T) {
 	for _, outcome := range []string{"ok", "collision", "jam", "range"} {
 		if !strings.Contains(want, outcome) {
 			t.Fatalf("schedule never produced a %q outcome:\n%s", outcome, want)
+		}
+	}
+}
+
+// A resolution whose visit pass is split over receiver partitions, run
+// concurrently, decides every (frame, receiver) pair exactly as Resolve
+// does: each receiver sees the same outcomes in the same order, the
+// counts match, and so do the loss streams the receivers drew.
+func TestShardedPartitionedVisitMatchesResolve(t *testing.T) {
+	cfg := DefaultShardedConfig()
+	cfg.LossProb = 0.3
+	cfg.Channels = 2
+	cfg.CarrierSense = true
+	const nodes = 24
+	pos := make([]Position, nodes)
+	rng := sim.NewStream(3, 0, 0)
+	for i := range pos {
+		pos[i] = Position{X: float64(rng.Intn(900))}
+	}
+	// frames[w] is window w's frame set, queued to both media.
+	frames := make([][]ShardedTx, 20)
+	for w := range frames {
+		open := sim.Time(w) * 10 * sim.Millisecond
+		for i := 0; i < nodes; i++ {
+			frames[w] = append(frames[w], ShardedTx{
+				From:    NodeID(i),
+				Channel: i % cfg.Channels,
+				Pos:     pos[i],
+				Start:   open + sim.Time(rng.Intn(8000))*sim.Microsecond/2,
+				Retry:   open + 9*sim.Millisecond,
+			})
+		}
+	}
+	queue := func(m *ShardedMedium, w int) {
+		m.JamAll(sim.Time(w)*10*sim.Millisecond+3*sim.Millisecond, 400*sim.Microsecond)
+		for _, tx := range frames[w] {
+			m.Queue(tx)
+		}
+	}
+	for _, parts := range []int{2, 3} {
+		ref, split := NewShardedMedium(9, cfg), NewShardedMedium(9, cfg)
+		split.Reserve(nodes)
+		refLog := make([][]string, nodes)
+		splitLog := make([][]string, nodes)
+		logTo := func(logs [][]string) (func(*ShardedTx, NodeID), func(*ShardedTx, NodeID, DropReason)) {
+			return func(tx *ShardedTx, to NodeID) {
+					logs[to] = append(logs[to], fmt.Sprintf("%d@%d ok", tx.From, tx.Start))
+				}, func(tx *ShardedTx, to NodeID, r DropReason) {
+					if r != DropBusy {
+						logs[to] = append(logs[to], fmt.Sprintf("%d@%d %s", tx.From, tx.Start, r))
+					}
+				}
+		}
+		refDeliver, refDrop := logTo(refLog)
+		splitDeliver, splitDrop := logTo(splitLog)
+		eachOf := func(part int) func(*ShardedTx, func(NodeID, Position)) {
+			return func(tx *ShardedTx, visit func(NodeID, Position)) {
+				for i := 0; i < nodes; i++ {
+					if part < 0 || i%parts == part {
+						visit(NodeID(i), pos[i])
+					}
+				}
+			}
+		}
+		for w := range frames {
+			queue(ref, w)
+			queue(split, w)
+			ref.Resolve(eachOf(-1), refDeliver, refDrop)
+			split.Contend(parts, splitDrop)
+			var wg sync.WaitGroup
+			for p := 0; p < parts; p++ {
+				wg.Add(1)
+				go func(p int) {
+					defer wg.Done()
+					split.Visit(p, eachOf(p), splitDeliver, splitDrop)
+				}(p)
+			}
+			wg.Wait()
+			split.Settle()
+		}
+		if ref.Stats() != split.Stats() {
+			t.Fatalf("parts=%d: stats %+v, want %+v", parts, split.Stats(), ref.Stats())
+		}
+		if s := ref.Stats(); s.Losses == 0 || s.Collisions == 0 || s.Jammed == 0 || s.Delivered == 0 {
+			t.Fatalf("degenerate outcome mix: %+v", s)
+		}
+		for id := range refLog {
+			if got, want := strings.Join(splitLog[id], "\n"), strings.Join(refLog[id], "\n"); got != want {
+				t.Fatalf("parts=%d receiver %d:\n%s\nwant:\n%s", parts, id, got, want)
+			}
+		}
+		var ea, eb trace.Enc
+		ref.EncodeState(&ea)
+		split.EncodeState(&eb)
+		if !bytes.Equal(ea.Bytes(), eb.Bytes()) {
+			t.Fatalf("parts=%d: checkpoints differ: the receivers' loss streams drew differently", parts)
 		}
 	}
 }

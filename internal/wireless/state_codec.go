@@ -1,15 +1,13 @@
 package wireless
 
 import (
-	"slices"
-
 	"karyon/internal/sim"
 	"karyon/internal/trace"
 )
 
 // EncodeState appends the medium's checkpoint to e for the record/replay
 // trace: the accounting counters, the jam bursts, and every created
-// receiver stream's generator state, sorted by node ID for deterministic
+// receiver stream's generator state, in node ID order for deterministic
 // bytes. Pending frames are not part of it — checkpoints are taken at
 // window barriers, after Resolve has emptied the queue. Barrier-only.
 func (m *ShardedMedium) EncodeState(e *trace.Enc) {
@@ -30,15 +28,18 @@ func (m *ShardedMedium) EncodeState(e *trace.Enc) {
 	for _, t := range m.jamUntil {
 		e.I64(int64(t))
 	}
-	ids := make([]NodeID, 0, len(m.rx))
-	for id := range m.rx {
-		ids = append(ids, id)
+	n := 0
+	for _, s := range m.rx {
+		if s != nil {
+			n++
+		}
 	}
-	slices.Sort(ids)
-	e.U32(uint32(len(ids)))
-	for _, id := range ids {
-		e.I64(int64(id))
-		e.U64(m.rx[id].State())
+	e.U32(uint32(n))
+	for id, s := range m.rx {
+		if s != nil {
+			e.I64(int64(id))
+			e.U64(s.State())
+		}
 	}
 }
 
@@ -65,14 +66,13 @@ func (m *ShardedMedium) DecodeState(d *trace.Dec) {
 		}
 	}
 	for i, n := 0, d.Count(16); i < n && d.Err() == nil; i++ {
-		id := NodeID(d.I64())
+		id := d.I64()
 		state := d.U64()
-		s, ok := m.rx[id]
-		if !ok {
+		if id < 0 || id >= int64(len(m.rx)) || m.rx[id] == nil {
 			d.Fail("receiver %d has no loss stream", id)
 			return
 		}
-		s.Restore(state)
+		m.rx[id].Restore(state)
 	}
 	m.pending = m.pending[:0]
 }

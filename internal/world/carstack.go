@@ -52,15 +52,14 @@ type Car struct {
 	inputs   []*sensor.Abstract
 	truthGap float64
 
+	// table holds the neighbours' last beaconed states and accelerations
+	// (written by the barrier's delivery stage on the shard that owns the
+	// car, read by the car's own steps).
 	table   *coord.StateTable
 	manager *core.Manager
 	fn      *core.Functionality
 	gate    *core.Gate
 	params  vehicle.ACCParams
-
-	// accelFrom holds the last beaconed acceleration per sender (written
-	// at barriers by mailbox delivery, read by the car's own steps).
-	accelFrom map[int]float64
 
 	// est tracks the lead vehicle through the physical channel (GEAR's
 	// actuation-perception loop): lead speed below LoS3, and a hidden-
@@ -90,12 +89,13 @@ type Car struct {
 	phase  sim.Time
 	stepFn func()
 
-	// Cached mailbox closures plus the pending-beacon fields they read:
-	// the car's step writes pendState/pendAccel/pendSentAt (abstract V2V)
-	// or pendTx (Medium mode) and mails the cached closure, so the
-	// steady-state beacon path allocates nothing. The fields are stable
-	// between the send and the closing barrier — a car steps exactly once
-	// per window and the drain runs before the next window is seeded.
+	// Cached mailbox closures plus the pending-beacon fields the barrier
+	// reads: the car's step writes pendState/pendAccel/pendSentAt
+	// (abstract V2V) or pendTx (Medium mode) and mails the cached closure,
+	// so the steady-state beacon path allocates nothing. The fields are
+	// stable between the send and the closing barrier — a car steps
+	// exactly once per window and the delivery stage runs before the next
+	// window is seeded.
 	// payload is the car's persistent Medium-mode frame payload: boxing
 	// the same pointer into pendTx.Payload avoids allocating a fresh
 	// interface value per frame (the contents are consumed when the frame
@@ -157,15 +157,14 @@ func (c *Car) SetCruiseSpeed(v float64) {
 // cars' event interleaving can perturb it.
 func newCar(seed int64, id int, x float64, cfg HighwayConfig) (*Car, error) {
 	c := &Car{
-		ID:        id,
-		Body:      vehicle.Body{X: x, Speed: 20, Length: 4.5},
-		clock:     &sim.ManualClock{},
-		rx:        sim.NewStream(seed, int64(id), 3),
-		tx:        sim.NewStream(seed, int64(id), 5),
-		params:    vehicle.DefaultACCParams(),
-		est:       gear.NewLeadEstimator(),
-		accelFrom: make(map[int]float64),
-		truthGap:  cfg.Length,
+		ID:       id,
+		Body:     vehicle.Body{X: x, Speed: 20, Length: 4.5},
+		clock:    &sim.ManualClock{},
+		rx:       sim.NewStream(seed, int64(id), 3),
+		tx:       sim.NewStream(seed, int64(id), 5),
+		params:   vehicle.DefaultACCParams(),
+		est:      gear.NewLeadEstimator(),
+		truthGap: cfg.Length,
 	}
 	c.hidden = gear.NewHiddenChannel(c.est, 1.5)
 	c.phase = 1 + sim.Time(uint64(sim.SplitSeed(seed, int64(id)*64+4))%uint64(cfg.ControlPeriod-1))
@@ -308,7 +307,7 @@ func (c *Car) step(h *Highway, shard *sim.Shard) {
 		}
 		if level >= 3 && haveV2V {
 			view.Speed = leadState.Speed
-			if b, ok := c.accelFrom[leadID]; ok {
+			if b, ok := c.table.Accel(wireless.NodeID(leadID)); ok {
 				// The hidden channel assesses the claim: a remote claim
 				// physically inconsistent with the observed motion is not
 				// trusted for feed-forward.

@@ -16,6 +16,7 @@ import (
 
 	"karyon/internal/sim"
 	"karyon/internal/trace"
+	"karyon/internal/wireless"
 )
 
 // goldenCheckpoints are the SHA-256 sums of the window-40 checkpoints of
@@ -212,9 +213,9 @@ func TestReplayRejectsHostileCheckpoints(t *testing.T) {
 // notCheckpointed lists the Car fields a checkpoint leaves out, each with
 // the reason it may.
 var notCheckpointed = map[string]string{
-	"stepFn":     "closure: the cached control step, built by Start",
-	"deliverFn":  "closure: the cached beacon delivery, built by Start",
-	"queueFn":    "closure: the cached radio enqueue, built by Start",
+	"stepFn":     "closure: the cached control step, built by NewHighway",
+	"deliverFn":  "closure: the cached enlistment as a window's beacon sender, built by NewHighway",
+	"queueFn":    "closure: the cached radio enqueue, built by NewHighway",
 	"pendState":  "scratch: the pending beacon, drained at the barrier before a checkpoint",
 	"pendAccel":  "scratch: the pending beacon, drained at the barrier before a checkpoint",
 	"pendSentAt": "scratch: the pending beacon, drained at the barrier before a checkpoint",
@@ -255,6 +256,20 @@ func TestCheckpointCompleteness(t *testing.T) {
 		h := build()
 		if err := h.Run(12 * sim.Second); err != nil {
 			t.Fatalf("Run: %v", err)
+		}
+		// The wall only sees what the run left behind: the state tables
+		// must hold beaconed accelerations, which the checkpoint writes
+		// apart from the states.
+		accels := 0
+		for _, c := range h.cars {
+			for _, from := range h.cars {
+				if a, ok := c.table.Accel(wireless.NodeID(from.ID)); ok && a != 0 {
+					accels++
+				}
+			}
+		}
+		if accels == 0 {
+			t.Fatalf("medium=%v: no state table holds a nonzero acceleration", medium)
 		}
 		var e trace.Enc
 		h.encodeCheckpoint(&e)

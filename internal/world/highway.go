@@ -224,12 +224,17 @@ type Highway struct {
 	// queue into it through the barrier mailboxes and resolve at every
 	// window edge against the still-published previous snapshot.
 	medium *wireless.ShardedMedium
-	// mEach/mDeliver/mDrop are the medium's Resolve callbacks, built once
-	// by initMediumCallbacks so the per-window resolution allocates no
-	// closures.
-	mEach    func(*wireless.ShardedTx, func(wireless.NodeID, wireless.Position))
-	mDeliver func(*wireless.ShardedTx, wireless.NodeID)
-	mDrop    func(*wireless.ShardedTx, wireless.NodeID, wireless.DropReason)
+
+	// Receiver-owned beacon delivery (delivery.go). The mailbox drain
+	// collects the window's abstract-path senders in id order; the
+	// barrier's delivery stage then runs on every shard at once, each
+	// shard delivering to the receivers it owns, with its counts in its
+	// part and summed in shard order. span[s] is the x extent of shard s's
+	// entries in the published snapshot.
+	senders []*Car
+	parts   []*deliveryPart
+	stageFn func(shard int)
+	span    []arcSpan
 	// lastDelivered snapshots the medium's delivered count at the
 	// previous barrier; inOutage/outageStart track the current fleet-wide
 	// beacon outage (windows with frames on air but nothing delivered).
@@ -346,16 +351,14 @@ func NewHighway(sk *sim.ShardedKernel, cfg HighwayConfig) (*Highway, error) {
 		// the pend* fields, so the steady-state window sends beacons
 		// without allocating.
 		car.stepFn = func() { car.step(h, h.sk.Shard(car.shard)) }
-		car.deliverFn = func() { h.deliverBeacon(car) }
+		car.deliverFn = func() { h.senders = append(h.senders, car) }
 		if cfg.Medium {
 			car.payload = &beacon{}
 			car.queueFn = func() { h.medium.Queue(car.pendTx) }
 		}
 		h.cars = append(h.cars, car)
 	}
-	if cfg.Medium {
-		h.initMediumCallbacks()
-	}
+	h.initDelivery()
 	return h, nil
 }
 
@@ -492,13 +495,12 @@ func (h *Highway) RunContext(ctx context.Context, d sim.Time) error {
 // next window's control steps read, which is the same contract the
 // campaign engine has always followed.
 func (h *Highway) onWindow(edge sim.Time) {
-	if h.medium != nil {
-		// Resolve the closed window's frames first, against the snapshot
-		// they were sent under and before this barrier's scheduled
-		// actions — a jam injected at this edge must not reach back into
-		// the window that just ended (the abstract path's drain-time loss
-		// draws follow the same rule).
-		h.resolveMedium(edge)
+	// Deliver the closed window's beacons first, against the snapshot
+	// they were sent under and before this barrier's scheduled actions — a
+	// jam injected at this edge must not reach back into the window that
+	// just ended.
+	if err := h.deliverBeacons(edge); err != nil {
+		return // the kernel latched the stage's error and fails the Run
 	}
 	h.runPending(edge)
 	h.mergeSnapshot(edge)
@@ -573,6 +575,7 @@ func (h *Highway) publishSnapshot(edge sim.Time) {
 	for _, e := range h.snap {
 		h.arcs[e.shard] = append(h.arcs[e.shard], e)
 	}
+	h.recordSpans()
 }
 
 // snapLess is the snapshot order: ascending (x, id). The key is unique
@@ -679,6 +682,7 @@ func (h *Highway) mergeSnapshot(edge sim.Time) {
 	}
 	h.snap = out
 	h.snapEdge = edge
+	h.recordSpans()
 }
 
 // assertSnapshotSync panics if any stitched entry diverged from its car —
@@ -1058,14 +1062,15 @@ func (h *Highway) beaconDue(c *Car, now sim.Time) bool {
 }
 
 // sendBeacon broadcasts the car's cooperative state to every snapshot
-// neighbor within V2V range through ONE mailbox message per beacon: the
-// per-receiver fan-out happens inside the barrier drain, walking the same
-// immutable snapshot the sender transmitted against (the snapshot is only
-// replaced by the window hook, which runs after the drain). This keeps
-// delivery order, loss draws, and counters exactly as if each receiver had
-// its own message — the drain executes senders in (edge, sender) order,
-// and the fan-out visits receivers in the same eachInRange order — while
-// allocating one closure per beacon instead of one per receiver.
+// neighbor within V2V range through ONE mailbox message per beacon. The
+// message only enlists the car as a sender of the closing window; the
+// per-receiver fan-out happens in the barrier's delivery stage, walking
+// the same immutable snapshot the sender transmitted against (the
+// snapshot is only replaced after the stage). This keeps delivery order,
+// loss draws, and counters exactly as if each receiver had its own
+// message — the drain enlists senders in (edge, sender) order, and every
+// receiver hears them in that order — while the mailbox carries one
+// message per beacon instead of one per receiver.
 func (h *Highway) sendBeacon(shard *sim.Shard, c *Car, now sim.Time) {
 	if h.medium != nil {
 		h.sendBeaconRadio(shard, c, now)
@@ -1084,32 +1089,6 @@ func (h *Highway) sendBeacon(shard *sim.Shard, c *Car, now sim.Time) {
 	c.pendAccel = c.Body.Accel
 	c.pendSentAt = now
 	shard.Send(shard.Index(), h.sk.NextEdge(now), int64(c.ID), c.deliverFn)
-}
-
-// deliverBeacon is the barrier half of the abstract V2V path — the body of
-// every car's cached deliverFn. Barrier context: single-threaded, ordered
-// by (edge, sender), reading the pending-beacon fields the sender's step
-// wrote in the window that just closed.
-func (h *Highway) deliverBeacon(c *Car) {
-	sent := false
-	h.eachInRange(c, func(e *hwSnap) {
-		sent = true
-		to := h.cars[e.id]
-		if h.jammed(c.pendSentAt) {
-			h.beaconsLost++
-			return
-		}
-		if h.cfg.Loss > 0 && to.rx.Float64() < h.cfg.Loss {
-			h.beaconsLost++
-			return
-		}
-		h.beaconsDelivered++
-		to.table.Update(c.pendState)
-		to.accelFrom[c.ID] = c.pendAccel
-	})
-	if sent {
-		c.beaconsSent++
-	}
 }
 
 // beacon is the payload a slot-level V2V frame carries.
@@ -1167,93 +1146,4 @@ func (h *Highway) sendBeaconRadio(shard *sim.Shard, c *Car, now sim.Time) {
 	}
 	c.pendTx = tx
 	shard.Send(shard.Index(), edge, int64(c.ID), c.queueFn)
-}
-
-// initMediumCallbacks builds the Resolve callback closures once (Medium
-// mode only): passing freshly created closures — or method values, which
-// also allocate — per window would be the last allocation in the
-// steady-state barrier.
-func (h *Highway) initMediumCallbacks() {
-	h.mEach = func(tx *wireless.ShardedTx, visit func(wireless.NodeID, wireless.Position)) {
-		c := h.cars[int(tx.From)]
-		c.beaconsSent++
-		h.eachInRange(c, func(e *hwSnap) {
-			visit(wireless.NodeID(e.id), wireless.Position{X: e.x})
-		})
-	}
-	h.mDeliver = func(tx *wireless.ShardedTx, to wireless.NodeID) {
-		b := tx.Payload.(*beacon)
-		rc := h.cars[int(to)]
-		rc.table.Update(b.state)
-		rc.accelFrom[int(tx.From)] = b.accel
-		h.beaconsDelivered++
-	}
-	h.mDrop = func(tx *wireless.ShardedTx, to wireless.NodeID, r wireless.DropReason) {
-		if r != wireless.DropBusy { // deferrals never went on air
-			h.beaconsLost++
-		}
-	}
-}
-
-// resolveMedium runs the slot-level contention resolution for the window
-// closing at edge: per-receiver outcomes feed the same state tables and
-// counters the abstract path feeds, and fleet-wide delivery outages feed
-// the inaccessibility accounting.
-func (h *Highway) resolveMedium(edge sim.Time) {
-	queued := h.medium.Pending()
-	h.medium.Resolve(h.mEach, h.mDeliver, h.mDrop)
-	if queued == 0 {
-		return // nothing attempted: no information about the channel
-	}
-	delivered := h.medium.Stats().Delivered
-	open := edge - h.cfg.ControlPeriod
-	switch {
-	case delivered == h.lastDelivered && !h.inOutage:
-		h.inOutage = true
-		h.outageStart = open
-	case delivered > h.lastDelivered && h.inOutage:
-		h.inaccess.Observe(float64(open-h.outageStart) / float64(sim.Millisecond))
-		h.inOutage = false
-	}
-	h.lastDelivered = delivered
-}
-
-// eachInRange visits the snapshot entries within ring distance V2VRange of
-// c (in either direction), excluding c itself.
-func (h *Highway) eachInRange(c *Car, fn func(*hwSnap)) {
-	n := len(h.snap)
-	if n < 2 {
-		return
-	}
-	x := c.Body.X
-	r := h.cfg.V2VRange
-	if 2*r >= h.cfg.Length {
-		for i := range h.snap {
-			if h.snap[i].id != c.ID {
-				fn(&h.snap[i])
-			}
-		}
-		return
-	}
-	at := sort.Search(n, func(i int) bool { return h.snap[i].x > x })
-	for i := 0; i < n-1; i++ {
-		e := &h.snap[(at+i)%n]
-		if e.id == c.ID {
-			continue
-		}
-		if math.Mod(e.x-x+h.cfg.Length, h.cfg.Length) > r {
-			break
-		}
-		fn(e)
-	}
-	for i := 1; i <= n-1; i++ {
-		e := &h.snap[((at-i)%n+n)%n]
-		if e.id == c.ID {
-			continue
-		}
-		if math.Mod(x-e.x+h.cfg.Length, h.cfg.Length) > r {
-			break
-		}
-		fn(e)
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 
 	"karyon/internal/coord"
 	"karyon/internal/sim"
@@ -362,8 +361,9 @@ func (h *Highway) dropPendingThrough(edge sim.Time) {
 }
 
 // encodeState writes the car's complete restorable state, read straight
-// from its stack, in a fixed field order. The accel inbox comes out of a
-// map, so it is sorted by sender.
+// from its stack, in a fixed field order. The state table is written in
+// two places: the neighbours' states after the sensors, their beaconed
+// accelerations after the ACC parameters.
 func (c *Car) encodeState(e *trace.Enc) {
 	e.F64(c.Body.X)
 	e.I64(int64(c.Body.Lane))
@@ -398,17 +398,7 @@ func (c *Car) encodeState(e *trace.Enc) {
 	e.F64(p.CruiseSpeed)
 	e.F64(p.MaxAccel)
 	e.F64(p.MaxBrake)
-	var buf [64]int
-	senders := buf[:0]
-	for from := range c.accelFrom {
-		senders = append(senders, from)
-	}
-	slices.Sort(senders)
-	e.U32(uint32(len(senders)))
-	for _, from := range senders {
-		e.I64(int64(from))
-		e.F64(c.accelFrom[from])
-	}
+	c.table.EncodeAccels(e)
 	e.I64(int64(c.forcedBrakeUntil))
 	c.maneuver.EncodeState(e)
 	e.Str(string(c.wantRegion))
@@ -462,11 +452,7 @@ func (c *Car) decodeState(d *trace.Dec) {
 	p.CruiseSpeed = d.F64()
 	p.MaxAccel = d.F64()
 	p.MaxBrake = d.F64()
-	clear(c.accelFrom)
-	for i, n := 0, d.Count(16); i < n && d.Err() == nil; i++ {
-		from := int(d.I64())
-		c.accelFrom[from] = d.F64()
-	}
+	c.table.DecodeAccels(d)
 	c.forcedBrakeUntil = sim.Time(d.I64())
 	c.maneuver.DecodeState(d)
 	c.wantRegion = coord.Resource(d.Str())

@@ -11,7 +11,8 @@ import (
 // must stay within a fixed allocation budget. The budgets carry several
 // times headroom over the measured steady state (≈4 allocs/simsec at
 // shards=1, ≈11 at shards=8 — mostly the per-Run worker spawns — and
-// ≈39 with the radio medium), but sit three orders of magnitude below
+// ≈33 and ≈39 with the radio medium at shards=2, the benchmark's width,
+// and shards=8), but sit three orders of magnitude below
 // the pre-arena numbers (~12k-36k/simsec), so any reintroduced per-event
 // churn — a stray fmt.Sprintf, a closure in a car step, interface boxing
 // on a beacon payload — fails loudly here long before it shows up in a
@@ -28,6 +29,7 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 	}{
 		{"shards=1", 1, false, 32},
 		{"shards=8", 8, false, 64},
+		{"shards=2/medium", 2, true, 128},
 		{"shards=8/medium", 8, true, 160},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
