@@ -329,39 +329,32 @@ func (sk *ShardedKernel) shardWorker(s *Shard, jobs chan shardJob) {
 		if job.stop {
 			return
 		}
-		if job.stage != nil {
-			sk.runStage(s, job)
-		} else {
-			sk.runShardWindow(s, job)
-		}
+		sk.runJob(s, job)
 		sk.wg.Done()
 	}
 }
 
-// runShardWindow executes one shard's half of one window — event-queue
-// drain plus the per-shard hooks — recording any panic in the shard's
-// errs slot.
-func (sk *ShardedKernel) runShardWindow(s *Shard, job shardJob) {
+// runJob executes one shard's job — one window's event-queue drain plus
+// the per-shard hooks, or one call of a barrier stage — recording any
+// panic in the shard's errs slot.
+func (sk *ShardedKernel) runJob(s *Shard, job shardJob) {
 	defer func() {
 		if p := recover(); p != nil {
-			sk.errs[s.idx] = windowError(fmt.Sprintf("shard %d", s.idx), job.edge, p)
+			phase := fmt.Sprintf("shard %d", s.idx)
+			if job.stage != nil {
+				phase = "barrier stage on " + phase
+			}
+			sk.errs[s.idx] = windowError(phase, job.edge, p)
 		}
 	}()
+	if job.stage != nil {
+		job.stage(s.idx)
+		return
+	}
 	s.kernel.Run(job.edge)
 	for _, fn := range sk.shardHooks {
 		fn(s.idx, job.edge)
 	}
-}
-
-// runStage runs one shard's call of a barrier stage, recording any panic
-// in the shard's errs slot.
-func (sk *ShardedKernel) runStage(s *Shard, job shardJob) {
-	defer func() {
-		if p := recover(); p != nil {
-			sk.errs[s.idx] = windowError(fmt.Sprintf("barrier stage on shard %d", s.idx), job.edge, p)
-		}
-	}()
-	job.stage(s.idx)
 }
 
 // dispatch runs one job on every shard: shards 1..n-1 through the Run
@@ -376,11 +369,7 @@ func (sk *ShardedKernel) dispatch(job shardJob) error {
 	for _, ch := range sk.workers {
 		ch <- job
 	}
-	if job.stage != nil {
-		sk.runStage(sk.shards[0], job)
-	} else {
-		sk.runShardWindow(sk.shards[0], job)
-	}
+	sk.runJob(sk.shards[0], job)
 	sk.wg.Wait()
 	for _, err := range sk.errs {
 		if err != nil {
@@ -414,7 +403,7 @@ func (sk *ShardedKernel) Stage(fn func(shard int)) error {
 	}
 	for _, s := range sk.shards {
 		sk.errs[s.idx] = nil
-		sk.runStage(s, job)
+		sk.runJob(s, job)
 		if err := sk.errs[s.idx]; err != nil {
 			sk.failed = err
 			return err

@@ -109,9 +109,6 @@ func (h *Highway) deliverBeacons(edge sim.Time) error {
 		return nil
 	}
 	err := h.sk.Stage(h.stageFn)
-	for i := range h.senders {
-		h.senders[i] = nil
-	}
 	h.senders = h.senders[:0]
 	h.collectCounts()
 	return err
@@ -144,7 +141,6 @@ func (p *deliveryPart) fanOut() {
 			c.beaconsSent++
 		}
 	}
-	p.sender = nil
 }
 
 // deliverAbstract decides the current sender's beacon at snapshot entry
@@ -182,7 +178,6 @@ func (p *deliveryPart) eachRadio(tx *wireless.ShardedTx, visit func(wireless.Nod
 	}
 	p.mVisit = visit
 	p.h.eachInRange(c, p.visitRadio)
-	p.mVisit = nil
 }
 
 // offerRadio hands snapshot entry i to the medium's visit if the shard
