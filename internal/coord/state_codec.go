@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"slices"
 	"sort"
 
 	"karyon/internal/sim"
@@ -32,10 +33,16 @@ func (t *StateTable) EncodeState(e *trace.Enc) {
 
 // DecodeState replaces the table's entries with the states written by
 // EncodeState, which must name each sender once, in ascending order. The
-// accelerations stay zero until DecodeAccels.
+// accelerations stay zero until DecodeAccels. The table is sized once, and
+// an intent equal to the one before it shares that one's string.
 func (t *StateTable) DecodeState(d *trace.Dec) {
-	t.peers = t.peers[:0]
-	for i, n := 0, d.Count(64); i < n && d.Err() == nil; i++ {
+	var held string
+	if len(t.peers) > 0 {
+		held = t.peers[0].state.Intent
+	}
+	n := d.Count(64)
+	t.peers = slices.Grow(t.peers[:0], n)
+	for i := 0; i < n && d.Err() == nil; i++ {
 		var c CoopState
 		c.ID = wireless.NodeID(d.I64())
 		c.Pos.X = d.F64()
@@ -43,7 +50,8 @@ func (t *StateTable) DecodeState(d *trace.Dec) {
 		c.Pos.Z = d.F64()
 		c.Speed = d.F64()
 		c.Lane = int(d.I64())
-		c.Intent = d.Str()
+		c.Intent = d.StrReuse(held)
+		held = c.Intent
 		c.Time = sim.Time(d.I64())
 		c.Validity = d.F64()
 		if k := len(t.peers); k > 0 && t.peers[k-1].state.ID >= c.ID {

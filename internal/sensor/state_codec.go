@@ -2,6 +2,7 @@ package sensor
 
 import (
 	"errors"
+	"slices"
 
 	"karyon/internal/sim"
 	"karyon/internal/trace"
@@ -36,12 +37,14 @@ func encodeReading(e *trace.Enc, r Reading) {
 	e.Str(r.Source)
 }
 
-func decodeReading(d *trace.Dec) Reading {
+// decodeReading reads a reading written by encodeReading. A source equal
+// to held comes back as held itself, without allocating.
+func decodeReading(d *trace.Dec, held string) Reading {
 	var r Reading
 	r.Value = d.F64()
 	r.Time = sim.Time(d.I64())
 	r.Validity = d.F64()
-	r.Source = d.Str()
+	r.Source = d.StrReuse(held)
 	return r
 }
 
@@ -61,14 +64,24 @@ func (fm *FaultManagement) EncodeState(e *trace.Enc) {
 
 // DecodeState restores state written by EncodeState. The history may not
 // outgrow the unit's window, and there must be one verdict per detector.
+// The history is sized once, and its readings, which all name the same
+// source, share one source string.
 func (fm *FaultManagement) DecodeState(d *trace.Dec) {
+	h := fm.hist
 	n := d.Count(25)
-	if n > fm.hist.size {
-		d.Fail("history of %d readings exceeds the window of %d", n, fm.hist.size)
+	if n > h.size {
+		d.Fail("history of %d readings exceeds the window of %d", n, h.size)
+		return
 	}
-	fm.hist.buf = fm.hist.buf[:0]
+	var held string
+	if len(h.buf) > 0 {
+		held = h.buf[0].Source
+	}
+	h.buf = slices.Grow(h.buf[:0], n)
 	for i := 0; i < n && d.Err() == nil; i++ {
-		fm.hist.buf = append(fm.hist.buf, decodeReading(d))
+		r := decodeReading(d, held)
+		held = r.Source
+		h.buf = append(h.buf, r)
 	}
 	if d.CountIs(len(fm.lastVerdicts), "verdict") {
 		for i := range fm.lastVerdicts {

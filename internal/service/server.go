@@ -778,7 +778,8 @@ func (s *Server) execute(j *job) {
 			j.archived = true
 			j.mu.Unlock()
 		}
-		j.finish(StateDone, "")
+		// Count the job before its terminal state wakes the readers, so a
+		// client that saw it end reads it counted.
 		s.mu.Lock()
 		s.stats.Completed++
 		s.cacheDegraded = !archived
@@ -790,6 +791,7 @@ func (s *Server) execute(j *job) {
 			s.journalRecord(JournalRecord{Key: j.id, State: StateDone, Spec: j.spec, At: time.Now(), Error: "archive failed"})
 		}
 		s.mu.Unlock()
+		j.finish(StateDone, "")
 		s.log.Printf("job %.12s: done (%s, %s)", j.id, j.spec.Scenario, elapsed.Round(time.Millisecond))
 		return
 	}
@@ -815,7 +817,6 @@ func (s *Server) execute(j *job) {
 	j.stack = stack
 	j.mu.Unlock()
 	j.appendStream(errorLineStack(msg, stack))
-	j.finish(state, msg)
 	s.mu.Lock()
 	if state == StateCancelled {
 		s.stats.Cancelled++
@@ -833,6 +834,7 @@ func (s *Server) execute(j *job) {
 		s.journalRemove(j.id)
 	}
 	s.mu.Unlock()
+	j.finish(state, msg)
 	s.log.Printf("job %.12s: %s: %s", j.id, state, msg)
 }
 

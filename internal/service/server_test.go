@@ -14,6 +14,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"karyon/internal/harness"
 )
 
 func newTestServer(t *testing.T, cfg Config) *Server {
@@ -447,5 +449,85 @@ func TestExperimentJob(t *testing.T) {
 	}
 	if !st2.Cached {
 		t.Fatal("experiment resubmission missed")
+	}
+}
+
+// endedUnderLock waits until job id has left the running count but not
+// yet ended, then holds the server lock for up to d. It reports whether
+// the job reached its terminal state while the lock was held, and the
+// stats as they were at that instant. A job that missed the window, ending
+// before the lock was taken, reports false too.
+func endedUnderLock(s *Server, id string, d time.Duration) (Stats, bool) {
+	s.mu.Lock()
+	j := s.jobs[id]
+	s.mu.Unlock()
+	state := func() State {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		return j.state
+	}
+	for {
+		s.mu.Lock()
+		st := state()
+		if terminal(st) {
+			s.mu.Unlock()
+			return Stats{}, false
+		}
+		if st == StateRunning && s.stats.Queued == 0 && s.stats.Running == 0 {
+			break
+		}
+		s.mu.Unlock()
+	}
+	defer s.mu.Unlock()
+	for deadline := time.Now().Add(d); time.Now().Before(deadline); time.Sleep(100 * time.Microsecond) {
+		if terminal(state()) {
+			return s.stats, true
+		}
+	}
+	return Stats{}, false
+}
+
+// TestStatsCountBeforeTerminalState: a job is counted in the stats before
+// its terminal state wakes the readers, so a client that saw a job end
+// reads it counted. The test holds the server lock across the end of each
+// job's run: a job that ends while the lock is held must already be
+// counted. Each terminal path (done, failed by a panic, cancelled) runs
+// several jobs.
+func TestStatsCountBeforeTerminalState(t *testing.T) {
+	const jobs = 5
+	spec := func(i int) JobSpec {
+		return JobSpec{Scenario: "highway", Seed: int64(100 + i), Replicas: 1, Duration: "1s", Cars: 2}
+	}
+	for _, tc := range []struct {
+		name    string
+		backend harness.Backend
+		counted func(Stats) int64
+	}{
+		{"done", nil, func(st Stats) int64 { return st.Completed }},
+		{"failed", panicBackend{}, func(st Stats) int64 { return min(st.Failed, st.Panics) }},
+		{"cancelled", blockingBackend{}, func(st Stats) int64 { return st.Cancelled }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestServer(t, Config{Runner: harness.Runner{Backend: tc.backend}})
+			for i := range jobs {
+				st, err := s.Submit(spec(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.name == "cancelled" {
+					waitState(t, s, st.ID, StateRunning)
+					if _, err := s.Cancel(st.ID); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if stats, ended := endedUnderLock(s, st.ID, 20*time.Millisecond); ended && tc.counted(stats) < int64(i+1) {
+					t.Fatalf("job %d ended before the stats counted it: %+v", i+1, stats)
+				}
+				waitTerminal(t, s, st.ID)
+				if got := tc.counted(s.Stats()); got < int64(i+1) {
+					t.Fatalf("after %d jobs ended the stats count %d", i+1, got)
+				}
+			}
+		})
 	}
 }

@@ -8,6 +8,7 @@
 package trace
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -99,12 +100,14 @@ func (d *Dec) Fail(format string, args ...any) {
 	}
 }
 
+// short fails the decode for a read of n bytes the input does not have.
+func (d *Dec) short(n int) {
+	d.Fail("need %d bytes, have %d", n, len(d.buf)-d.off)
+}
+
 func (d *Dec) take(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || n > len(d.buf)-d.off {
-		d.Fail("need %d bytes, have %d", n, len(d.buf)-d.off)
+	if d.err != nil || uint(n) > uint(len(d.buf)-d.off) {
+		d.short(n)
 		return nil
 	}
 	b := d.buf[d.off : d.off+n]
@@ -112,29 +115,37 @@ func (d *Dec) take(n int) []byte {
 	return b
 }
 
+// The fixed-width reads below make one bounds check each and load the
+// value in place.
+
 func (d *Dec) U8() uint8 {
-	b := d.take(1)
-	if b == nil {
+	b := d.buf[d.off:]
+	if d.err != nil || len(b) < 1 {
+		d.short(1)
 		return 0
 	}
+	d.off++
 	return b[0]
 }
 
 func (d *Dec) U32() uint32 {
-	b := d.take(4)
-	if b == nil {
+	b := d.buf[d.off:]
+	if d.err != nil || len(b) < 4 {
+		d.short(4)
 		return 0
 	}
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
+	d.off += 4
+	return binary.LittleEndian.Uint32(b)
 }
 
 func (d *Dec) U64() uint64 {
-	b := d.take(8)
-	if b == nil {
+	b := d.buf[d.off:]
+	if d.err != nil || len(b) < 8 {
+		d.short(8)
 		return 0
 	}
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+	d.off += 8
+	return binary.LittleEndian.Uint64(b)
 }
 
 func (d *Dec) I64() int64 { return int64(d.U64()) }
@@ -144,23 +155,28 @@ func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }
 func (d *Dec) Bool() bool { return d.U8() != 0 }
 
 func (d *Dec) Str() string {
-	n := int(d.U32())
-	b := d.take(n)
-	if b == nil {
-		return ""
+	return string(d.take(int(d.U32())))
+}
+
+// StrReuse decodes a string like Str, but returns held itself, without
+// allocating, when the encoded bytes equal it. Decoders pass the value the
+// field holds already, or the one decoded just before it, so a label that
+// repeats across a checkpoint costs one allocation instead of one per value.
+func (d *Dec) StrReuse(held string) string {
+	b := d.take(int(d.U32()))
+	if string(b) == held {
+		return held
 	}
 	return string(b)
 }
 
+// Blob decodes a length-prefixed byte slice as a view of the input, not
+// a copy: it aliases the bytes NewDec was given and is valid as long as
+// they are unchanged. Its capacity equals its length, so appending to it
+// reallocates instead of writing into the input.
 func (d *Dec) Blob() []byte {
-	n := int(d.U32())
-	b := d.take(n)
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
+	b := d.take(int(d.U32()))
+	return b[:len(b):len(b)]
 }
 
 // Count decodes a u32 element count and rejects values that cannot

@@ -38,7 +38,7 @@ const (
 // Header identifies a recording: the opaque JSON scenario spec (owned by
 // the world layer) plus the engine parameters replay needs up front.
 type Header struct {
-	Spec            []byte // JSON TraceSpec, interpreted by internal/world
+	Spec            []byte // JSON TraceSpec, interpreted by internal/world; read back as a view (see Reader)
 	Seed            int64
 	Shards          int
 	Window          int64 // barrier window in sim time units
@@ -153,7 +153,8 @@ func (w *WindowRecord) decode(d *Dec) {
 }
 
 // CheckpointRecord carries the full restorable world state at the end of
-// window Index. The state blob is encoded by internal/world.
+// window Index. The state blob is encoded by internal/world; a read one
+// is a view of the trace bytes (see Reader).
 type CheckpointRecord struct {
 	Index uint64
 	Edge  int64
@@ -258,6 +259,13 @@ type Event struct {
 // Reader decodes a trace from an in-memory byte slice. All reads are
 // bounds-checked; malformed input yields an error wrapping ErrCorrupt,
 // never a panic.
+//
+// The reader copies no blob: the header's Spec and every checkpoint's
+// State are views of the slice given to NewReader, so reading a trace
+// costs its window records, not its megabytes of checkpoints. The views
+// are valid while that slice is unchanged; a caller that reuses or
+// mutates it must copy what it keeps. Each view's capacity equals its
+// length, so an append to one never writes into the trace.
 type Reader struct {
 	d      *Dec
 	hdr    Header
@@ -351,7 +359,8 @@ type Contents struct {
 
 // Parse reads an entire trace into memory, validating record ordering:
 // window indices must be contiguous from 1 and checkpoints must land on
-// an already-seen window.
+// an already-seen window. Like Reader, it copies no blob: Header.Spec and
+// the checkpoints' State alias data.
 func Parse(data []byte) (*Contents, error) {
 	r, err := NewReader(data)
 	if err != nil {

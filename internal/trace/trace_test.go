@@ -3,7 +3,9 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -171,8 +173,9 @@ func TestDecCountRejectsHostileLengths(t *testing.T) {
 }
 
 // FuzzTraceReader feeds arbitrary bytes through the full parse path. The
-// invariant under fuzz: malformed input errors, never panics, and no
-// input both parses cleanly and round-trips to different bytes.
+// invariant under fuzz: malformed input errors, never panics, and a clean
+// parse re-encodes, checkpoints included, to a trace that parses to the
+// same contents.
 func FuzzTraceReader(f *testing.F) {
 	f.Add(sampleTraceBytes())
 	f.Add([]byte(Magic))
@@ -183,24 +186,134 @@ func FuzzTraceReader(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// A clean parse must survive re-encoding.
-		var buf bytes.Buffer
-		w, werr := NewWriter(&buf, &c.Header)
-		if werr != nil {
-			t.Fatalf("re-encode header: %v", werr)
-		}
-		for i := range c.Windows {
-			if err := w.WriteWindow(&c.Windows[i]); err != nil {
-				t.Fatalf("re-encode window: %v", err)
-			}
-		}
-		if err := w.Close(&c.End); err != nil {
-			t.Fatalf("re-encode close: %v", err)
-		}
-		if _, err := Parse(buf.Bytes()); err != nil {
+		again, err := Parse(encodeContents(t, c))
+		if err != nil {
 			t.Fatalf("re-encoded trace failed to parse: %v", err)
 		}
+		if diff := diffContents(c, again); diff != "" {
+			t.Fatalf("re-encoded trace parses differently: %s", diff)
+		}
 	})
+}
+
+// encodeContents writes c back out as a trace, each checkpoint right after
+// the window it was taken at.
+func encodeContents(t *testing.T, c *Contents) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, &c.Header)
+	if err != nil {
+		t.Fatalf("re-encode header: %v", err)
+	}
+	for i := range c.Windows {
+		if err := w.WriteWindow(&c.Windows[i]); err != nil {
+			t.Fatalf("re-encode window: %v", err)
+		}
+		if ck, ok := c.Checkpoints[c.Windows[i].Index]; ok {
+			if err := w.WriteCheckpoint(&ck); err != nil {
+				t.Fatalf("re-encode checkpoint: %v", err)
+			}
+		}
+	}
+	if err := w.Close(&c.End); err != nil {
+		t.Fatalf("re-encode close: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// diffContents names the first difference between two parsed traces, ""
+// if there is none. Window records compare by their encoding, so a NaN
+// speed sum equals itself.
+func diffContents(a, b *Contents) string {
+	ha, hb := &a.Header, &b.Header
+	switch {
+	case !bytes.Equal(ha.Spec, hb.Spec) || ha.Seed != hb.Seed || ha.Shards != hb.Shards ||
+		ha.Window != hb.Window || ha.CheckpointEvery != hb.CheckpointEvery || ha.Cars != hb.Cars:
+		return "header"
+	case a.End != b.End:
+		return "end record"
+	case len(a.Windows) != len(b.Windows):
+		return "window count"
+	case len(a.Checkpoints) != len(b.Checkpoints):
+		return "checkpoint count"
+	}
+	var ea, eb Enc
+	for i := range a.Windows {
+		ea.Reset()
+		eb.Reset()
+		a.Windows[i].encode(&ea)
+		b.Windows[i].encode(&eb)
+		if !bytes.Equal(ea.Bytes(), eb.Bytes()) {
+			return fmt.Sprintf("window %d", i+1)
+		}
+	}
+	for k, ca := range a.Checkpoints {
+		cb, ok := b.Checkpoints[k]
+		if !ok || ca.Index != cb.Index || ca.Edge != cb.Edge || !bytes.Equal(ca.State, cb.State) {
+			return fmt.Sprintf("checkpoint %d", k)
+		}
+	}
+	return ""
+}
+
+// TestParseAliasesCheckpoints: Parse copies no checkpoint. Parsing a trace
+// whose bytes are nearly all checkpoint state allocates under 1% of the
+// trace, and every blob it hands out is capped at its length, so an append
+// to one cannot write into the caller's bytes.
+func TestParseAliasesCheckpoints(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, &Header{
+		Spec: []byte(`{"scenario":"highway"}`), Seed: 1, Shards: 2,
+		Window: 100_000_000, CheckpointEvery: 10, Cars: 1200,
+	})
+	if err != nil {
+		t.Fatalf("NewWriter: %v", err)
+	}
+	const windows, every, stateLen = 40, 10, 1 << 20
+	for i := uint64(1); i <= windows; i++ {
+		if err := w.WriteWindow(&WindowRecord{Index: i, Edge: int64(i) * 100_000_000, Digest: i}); err != nil {
+			t.Fatalf("WriteWindow: %v", err)
+		}
+		if i%every == 0 {
+			ck := CheckpointRecord{Index: i, Edge: int64(i) * 100_000_000, State: bytes.Repeat([]byte{byte(i)}, stateLen)}
+			if err := w.WriteCheckpoint(&ck); err != nil {
+				t.Fatalf("WriteCheckpoint: %v", err)
+			}
+		}
+	}
+	if err := w.Close(&EndRecord{Windows: windows, Digest: windows}); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	data := buf.Bytes()
+
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	c, err := Parse(data)
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	if alloc := m1.TotalAlloc - m0.TotalAlloc; alloc*100 >= uint64(len(data)) {
+		t.Fatalf("Parse allocated %d B for a %d B trace, want under 1%%", alloc, len(data))
+	}
+
+	before := bytes.Clone(data)
+	blobs := map[string][]byte{"header spec": c.Header.Spec}
+	for k, ck := range c.Checkpoints {
+		if len(ck.State) != stateLen || ck.State[0] != byte(k) {
+			t.Fatalf("checkpoint %d decoded wrong", k)
+		}
+		blobs[fmt.Sprintf("checkpoint %d", k)] = ck.State
+	}
+	for name, b := range blobs {
+		if cap(b) != len(b) {
+			t.Errorf("%s: cap %d != len %d", name, cap(b), len(b))
+		}
+		_ = append(b, 0xEE)
+	}
+	if !bytes.Equal(data, before) {
+		t.Fatal("appending to a parsed blob wrote into the trace bytes")
+	}
 }
 
 func sampleTraceBytes() []byte {
@@ -211,6 +324,9 @@ func sampleTraceBytes() []byte {
 	}
 	wr := WindowRecord{Index: 1, Edge: 1, Digest: 2}
 	if err := w.WriteWindow(&wr); err != nil {
+		return nil
+	}
+	if err := w.WriteCheckpoint(&CheckpointRecord{Index: 1, Edge: 1, State: []byte{1, 2, 3}}); err != nil {
 		return nil
 	}
 	if err := w.Close(&EndRecord{Windows: 1, Digest: 2}); err != nil {

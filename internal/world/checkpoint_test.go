@@ -6,10 +6,12 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -226,23 +228,48 @@ var notCheckpointed = map[string]string{
 // notCheckpointedWithin lists the fields of a car's components a
 // checkpoint leaves out, keyed by type and field name.
 var notCheckpointedWithin = map[string]string{
-	"core.Functionality.Switches": "output-only transition log: the checkpoint keeps only its length",
-	"sensor.Reliable.readings":    "scratch: per-Read fusion buffer",
-	"sensor.Reliable.intervals":   "scratch: per-Read fusion buffer",
-	"sensor.Reliable.edges":       "scratch: per-Read fusion buffer",
+	"core.Functionality.Switches":  "output-only transition log: the checkpoint keeps only its length",
+	"sensor.Reliable.readings":     "scratch: per-Read fusion buffer",
+	"sensor.Reliable.intervals":    "scratch: per-Read fusion buffer",
+	"sensor.Reliable.edges":        "scratch: per-Read fusion buffer",
+	"wireless.ShardedMedium.onAir": "scratch: the contention pass's on-air index, reused across barriers",
+	"wireless.ShardedMedium.parts": "scratch: per-partition visit contexts, built on first use and reused",
 }
 
-// TestCheckpointCompleteness is the completeness wall for Car: every field
-// is either on notCheckpointed or survives encode → restoreCheckpoint into
-// a freshly built world unchanged. A new Car field fails here until it is
-// encoded or listed with a reason. The worlds run long enough, with a
+// highwayNotCheckpointed lists the Highway fields a checkpoint leaves out
+// or that the wall does not compare, each with the reason.
+var highwayNotCheckpointed = map[string]string{
+	"cars":      "the cars themselves: compared field by field by the Car wall",
+	"sk":        "kernel: rewound by Warp and re-seeded by seedWindow; its queues hold closures",
+	"TimeGaps":  "output-only histogram: never feeds back into behaviour",
+	"inaccess":  "output-only histogram: never feeds back into behaviour",
+	"stageFn":   "closure: the cached delivery stage, built by NewHighway",
+	"parts":     "scratch: per-shard delivery contexts, reset by every delivery stage",
+	"senders":   "scratch: the window's abstract-path senders, drained at the barrier before a checkpoint",
+	"outgoing":  "scratch: per-shard arc hand-offs, drained at the barrier before a checkpoint",
+	"nextOcc":   "scratch: collision-sweep buffers, rebuilt by every accounting pass",
+	"groupEnd":  "scratch: collision-sweep buffers, rebuilt by every accounting pass",
+	"sweepLead": "scratch: collision-sweep buffers, rebuilt by every accounting pass",
+	"sweepGap":  "scratch: collision-sweep buffers, rebuilt by every accounting pass",
+}
+
+// TestCheckpointCompleteness is the completeness wall for Highway and Car:
+// every field is either on highwayNotCheckpointed or notCheckpointed, or
+// survives encode → restoreCheckpoint into a freshly built world
+// unchanged. A new field fails here until it is encoded, rebuilt by the
+// restore, or listed with a reason. The worlds run long enough, with a
 // slow leader and a forced brake, for lane changes, emergency brakes and
 // both beacon paths (abstract loss and the radio) to leave state behind.
 func TestCheckpointCompleteness(t *testing.T) {
-	typ := reflect.TypeOf(Car{})
+	typ, htyp := reflect.TypeOf(Car{}), reflect.TypeOf(Highway{})
 	for name := range notCheckpointed {
 		if _, ok := typ.FieldByName(name); !ok {
 			t.Errorf("notCheckpointed names %q, which Car no longer has", name)
+		}
+	}
+	for name := range highwayNotCheckpointed {
+		if _, ok := htyp.FieldByName(name); !ok {
+			t.Errorf("highwayNotCheckpointed names %q, which Highway no longer has", name)
 		}
 	}
 	for _, medium := range []bool{false, true} {
@@ -289,6 +316,25 @@ func TestCheckpointCompleteness(t *testing.T) {
 				for _, d := range diff {
 					t.Errorf("medium=%v car %d: %s differs after a checkpoint restore: encode it in (*Car).encodeState or list it in notCheckpointed", medium, i, d)
 				}
+			}
+		}
+		// A car reached from a Highway field (a shard's list, a sender)
+		// compares by identity: the same car on both sides is already
+		// covered above, a different one differs by ID.
+		sameCar := map[[2]uintptr]bool{}
+		for i := range h.cars {
+			sameCar[[2]uintptr{reflect.ValueOf(h.cars[i]).Pointer(), reflect.ValueOf(fresh.cars[i]).Pointer()}] = true
+		}
+		want, got := reflect.ValueOf(h).Elem(), reflect.ValueOf(fresh).Elem()
+		for f := 0; f < htyp.NumField(); f++ {
+			name := htyp.Field(f).Name
+			if _, skip := highwayNotCheckpointed[name]; skip {
+				continue
+			}
+			var diff []string
+			sameState(want.Field(f), got.Field(f), "Highway."+name, maps.Clone(sameCar), &diff)
+			for _, d := range diff {
+				t.Errorf("medium=%v: %s differs after a checkpoint restore: encode it in (*Highway).encodeCheckpoint, rebuild it in restoreCheckpoint or list it in highwayNotCheckpointed", medium, d)
 			}
 		}
 	}
@@ -375,5 +421,120 @@ func sameState(a, b reflect.Value, path string, seen map[[2]uintptr]bool, diff *
 		}
 	default:
 		*diff = append(*diff, path+" (unsupported kind "+a.Kind().String()+")")
+	}
+}
+
+// restoreAllocsPerCar bounds the allocations of one restoreCheckpoint
+// into a freshly built world, per car. The decoders size each slice once
+// and share repeated strings, so a car's restore allocates about a dozen
+// objects: each sensor history and the state table once, the first of
+// each run of equal strings, and the safety kernel's indicators.
+const restoreAllocsPerCar = 16
+
+// TestRestoreAllocBudget restores a checkpoint of a world at the
+// reference density into fresh worlds, as ReplayTrace does, and bounds the
+// allocations per car.
+func TestRestoreAllocBudget(t *testing.T) {
+	cfg := DefaultHighwayConfig()
+	cfg.Cars = 120
+	cfg.Length = 3600
+	const window = 30
+	c, err := trace.Parse(recordTrace(t, 3, 2, cfg, 4*sim.Second, window, nil, 0))
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	ck := c.Checkpoints[window]
+	best := uint64(math.MaxUint64)
+	for range 3 {
+		h, err := BuildHighway(3, 2, cfg)
+		if err != nil {
+			t.Fatalf("BuildHighway: %v", err)
+		}
+		if err := h.Start(); err != nil {
+			t.Fatalf("Start: %v", err)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		err = h.restoreCheckpoint(ck.State, sim.Time(ck.Edge))
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatalf("restoreCheckpoint: %v", err)
+		}
+		best = min(best, m1.Mallocs-m0.Mallocs)
+	}
+	perCar := float64(best) / float64(cfg.Cars)
+	t.Logf("restore: %d allocations, %.1f per car", best, perCar)
+	if perCar > restoreAllocsPerCar {
+		t.Fatalf("restore allocates %.1f objects per car, budget %d", perCar, restoreAllocsPerCar)
+	}
+}
+
+// TestRestoreIntoUsedWorld rewinds a world that has run on past a
+// checkpoint back to it. The decoders refill the slices they restore in
+// place, so one that forgot to truncate would leave readings or peers of
+// the later windows behind: the rewound world must encode back to exactly
+// the checkpoint's bytes and run on to reproduce the recorded windows.
+func TestRestoreIntoUsedWorld(t *testing.T) {
+	const k, end = 10, 40
+	period := DefaultHighwayConfig().ControlPeriod
+	for _, medium := range []bool{false, true} {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("medium=%v/shards=%d", medium, shards), func(t *testing.T) {
+				h, data := recordWorld(t, fuzzSeed, shards, fuzzConfig(medium), end*period, k, nil, 0)
+				c, err := trace.Parse(data)
+				if err != nil {
+					t.Fatalf("Parse: %v", err)
+				}
+				ck := c.Checkpoints[k]
+				if err := h.restoreCheckpoint(ck.State, sim.Time(ck.Edge)); err != nil {
+					t.Fatalf("restoreCheckpoint: %v", err)
+				}
+				var e trace.Enc
+				h.encodeCheckpoint(&e)
+				if !bytes.Equal(e.Bytes(), ck.State) {
+					t.Fatalf("the rewound world encodes to %d bytes that differ from the %d-byte checkpoint", e.Len(), len(ck.State))
+				}
+				h.rec = &recorder{expect: c.Windows, strict: true, idx: k}
+				if err := h.Run((end - k) * period); err != nil {
+					t.Fatalf("Run: %v", err)
+				}
+				if h.rec.err != nil {
+					t.Fatal(h.rec.err)
+				}
+				if h.rec.idx != end {
+					t.Fatalf("ran to window %d, want %d", h.rec.idx, end)
+				}
+			})
+		}
+	}
+}
+
+// TestRestoreAndContinue is the exactness property every replay rests on:
+// for a lossy world recorded with a checkpoint after every window, on the
+// abstract path and over the radio, restoring any checkpoint at width 1
+// or 2 and running on to the end reproduces every recorded window. The
+// last of them carries the recorded final digest, which Parse has checked
+// against the end marker.
+func TestRestoreAndContinue(t *testing.T) {
+	jams := []JamSpec{{At: sim.Second, Burst: 500 * sim.Millisecond}}
+	for _, medium := range []bool{false, true} {
+		data := recordTrace(t, fuzzSeed, 2, fuzzConfig(medium), 3*sim.Second, 1, jams, 0)
+		c, err := trace.Parse(data)
+		if err != nil {
+			t.Fatalf("Parse: %v", err)
+		}
+		last := uint64(len(c.Windows))
+		for _, shards := range []int{1, 2} {
+			for k := uint64(1); k < last; k++ {
+				res, err := ReplayTrace(data, ReplayOptions{From: k + 1, Shards: shards})
+				if err != nil {
+					t.Fatalf("medium=%v shards=%d: continuing from window %d: %v", medium, shards, k, err)
+				}
+				if res.Checkpoint != k || res.To != last {
+					t.Fatalf("medium=%v shards=%d: replayed %d:%d from checkpoint %d, want %d:%d from %d",
+						medium, shards, res.From, res.To, res.Checkpoint, k+1, last, k)
+				}
+			}
+		}
 	}
 }

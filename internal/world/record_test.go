@@ -11,6 +11,14 @@ import (
 
 func recordTrace(t testing.TB, seed int64, shards int, cfg HighwayConfig, dur sim.Time, every int, jams []JamSpec, perturb uint64) []byte {
 	t.Helper()
+	_, data := recordWorld(t, seed, shards, cfg, dur, every, jams, perturb)
+	return data
+}
+
+// recordWorld is recordTrace that also returns the world it recorded,
+// stopped at the end of the recording.
+func recordWorld(t testing.TB, seed int64, shards int, cfg HighwayConfig, dur sim.Time, every int, jams []JamSpec, perturb uint64) (*Highway, []byte) {
+	t.Helper()
 	h, err := BuildHighway(seed, shards, cfg)
 	if err != nil {
 		t.Fatalf("BuildHighway: %v", err)
@@ -36,7 +44,7 @@ func recordTrace(t testing.TB, seed int64, shards int, cfg HighwayConfig, dur si
 	if err := h.FinishRecording(); err != nil {
 		t.Fatalf("FinishRecording: %v", err)
 	}
-	return buf.Bytes()
+	return h, buf.Bytes()
 }
 
 func testJams() []JamSpec {
