@@ -3,6 +3,7 @@ package wireless
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -43,9 +44,9 @@ import (
 //     receiver *visit* order irrelevant: each receiver consumes exactly
 //     one draw per lossy frame regardless of who else is visited.
 //
-// The medium is geometry-agnostic: positions are opaque to it except
-// through the configured distance function, so a ring highway supplies
-// arc distance and the intersection plane supplies the Euclidean default.
+// The medium knows two geometries (ShardedConfig.Ring): the Euclidean
+// plane of the intersection and the arc distance of a ring highway, whose
+// wrap seam casts no radio shadow.
 // All methods are barrier-only and single-threaded, except that Visit may
 // run concurrently for distinct partitions; the in-window half of a
 // transmission is just building the ShardedTx value.
@@ -57,6 +58,9 @@ type ShardedMedium struct {
 	// onAir indexes the frames the contention pass put on air, in start
 	// order: scratch reused across barriers.
 	onAir []int
+	// keys is the contention pass's sort scratch: one key per pending
+	// frame, reused across barriers.
+	keys []txKey
 
 	// parts holds one visit context per receiver partition; the first
 	// nparts are in use between Contend and Settle. Built once and reused,
@@ -82,7 +86,7 @@ type ShardedMedium struct {
 
 // ShardedConfig parameterizes a ShardedMedium.
 type ShardedConfig struct {
-	// Range is the radio range in meters (under Distance's metric).
+	// Range is the radio range in meters (under the Ring metric).
 	Range float64
 	// Airtime is how long one frame occupies its channel.
 	Airtime sim.Time
@@ -100,9 +104,14 @@ type ShardedConfig struct {
 	// starts remain undetectable (the CSMA vulnerability window) and
 	// collide.
 	CarrierSense bool
-	// Distance overrides the Euclidean metric (nil = Euclidean). Ring
-	// worlds pass arc distance so the wrap seam has no radio shadow.
-	Distance func(a, b Position) float64
+	// Ring selects the metric. Above 0 it is the length of a ring, and
+	// distance is arc length along X (Y and Z are ignored), so the wrap
+	// seam casts no radio shadow; the metric's domain is 0 ≤ X < Ring.
+	// Otherwise it is the Euclidean plane, whose domain is finite
+	// coordinates of magnitude below 1e9 m. The collision prefilter
+	// relies on the triangle inequality, which holds inside the domain; a
+	// frame or receiver outside it is decided by a full scan.
+	Ring float64
 }
 
 // DefaultShardedConfig mirrors DefaultConfig: a short 802.11p-class frame.
@@ -120,8 +129,8 @@ func DefaultShardedConfig() ShardedConfig {
 type ShardedTx struct {
 	From    NodeID
 	Channel int
-	// Pos is the sender's position at send time, in whatever coordinates
-	// the configured distance function understands.
+	// Pos is the sender's position at send time, in the coordinates of
+	// the configured metric (see ShardedConfig.Ring).
 	Pos Position
 	// Start is when the frame's airtime begins. The sending world keeps it
 	// inside the frame's window (clamping against the closing edge), so a
@@ -243,12 +252,34 @@ func (m *ShardedMedium) Jammed(channel int, t sim.Time) bool {
 	return t >= m.jamStart[channel] && t < m.jamUntil[channel]
 }
 
-// dist applies the configured metric.
-func (m *ShardedMedium) dist(a, b Position) float64 {
-	if m.cfg.Distance != nil {
-		return m.cfg.Distance(a, b)
+// dist is the metric of ShardedConfig.Ring: arc length along X on a ring
+// of that length, or the Euclidean distance (Position.Distance, bit for
+// bit). It is a function of the ring length rather than a method so the
+// compiler inlines it into the collision loops.
+func dist(ring float64, a, b *Position) float64 {
+	d := math.Abs(a.X - b.X)
+	if ring > 0 {
+		if d > ring/2 {
+			d = ring - d
+		}
+		return d
 	}
-	return a.Distance(b)
+	dy, dz := a.Y-b.Y, a.Z-b.Z
+	return math.Sqrt(d*d + dy*dy + dz*dz)
+}
+
+// maxCoord bounds the metric domain: below it, float rounding in the
+// distances stays far under the collision prefilter's 1 m slack.
+const maxCoord = 1e9
+
+// inDomain reports whether p lies in the domain of the metric of ring,
+// where distances are finite and obey the triangle inequality up to
+// rounding. NaN is outside every domain.
+func inDomain(ring float64, p *Position) bool {
+	if ring > 0 {
+		return p.X >= 0 && p.X < ring && p.X < maxCoord
+	}
+	return max(math.Abs(p.X), math.Abs(p.Y), math.Abs(p.Z)) < maxCoord
 }
 
 // jamOverlaps reports whether the frame's airtime window overlapped the
@@ -347,7 +378,7 @@ func (m *ShardedMedium) Contend(parts int, drop func(tx *ShardedTx, to NodeID, r
 		m.parts = append(m.parts, vp)
 	}
 	m.nparts = parts
-	sortTxs(m.pending)
+	m.sortPending()
 
 	// Carrier-sense pass, in start order: a frame defers when its start
 	// instant lies inside an already-on-air audible frame on its channel
@@ -399,6 +430,7 @@ func (m *ShardedMedium) Visit(
 	for at, i := range m.onAir {
 		vp.tx, vp.at = &m.pending[i], at
 		vp.jammed = m.jamOverlaps(vp.tx)
+		vp.nearBuilt = false
 		each(vp.tx, vp.visit)
 	}
 	// Unpin the caller's callbacks (and the last frame) between barriers.
@@ -421,18 +453,26 @@ func (m *ShardedMedium) Settle() {
 }
 
 // visitPart is one receiver partition's visit context: the frame being
-// decided, the caller's outcome callbacks, and the partition's outcome
-// counts. visit is its decide method, bound once, so the closure a
-// caller's each callback receives is never rebuilt per frame.
+// decided, its interferer list, the caller's outcome callbacks, and the
+// partition's outcome counts. visit is its decide method, bound once, so
+// the closure a caller's each callback receives is never rebuilt per
+// frame.
 type visitPart struct {
-	m       *ShardedMedium
-	tx      *ShardedTx
-	at      int
-	jammed  bool
-	deliver func(tx *ShardedTx, to NodeID)
-	drop    func(tx *ShardedTx, to NodeID, reason DropReason)
-	visit   func(to NodeID, pos Position)
-	stats   ShardedStats
+	m      *ShardedMedium
+	tx     *ShardedTx
+	at     int
+	jammed bool
+	// near holds the positions of the frame's possible interferers (see
+	// buildNear), built on the frame's first collision check; scratch
+	// reused across frames. full means the frame's sender lies outside
+	// the metric domain, so every check scans the whole on-air set.
+	near      []Position
+	nearBuilt bool
+	full      bool
+	deliver   func(tx *ShardedTx, to NodeID)
+	drop      func(tx *ShardedTx, to NodeID, reason DropReason)
+	visit     func(to NodeID, pos Position)
+	stats     ShardedStats
 }
 
 // decide runs the outcome ladder for the current frame at one receiver:
@@ -443,13 +483,13 @@ func (vp *visitPart) decide(to NodeID, pos Position) {
 		return
 	}
 	switch {
-	case m.dist(tx.Pos, pos) > m.cfg.Range:
+	case dist(m.cfg.Ring, &tx.Pos, &pos) > m.cfg.Range:
 		vp.stats.OutOfRange++
 		vp.drop(tx, to, DropOutOfRange)
 	case vp.jammed:
 		vp.stats.Jammed++
 		vp.drop(tx, to, DropJam)
-	case m.collides(tx, vp.at, pos, m.onAir):
+	case vp.collides(pos):
 		vp.stats.Collisions++
 		vp.drop(tx, to, DropCollision)
 	case m.cfg.LossProb > 0 && m.rxStream(to).Float64() < m.cfg.LossProb:
@@ -461,17 +501,104 @@ func (vp *visitPart) decide(to NodeID, pos Position) {
 	}
 }
 
-// sortTxs orders a frame set by (Start, From), the order Resolve decides
-// frames in.
-func sortTxs(txs []ShardedTx) {
-	// Capture-free comparator: the stable generic sort allocates nothing,
-	// unlike sort.SliceStable's closure + interface boxing.
-	slices.SortStableFunc(txs, func(a, b ShardedTx) int {
-		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+// collides reports whether the current frame collides at a receiver at
+// pos, which is in range of its sender. A receiver inside the metric
+// domain needs only the frame's near list; one outside it (or a frame
+// whose sender is) gets the full scan, where the triangle inequality the
+// list rests on may not hold.
+func (vp *visitPart) collides(pos Position) bool {
+	m := vp.m
+	if !vp.nearBuilt {
+		vp.buildNear()
+	}
+	ring, r := m.cfg.Ring, m.cfg.Range
+	if vp.full || !inDomain(ring, &pos) {
+		return m.collides(vp.tx, vp.at, pos)
+	}
+	for k := range vp.near {
+		if dist(ring, &vp.near[k], &pos) <= r {
+			return true
+		}
+	}
+	return false
+}
+
+// buildNear collects the current frame's possible interferers: the on-air
+// frames on its channel whose airtime overlaps it and that lie within
+// 2·Range + 1 m of its sender, or outside the metric domain. It is exact
+// by the triangle inequality: a receiver in range lies within Range of
+// the sender, so a frame more than 2·Range from the sender cannot reach
+// it. The metre of slack absorbs float rounding, and the !(d > limit)
+// form keeps NaN distances.
+func (vp *visitPart) buildNear() {
+	m, tx := vp.m, vp.tx
+	vp.nearBuilt = true
+	vp.near = vp.near[:0]
+	ring := m.cfg.Ring
+	vp.full = !inDomain(ring, &tx.Pos)
+	if vp.full {
+		return
+	}
+	lo, hi := m.overlapping(vp.at)
+	limit := 2*m.cfg.Range + 1
+	for k := lo; k < hi; k++ {
+		o := &m.pending[m.onAir[k]]
+		if k == vp.at || o.Channel != tx.Channel {
+			continue
+		}
+		if !(dist(ring, &o.Pos, &tx.Pos) > limit) || !inDomain(ring, &o.Pos) {
+			vp.near = append(vp.near, o.Pos)
+		}
+	}
+}
+
+// txKey is a pending frame's sort key: its (Start, From) and its queue
+// index, which makes every key unique.
+type txKey struct {
+	start sim.Time
+	from  NodeID
+	i     int
+}
+
+// sortPending orders the pending frames by (Start, From), the order
+// Resolve decides frames in, keeping queue order among equal keys. It
+// sorts small keys rather than the frames, then permutes the frames into
+// place cycle by cycle, so no second frame buffer is needed.
+func (m *ShardedMedium) sortPending() {
+	keys := m.keys[:0]
+	for i := range m.pending {
+		tx := &m.pending[i]
+		keys = append(keys, txKey{tx.Start, tx.From, i})
+	}
+	m.keys = keys
+	slices.SortFunc(keys, func(a, b txKey) int {
+		if c := cmp.Compare(a.start, b.start); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.From, b.From)
+		if c := cmp.Compare(a.from, b.from); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.i, b.i)
 	})
+	// Slot k takes the frame queued at keys[k].i. Each cycle is walked
+	// once, marking every slot it fills with keys[j].i = j.
+	for k := range keys {
+		if keys[k].i == k {
+			continue
+		}
+		first := m.pending[k]
+		j := k
+		for {
+			src := keys[j].i
+			keys[j].i = j
+			if src == k {
+				m.pending[j] = first
+				break
+			}
+			m.pending[j] = m.pending[src]
+			j = src
+		}
+	}
 }
 
 // reinsert places a retried frame (whose Start moved later) back into the
@@ -514,7 +641,7 @@ func (m *ShardedMedium) senseClears(tx *ShardedTx, onAir []int) (sim.Time, bool)
 		if o.Start >= tx.Start || o.Channel != tx.Channel || o.From == tx.From {
 			continue
 		}
-		if m.dist(o.Pos, tx.Pos) <= m.cfg.Range {
+		if dist(m.cfg.Ring, &o.Pos, &tx.Pos) <= m.cfg.Range {
 			busy = true
 			if end > clearAt {
 				clearAt = end
@@ -524,30 +651,34 @@ func (m *ShardedMedium) senseClears(tx *ShardedTx, onAir []int) (sim.Time, bool)
 	return clearAt, busy
 }
 
+// overlapping returns the run onAir[lo:hi] of on-air frames whose
+// airtime overlaps that of the frame at onAir[at], that frame included.
+// onAir is sorted by start, and with a uniform airtime only frames whose
+// start lies within one airtime of the frame's can overlap, so the run is
+// a local neighbourhood of at rather than the whole window.
+func (m *ShardedMedium) overlapping(at int) (lo, hi int) {
+	onAir, air := m.onAir, m.cfg.Airtime
+	tx := &m.pending[onAir[at]]
+	lo, hi = at, at+1
+	for lo > 0 && m.pending[onAir[lo-1]].end(air) > tx.Start {
+		lo--
+	}
+	for hi < len(onAir) && m.pending[onAir[hi]].Start < tx.end(air) {
+		hi++
+	}
+	return lo, hi
+}
+
 // collides reports whether another on-air frame on the same channel
 // overlapped tx's airtime audibly at the receiver position — the same
-// predicate as Medium.collides, evaluated over the window's frame set.
-// at is tx's position in onAir (the Resolve loop index). onAir is sorted
-// by start, and with a uniform airtime only frames whose start lies
-// within one airtime of tx's can overlap, so the scan walks a local
-// neighborhood of at rather than the whole window.
-func (m *ShardedMedium) collides(tx *ShardedTx, at int, rxPos Position, onAir []int) bool {
-	for k := at - 1; k >= 0; k-- {
-		o := &m.pending[onAir[k]]
-		if o.end(m.cfg.Airtime) <= tx.Start {
-			break // starts are ordered: everything earlier ended earlier too
-		}
-		if o.Channel == tx.Channel && m.dist(o.Pos, rxPos) <= m.cfg.Range {
-			return true
-		}
-	}
-	end := tx.end(m.cfg.Airtime)
-	for k := at + 1; k < len(onAir); k++ {
-		o := &m.pending[onAir[k]]
-		if o.Start >= end {
-			break
-		}
-		if o.Channel == tx.Channel && m.dist(o.Pos, rxPos) <= m.cfg.Range {
+// predicate as Medium.collides, evaluated over the window's frame set by
+// a full scan of the overlapping run. at is tx's position in onAir (the
+// Visit loop index).
+func (m *ShardedMedium) collides(tx *ShardedTx, at int, rxPos Position) bool {
+	lo, hi := m.overlapping(at)
+	for k := lo; k < hi; k++ {
+		o := &m.pending[m.onAir[k]]
+		if k != at && o.Channel == tx.Channel && dist(m.cfg.Ring, &o.Pos, &rxPos) <= m.cfg.Range {
 			return true
 		}
 	}

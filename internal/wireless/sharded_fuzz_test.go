@@ -2,6 +2,8 @@ package wireless
 
 import (
 	"fmt"
+	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -118,6 +120,264 @@ func FuzzShardedMediumQueueOrderInvariance(f *testing.F) {
 		rotated := append(append([]ShardedTx{}, frames[n/2:]...), frames[:n/2]...)
 		if got := run(rotated); got != forward {
 			t.Fatalf("queue rotation changed the outcome:\nforward:\n%s\nrotated:\n%s", forward, got)
+		}
+	})
+}
+
+// oracleEntry is one outcome of the brute-force ladder: the receiver it
+// went to and its log line.
+type oracleEntry struct {
+	to   NodeID
+	line string
+}
+
+// oracleLine formats one outcome: the frame's queue index (its Payload),
+// sender and start, the receiver, and the outcome.
+func oracleLine(tx *ShardedTx, to NodeID, outcome string) string {
+	return fmt.Sprintf("q%d %d@%d->%d %s", tx.Payload.(int), tx.From, tx.Start, to, outcome)
+}
+
+// bruteDist is the metric spelled out again: arc length along X on a ring
+// of the given length, or the Euclidean plane when ring is 0.
+func bruteDist(ring float64, a, b Position) float64 {
+	if ring > 0 {
+		d := math.Abs(a.X - b.X)
+		if d > ring/2 {
+			d = ring - d
+		}
+		return d
+	}
+	dx, dy, dz := a.X-b.X, a.Y-b.Y, a.Z-b.Z
+	return math.Sqrt(dx*dx + dy*dy + dz*dz)
+}
+
+// bruteResolve decides a window the slow way: a stable sort by (Start,
+// From), carrier sense against every earlier on-air frame, then for each
+// on-air frame and each node in id order the ladder range, jam, a
+// collision check over every other on-air frame, loss. Frames carry no
+// Retry, so a busy channel drops the frame.
+func bruteResolve(cfg ShardedConfig, seed int64, queued []ShardedTx, nodes []Position,
+	jamStart, jamUntil []sim.Time) []oracleEntry {
+	frames := append([]ShardedTx(nil), queued...)
+	sort.SliceStable(frames, func(i, j int) bool {
+		if frames[i].Start != frames[j].Start {
+			return frames[i].Start < frames[j].Start
+		}
+		return frames[i].From < frames[j].From
+	})
+	air := cfg.Airtime
+	overlap := func(a, b *ShardedTx) bool { return a.Start < b.Start+air && b.Start < a.Start+air }
+	var log []oracleEntry
+	var onAir []*ShardedTx
+	for i := range frames {
+		tx := &frames[i]
+		if cfg.CarrierSense {
+			c := tx.Channel
+			busy := tx.Start >= jamStart[c] && tx.Start < jamUntil[c]
+			for _, o := range onAir {
+				if o.Channel == c && o.From != tx.From && o.Start < tx.Start && tx.Start < o.Start+air &&
+					bruteDist(cfg.Ring, o.Pos, tx.Pos) <= cfg.Range {
+					busy = true
+				}
+			}
+			if busy {
+				log = append(log, oracleEntry{tx.From, oracleLine(tx, tx.From, "busy")})
+				continue
+			}
+		}
+		onAir = append(onAir, tx)
+	}
+	streams := make(map[NodeID]*sim.Stream)
+	for _, tx := range onAir {
+		c := tx.Channel
+		jammed := jamStart[c] < jamUntil[c] && jamStart[c] < tx.Start+air && jamUntil[c] > tx.Start
+		for id, pos := range nodes {
+			to := NodeID(id)
+			if to == tx.From {
+				continue
+			}
+			outcome := "ok"
+			collided := false
+			for _, o := range onAir {
+				if o != tx && o.Channel == c && overlap(o, tx) && bruteDist(cfg.Ring, o.Pos, pos) <= cfg.Range {
+					collided = true
+				}
+			}
+			switch {
+			case bruteDist(cfg.Ring, tx.Pos, pos) > cfg.Range:
+				outcome = "range"
+			case jammed:
+				outcome = "jam"
+			case collided:
+				outcome = "collision"
+			case cfg.LossProb > 0:
+				s := streams[to]
+				if s == nil {
+					s = sim.NewStream(seed, int64(to), shardedLossDim)
+					streams[to] = s
+				}
+				if s.Float64() < cfg.LossProb {
+					outcome = "loss"
+				}
+			}
+			log = append(log, oracleEntry{to, oracleLine(tx, to, outcome)})
+		}
+	}
+	return log
+}
+
+// FuzzShardedCollisionOracle checks the medium's outcome logs, from one
+// Resolve and from a two-partition Contend/Visit/Settle, against
+// bruteResolve. Positions come from a palette that puts nodes exactly
+// 2·Range and 2·Range + 1 apart and off the metric domain (NaN, ±Inf,
+// negative, at or past the ring length, 1e12 m), where the collision
+// prefilter must fall back to the full scan.
+func FuzzShardedCollisionOracle(f *testing.F) {
+	f.Add([]byte{0x09, 6, 1, 40, 0, 10, 0, 1, 1, 20, 0, 2, 2, 30, 0, 3}, int64(1))
+	f.Add([]byte{0x18, 9, 3, 7, 4, 0, 0, 0, 4, 1, 0, 1, 4, 2, 0, 2, 4, 3, 0, 0, 7, 20, 40, 5}, int64(2))
+	f.Add([]byte{0x1f, 12, 2, 90, 4, 5, 1, 0, 4, 6, 2, 9, 4, 7, 0, 3, 4, 8, 1, 4, 4, 10, 2, 1}, int64(3))
+	// On the ring, a sender at 98 and an interferer at 700 (602 m apart,
+	// past the 601 m cut) both reach a receiver at 2504, which is off the
+	// ring: the receiver must get the full scan and collide.
+	f.Add([]byte{0x01, 1, 0, 0, 0, 14, 0, 0, 0, 100, 0, 1, 5, 72, 0, 200}, int64(4))
+	f.Fuzz(func(t *testing.T, raw []byte, seed int64) {
+		if len(raw) < 8 {
+			return
+		}
+		cfg := DefaultShardedConfig()
+		if raw[0]&1 != 0 {
+			cfg.Ring = 2000
+		}
+		cfg.Channels = 1 + int(raw[0]>>1&3)%3
+		cfg.CarrierSense = raw[0]&8 != 0
+		if raw[0]&16 != 0 {
+			cfg.LossProb = 0.3
+		}
+		cfg.Range = []float64{300, 250, 75, 300}[raw[0]>>5&3]
+		r, ring := cfg.Range, float64(2000)
+		specials := []float64{0, r, 2 * r, 2*r + 1, -50, math.NaN(), math.Inf(1), math.Inf(-1),
+			ring, ring + 5, 1e12, -1e12, ring - 2*r - 1, ring - 1}
+		n := 2 + int(raw[1]%16)
+		at := func(k int) int { return int(raw[k%len(raw)]) }
+		nodes := make([]Position, n)
+		var frames []ShardedTx
+		for i := range nodes {
+			kind, v, w, s := at(4+4*i), at(5+4*i), at(6+4*i), at(7+4*i)
+			p := &nodes[i]
+			switch kind % 8 {
+			case 4:
+				p.X = specials[v%len(specials)]
+			case 5:
+				p.X = ring + float64(v)*7
+			case 6:
+				p.X = -float64(v)*7 - 1
+			case 7:
+				p.X, p.Y = float64(v)*7, float64(w)*3
+			default:
+				p.X = float64(v) * 7
+			}
+			frames = append(frames, ShardedTx{
+				From:    NodeID(i),
+				Channel: w % cfg.Channels,
+				Pos:     *p,
+				Start:   sim.Time(s * 37 % 4000),
+			})
+		}
+		// Extra frames from existing senders can repeat a (Start, From)
+		// pair, which queue order must break.
+		for k := 0; k < int(raw[1]>>4); k++ {
+			from := at(3+k) % n
+			frames = append(frames, ShardedTx{
+				From:    NodeID(from),
+				Channel: at(2+k) % cfg.Channels,
+				Pos:     nodes[from],
+				Start:   frames[at(5+k)%n].Start,
+			})
+		}
+		for i := range frames {
+			frames[i].Payload = i
+		}
+		jam := func(m *ShardedMedium) {
+			from, d := sim.Time(at(3)*17), sim.Time(at(2)*5)
+			if c := at(2) % 4; c == 3 {
+				m.JamAll(from, d)
+			} else {
+				m.Jam(c, from, d)
+			}
+		}
+
+		ref := NewShardedMedium(seed, cfg)
+		jam(ref)
+		want := bruteResolve(cfg, seed, frames, nodes, ref.jamStart, ref.jamUntil)
+
+		for _, tx := range frames {
+			ref.Queue(tx)
+		}
+		var got []string
+		everyNode := func(tx *ShardedTx, visit func(NodeID, Position)) {
+			for id, pos := range nodes {
+				visit(NodeID(id), pos)
+			}
+		}
+		ref.Resolve(everyNode, func(tx *ShardedTx, to NodeID) {
+			got = append(got, oracleLine(tx, to, "ok"))
+		}, func(tx *ShardedTx, to NodeID, r DropReason) {
+			got = append(got, oracleLine(tx, to, r.String()))
+		})
+		wantLines := make([]string, len(want))
+		for i, e := range want {
+			wantLines[i] = e.line
+		}
+		if g, w := strings.Join(got, "\n"), strings.Join(wantLines, "\n"); g != w {
+			t.Fatalf("cfg %+v nodes %v\nResolve:\n%s\nbrute:\n%s", cfg, nodes, g, w)
+		}
+
+		// Two partitions, even and odd ids: each receiver's log, and the
+		// deferrals, must match the brute log filtered to it.
+		split := NewShardedMedium(seed, cfg)
+		jam(split)
+		split.Reserve(n)
+		for _, tx := range frames {
+			split.Queue(tx)
+		}
+		perRx := make([][]string, n)
+		var busy []string
+		deliver := func(tx *ShardedTx, to NodeID) { perRx[to] = append(perRx[to], oracleLine(tx, to, "ok")) }
+		drop := func(tx *ShardedTx, to NodeID, r DropReason) {
+			if r == DropBusy {
+				busy = append(busy, oracleLine(tx, to, r.String()))
+				return
+			}
+			perRx[to] = append(perRx[to], oracleLine(tx, to, r.String()))
+		}
+		split.Contend(2, drop)
+		for part := 0; part < 2; part++ {
+			split.Visit(part, func(tx *ShardedTx, visit func(NodeID, Position)) {
+				for id := part; id < n; id += 2 {
+					visit(NodeID(id), nodes[id])
+				}
+			}, deliver, drop)
+		}
+		split.Settle()
+		wantRx := make([][]string, n)
+		var wantBusy []string
+		for _, e := range want {
+			if strings.HasSuffix(e.line, " busy") {
+				wantBusy = append(wantBusy, e.line)
+			} else {
+				wantRx[e.to] = append(wantRx[e.to], e.line)
+			}
+		}
+		if g, w := strings.Join(busy, "\n"), strings.Join(wantBusy, "\n"); g != w {
+			t.Fatalf("partitioned deferrals:\n%s\nbrute:\n%s", g, w)
+		}
+		for id := range perRx {
+			if g, w := strings.Join(perRx[id], "\n"), strings.Join(wantRx[id], "\n"); g != w {
+				t.Fatalf("cfg %+v nodes %v\npartitioned receiver %d:\n%s\nbrute:\n%s", cfg, nodes, id, g, w)
+			}
+		}
+		if ref.Stats() != split.Stats() {
+			t.Fatalf("stats: Resolve %+v, partitioned %+v", ref.Stats(), split.Stats())
 		}
 	})
 }

@@ -3,7 +3,6 @@ package wireless
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -223,23 +222,32 @@ func TestShardedLossFromPerReceiverStreams(t *testing.T) {
 	}
 }
 
-func TestShardedCustomDistance(t *testing.T) {
-	// Ring metric: 10 and 1990 on a 2000 m ring are 20 m apart.
+func TestShardedRingDistance(t *testing.T) {
+	// On a 2000 m ring, 100 and 1900 are 200 m apart across the wrap
+	// seam (1800 m on the plane, far beyond the 601 m near-list cut), and
+	// 1990 is 110 m from 100 and 90 m from 1900.
 	cfg := DefaultShardedConfig()
-	cfg.Distance = func(a, b Position) float64 {
-		d := math.Abs(a.X - b.X)
-		if d > 1000 {
-			d = 2000 - d
-		}
-		return d
-	}
+	cfg.Ring = 2000
 	m := NewShardedMedium(1, cfg)
-	nodes := map[NodeID]Position{0: {X: 10}, 1: {X: 1990}}
+	nodes := map[NodeID]Position{0: {X: 100}, 1: {X: 1900}, 2: {X: 1990}, 3: {X: 1000}}
 	m.Queue(ShardedTx{From: 0, Pos: nodes[0], Start: 100})
+	m.Queue(ShardedTx{From: 1, Pos: nodes[1], Start: 200}) // overlaps 0's airtime
+	m.Queue(ShardedTx{From: 2, Pos: nodes[2], Start: sim.Millisecond})
 	var log outcomeLog
 	resolveAll(m, nodes, &log)
-	if log.String() != "0@100->1 ok" {
-		t.Fatalf("ring metric ignored:\n%s", log)
+	want := strings.Join([]string{
+		"0@100->1 collision",
+		"0@100->2 collision",
+		"0@100->3 range",
+		"1@200->0 collision",
+		"1@200->2 collision",
+		"1@200->3 range",
+		"2@1000->0 ok",
+		"2@1000->1 ok",
+		"2@1000->3 range",
+	}, "\n")
+	if log.String() != want {
+		t.Fatalf("ring metric ignored across the seam:\n%s\nwant:\n%s", log.String(), want)
 	}
 }
 

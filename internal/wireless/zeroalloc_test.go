@@ -63,3 +63,49 @@ func TestResolveAllocs(t *testing.T) {
 		t.Fatal("no frames delivered — the probe is not exercising the delivery path")
 	}
 }
+
+// TestPartitionedResolveAllocs locks the partitioned barrier resolution
+// (Contend, one Visit per partition, Settle) to zero steady-state
+// allocations, on a window dense enough that carrier sense retries
+// frames, the contention pass sorts and permutes them, and the collision
+// checks build non-empty near lists.
+func TestPartitionedResolveAllocs(t *testing.T) {
+	cfg := DefaultShardedConfig()
+	cfg.Range = 250
+	cfg.Ring = 3000
+	cfg.LossProb = 0.05
+	cfg.CarrierSense = true
+	w := newRingWindow(cfg, 240, 200, 10*sim.Millisecond, 5)
+	m := NewShardedMedium(7, cfg)
+	m.Reserve(len(w.cars))
+	each := []func(*ShardedTx, func(NodeID, Position)){w.each(0, 2), w.each(1, 2)}
+	deliver := func(tx *ShardedTx, to NodeID) {}
+	drop := func(tx *ShardedTx, to NodeID, reason DropReason) {}
+
+	now := sim.Time(0)
+	resolve := func() {
+		w.queue(m, now)
+		m.Contend(2, drop)
+		m.Visit(0, each[0], deliver, drop)
+		m.Visit(1, each[1], deliver, drop)
+		m.Settle()
+		now += w.window
+	}
+	// Warmup: grow pending, the sort keys, onAir and the near lists to
+	// their high-water marks, and create the receivers' loss streams.
+	for r := 0; r < 3; r++ {
+		resolve()
+	}
+	if per := testing.AllocsPerRun(10, resolve); per > 0 {
+		t.Errorf("partitioned resolve of %d frames: %.1f allocs, want 0", len(w.frames), per)
+	}
+	st := m.Stats()
+	if st.Collisions == 0 || st.Retries == 0 || st.Delivered == 0 {
+		t.Fatalf("degenerate window: %+v", st)
+	}
+	for p, vp := range m.parts[:2] {
+		if cap(vp.near) == 0 {
+			t.Fatalf("partition %d never built a near list", p)
+		}
+	}
+}

@@ -233,6 +233,7 @@ var notCheckpointedWithin = map[string]string{
 	"sensor.Reliable.intervals":    "scratch: per-Read fusion buffer",
 	"sensor.Reliable.edges":        "scratch: per-Read fusion buffer",
 	"wireless.ShardedMedium.onAir": "scratch: the contention pass's on-air index, reused across barriers",
+	"wireless.ShardedMedium.keys":  "scratch: the contention pass's sort keys, reused across barriers",
 	"wireless.ShardedMedium.parts": "scratch: per-partition visit contexts, built on first use and reused",
 }
 

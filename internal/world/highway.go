@@ -322,16 +322,7 @@ func NewHighway(sk *sim.ShardedKernel, cfg HighwayConfig) (*Highway, error) {
 		mcfg.LossProb = cfg.Loss
 		mcfg.Channels = cfg.Channels
 		mcfg.CarrierSense = cfg.CarrierSense
-		ring := cfg.Length
-		// Ring metric: the radio lives on the ring, so distance is arc
-		// length and the wrap seam casts no shadow.
-		mcfg.Distance = func(a, b wireless.Position) float64 {
-			d := math.Abs(a.X - b.X)
-			if d > ring/2 {
-				d = ring - d
-			}
-			return d
-		}
+		mcfg.Ring = cfg.Length
 		h.medium = wireless.NewShardedMedium(sk.Seed(), mcfg)
 	}
 	h.byShard = make([][]*Car, sk.Shards())
