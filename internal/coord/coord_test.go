@@ -11,7 +11,7 @@ import (
 func TestStateTableFreshness(t *testing.T) {
 	k := sim.NewKernel(1)
 	tab := NewStateTable(k, 100*sim.Millisecond)
-	tab.Update(CoopState{ID: 1, Speed: 10, Time: 0, Validity: 0.9}, 0.5)
+	tab.Merge([]Heard{{&CoopState{ID: 1, Speed: 10, Time: 0, Validity: 0.9}, 0.5}})
 	if _, ok := tab.Get(1); !ok {
 		t.Fatal("fresh entry missing")
 	}
@@ -27,7 +27,7 @@ func TestStateTableFreshness(t *testing.T) {
 		if _, ok := tab.Get(1); ok {
 			t.Error("stale entry still returned")
 		}
-		tab.Update(CoopState{ID: 1, Speed: 12, Time: 200 * sim.Millisecond, Validity: 0.9}, 0)
+		tab.Merge([]Heard{{&CoopState{ID: 1, Speed: 12, Time: 200 * sim.Millisecond, Validity: 0.9}, 0}})
 		if s, ok := tab.Get(1); !ok || s.Speed != 12 {
 			t.Errorf("refreshed entry = %+v, %v", s, ok)
 		}
@@ -35,42 +35,61 @@ func TestStateTableFreshness(t *testing.T) {
 	k.RunUntilIdle()
 }
 
+// The newest state and the last acceleration win, whether the beacons
+// come in separate batches or in one.
 func TestStateTableKeepsNewest(t *testing.T) {
-	k := sim.NewKernel(1)
-	tab := NewStateTable(k, sim.Second)
-	tab.Update(CoopState{ID: 1, Speed: 10, Time: 50 * sim.Millisecond}, 1.5)
-	tab.Update(CoopState{ID: 1, Speed: 5, Time: 10 * sim.Millisecond}, -2) // older
-	s, ok := tab.Get(1)
-	if !ok || s.Speed != 10 {
-		t.Fatalf("got %+v, want newest (speed 10)", s)
-	}
-	// The acceleration is the last delivered, whatever its state's age.
-	if a, ok := tab.Accel(1); !ok || a != -2 {
-		t.Fatalf("Accel = %v, %v, want the last delivered (-2)", a, ok)
-	}
-	if _, ok := tab.Accel(2); ok {
-		t.Fatal("acceleration for an unheard peer")
+	newer := Heard{&CoopState{ID: 1, Speed: 10, Time: 50 * sim.Millisecond}, 1.5}
+	older := Heard{&CoopState{ID: 1, Speed: 5, Time: 10 * sim.Millisecond}, -2}
+	for _, batches := range [][][]Heard{
+		{{newer}, {older}},
+		{{newer, older}},
+	} {
+		k := sim.NewKernel(1)
+		tab := NewStateTable(k, sim.Second)
+		for _, b := range batches {
+			tab.Merge(b)
+		}
+		s, ok := tab.Get(1)
+		if !ok || s.Speed != 10 {
+			t.Fatalf("%d batches: got %+v, want newest (speed 10)", len(batches), s)
+		}
+		// The acceleration is the last delivered, whatever its state's age.
+		if a, ok := tab.Accel(1); !ok || a != -2 {
+			t.Fatalf("%d batches: Accel = %v, %v, want the last delivered (-2)", len(batches), a, ok)
+		}
+		if _, ok := tab.Accel(2); ok {
+			t.Fatal("acceleration for an unheard peer")
+		}
 	}
 }
 
-// Peers stay sorted by sender whatever order they are first heard in, so
-// the checkpoint encoding is a pure function of the table's contents.
+// Peers stay sorted by sender whatever order they are first heard in,
+// one beacon per batch or all in one, so the checkpoint encoding is a pure
+// function of the table's contents.
 func TestStateTableSortedBySender(t *testing.T) {
-	k := sim.NewKernel(1)
-	tab := NewStateTable(k, sim.Second)
-	for _, id := range []wireless.NodeID{7, 2, 9, 2, 4, 0} {
-		tab.Update(CoopState{ID: id, Speed: float64(id)}, float64(id)/10)
-	}
-	var got []wireless.NodeID
-	for _, p := range tab.peers {
-		got = append(got, p.state.ID)
-	}
-	if want := []wireless.NodeID{0, 2, 4, 7, 9}; !slices.Equal(got, want) {
-		t.Fatalf("peers = %v, want %v", got, want)
-	}
-	for _, id := range got {
-		if s, ok := tab.Get(id); !ok || s.Speed != float64(id) {
-			t.Fatalf("Get(%d) = %+v, %v", id, s, ok)
+	for _, batched := range []bool{false, true} {
+		k := sim.NewKernel(1)
+		tab := NewStateTable(k, sim.Second)
+		var batch []Heard
+		for _, id := range []wireless.NodeID{7, 2, 9, 2, 4, 0} {
+			batch = append(batch, Heard{&CoopState{ID: id, Speed: float64(id)}, float64(id) / 10})
+			if !batched {
+				tab.Merge(batch)
+				batch = batch[:0]
+			}
+		}
+		tab.Merge(batch)
+		var got []wireless.NodeID
+		for _, p := range tab.peers {
+			got = append(got, p.state.ID)
+		}
+		if want := []wireless.NodeID{0, 2, 4, 7, 9}; !slices.Equal(got, want) {
+			t.Fatalf("batched=%v: peers = %v, want %v", batched, got, want)
+		}
+		for _, id := range got {
+			if s, ok := tab.Get(id); !ok || s.Speed != float64(id) {
+				t.Fatalf("batched=%v: Get(%d) = %+v, %v", batched, id, s, ok)
+			}
 		}
 	}
 }

@@ -44,6 +44,8 @@ type Shard struct {
 	kernel *Kernel
 	sk     *ShardedKernel
 	outbox []message
+	// spare is the outbox sort's second buffer; the two trade places.
+	spare []message
 }
 
 // Index returns the shard's position in the partition.
@@ -56,7 +58,7 @@ func (s *Shard) Kernel() *Kernel { return s.kernel }
 // the only legal way for one shard's events to affect another shard.
 //
 // Messages are buffered in the sending shard's outbox and drained at the
-// next window barrier, sorted by (at, sender, send order). The conservative
+// next window barrier, in (at, sender, send order). The conservative
 // contract: at must be no earlier than the edge of the window in which Send
 // is called (the model's lookahead guarantees a frame cannot affect a
 // neighboring shard sooner). Earlier instants are clamped to the drain edge
@@ -95,8 +97,11 @@ type ShardedKernel struct {
 	shardHooks []func(shard int, edge Time)
 
 	// drainBuf is the merged-outbox scratch reused across barriers so the
-	// drain stops allocating once it reaches its high-water mark.
+	// drain stops allocating once it reaches its high-water mark. At width
+	// 1 it trades places with the single outbox instead.
 	drainBuf []message
+	// runs holds the unmerged tail of each shard's outbox during a drain.
+	runs [][]message
 
 	// barrierExec counts mailbox messages executed at barriers (they bypass
 	// the shard kernels, so Executed must add them back in).
@@ -154,6 +159,7 @@ func NewShardedKernel(seed int64, n int, window Time) (*ShardedKernel, error) {
 		})
 	}
 	sk.errs = make([]error, n)
+	sk.runs = make([][]message, n)
 	return sk, nil
 }
 
@@ -204,8 +210,10 @@ func (sk *ShardedKernel) OnWindow(fn func(edge Time)) {
 //
 // Discipline: the hook for shard i runs concurrently with other shards'
 // event execution and hooks, so it must touch only state owned by shard i
-// (plus immutable shared state). It must not Send, schedule events, or
-// read other shards' entities.
+// (plus immutable shared state). It may Send through shard i itself — the
+// message drains at this window's barrier, since the outbox is sorted
+// after the hooks — but must not schedule events or read other shards'
+// entities.
 func (sk *ShardedKernel) OnShardWindow(fn func(shard int, edge Time)) {
 	sk.shardHooks = append(sk.shardHooks, fn)
 }
@@ -335,8 +343,8 @@ func (sk *ShardedKernel) shardWorker(s *Shard, jobs chan shardJob) {
 }
 
 // runJob executes one shard's job — one window's event-queue drain plus
-// the per-shard hooks, or one call of a barrier stage — recording any
-// panic in the shard's errs slot.
+// the per-shard hooks and the outbox sort, or one call of a barrier
+// stage — recording any panic in the shard's errs slot.
 func (sk *ShardedKernel) runJob(s *Shard, job shardJob) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -355,6 +363,69 @@ func (sk *ShardedKernel) runJob(s *Shard, job shardJob) {
 	for _, fn := range sk.shardHooks {
 		fn(s.idx, job.edge)
 	}
+	// Sorted after the hooks, so a message a hook sends is in the run.
+	s.sortOutbox()
+}
+
+// sortOutbox stably sorts the shard's outbox by (at, sender). It is a
+// least-significant-digit radix sort over the key's bytes, skipping every
+// byte on which all the keys agree: a window's messages mostly share one
+// instant and their senders are small ids, so that leaves a pass or two.
+// Every pass is stable, so equal keys keep their send order.
+func (s *Shard) sortOutbox() {
+	src := s.outbox
+	if len(src) < 2 {
+		return
+	}
+	var diffAt, diffSender uint64
+	for i := range src {
+		diffAt |= uint64(src[i].at ^ src[0].at)
+		diffSender |= uint64(src[i].sender ^ src[0].sender)
+	}
+	dst := slices.Grow(s.spare[:0], len(src))[:len(src)]
+	for shift := uint(0); shift < 128; shift += 8 {
+		diff := diffSender
+		if shift >= 64 {
+			diff = diffAt
+		}
+		if byte(diff>>(shift%64)) == 0 {
+			continue
+		}
+		var count [256]int
+		for i := range src {
+			count[src[i].digit(shift)]++
+		}
+		sum := 0
+		for d, c := range count {
+			count[d] = sum
+			sum += c
+		}
+		for i := range src {
+			d := src[i].digit(shift)
+			dst[count[d]] = src[i]
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	s.outbox, s.spare = src, dst[:0]
+}
+
+// digit returns the byte at shift of the message's 128-bit sort key: at
+// in the high half, sender in the low, each with its sign bit flipped so
+// that unsigned order is signed order.
+func (m *message) digit(shift uint) byte {
+	if shift < 64 {
+		return byte((uint64(m.sender) ^ 1<<63) >> shift)
+	}
+	return byte((uint64(m.at) ^ 1<<63) >> (shift - 64))
+}
+
+// cmpMessage orders mailbox messages by (at, sender).
+func cmpMessage(a, b message) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.sender, b.sender)
 }
 
 // dispatch runs one job on every shard: shards 1..n-1 through the Run
@@ -445,30 +516,20 @@ func runHook(hook func(Time), edge Time) (err error) {
 	return nil
 }
 
-// drain merges every shard's outbox and applies the messages in
-// deterministic order: stable-sorted by (at, sender), which preserves each
-// sender's program order because one sender's messages all live in one
-// outbox. Messages due now execute at the barrier; future ones are
-// scheduled onto their destination shard's kernel.
+// drain applies every shard's outbox in deterministic order: by (at,
+// sender), and by send order within a sender, whose messages all live in
+// one outbox. Each shard stable-sorted its outbox at the end of its window
+// job, so drain k-way merges the sorted runs, taking the lower shard on a
+// tie — exactly a stable sort of the outboxes' concatenation in shard
+// order. At width 1 the single run is used as it is. Messages due now
+// execute at the barrier; future ones are scheduled onto their destination
+// shard's kernel. A message a drained one sends lands in an emptied outbox
+// and drains at the next barrier.
 func (sk *ShardedKernel) drain(edge Time) (err error) {
-	pending := sk.drainBuf[:0]
-	for _, s := range sk.shards {
-		pending = append(pending, s.outbox...)
-		s.outbox = s.outbox[:0]
-	}
-	sk.drainBuf = pending[:0]
+	pending := sk.mergeOutboxes()
 	if len(pending) == 0 {
 		return nil
 	}
-	// Capture-free comparator: sort.SliceStable's interface boxing and
-	// closure cost one allocation per barrier; the generic stable sort
-	// costs none.
-	slices.SortStableFunc(pending, func(a, b message) int {
-		if c := cmp.Compare(a.at, b.at); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.sender, b.sender)
-	})
 	defer func() {
 		if p := recover(); p != nil {
 			err = windowError("mailbox drain", edge, p)
@@ -491,4 +552,40 @@ func (sk *ShardedKernel) drain(edge Time) (err error) {
 		pending[i].fn = nil
 	}
 	return nil
+}
+
+// mergeOutboxes moves every shard's sorted outbox into drainBuf in drain
+// order and returns the merged messages.
+func (sk *ShardedKernel) mergeOutboxes() []message {
+	if len(sk.shards) == 1 {
+		s := sk.shards[0]
+		pending := s.outbox
+		s.outbox, sk.drainBuf = sk.drainBuf[:0], pending[:0]
+		return pending
+	}
+	runs := sk.runs
+	for i, s := range sk.shards {
+		runs[i] = s.outbox
+	}
+	pending := sk.drainBuf[:0]
+	for {
+		// The run with the least head; the strict comparison keeps the
+		// lower shard on a tie.
+		best := -1
+		for i, r := range runs {
+			if len(r) > 0 && (best < 0 || cmpMessage(r[0], runs[best][0]) < 0) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		pending = append(pending, runs[best][0])
+		runs[best] = runs[best][1:]
+	}
+	for _, s := range sk.shards {
+		s.outbox = s.outbox[:0]
+	}
+	sk.drainBuf = pending[:0]
+	return pending
 }

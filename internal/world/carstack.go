@@ -55,7 +55,10 @@ type Car struct {
 	// table holds the neighbours' last beaconed states and accelerations
 	// (written by the barrier's delivery stage on the shard that owns the
 	// car, read by the car's own steps).
-	table   *coord.StateTable
+	table *coord.StateTable
+	// inbox batches the beacons the delivery stage hands the car until
+	// its shard merges them into table; empty outside the stage.
+	inbox   []coord.Heard
 	manager *core.Manager
 	fn      *core.Functionality
 	gate    *core.Gate

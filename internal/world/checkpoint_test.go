@@ -223,6 +223,7 @@ var notCheckpointed = map[string]string{
 	"pendSentAt": "scratch: the pending beacon, drained at the barrier before a checkpoint",
 	"pendTx":     "scratch: the pending frame, resolved at the barrier before a checkpoint",
 	"payload":    "scratch: the pending frame's payload, resolved at the barrier before a checkpoint",
+	"inbox":      "scratch: the delivery stage's batch of heard beacons, merged into table before the stage returns",
 }
 
 // notCheckpointedWithin lists the fields of a car's components a
@@ -282,6 +283,20 @@ func TestCheckpointCompleteness(t *testing.T) {
 			return h
 		}
 		h := build()
+		// The delivery stage runs inside the world's window hook; this one
+		// runs after it and finds every batch merged and emptied.
+		h.sk.OnWindow(func(edge sim.Time) {
+			for _, c := range h.cars {
+				if len(c.inbox) != 0 {
+					t.Fatalf("medium=%v: car %d holds %d unmerged beacons at %v", medium, c.ID, len(c.inbox), edge)
+				}
+			}
+			for s, p := range h.parts {
+				if len(p.touched) != 0 {
+					t.Fatalf("medium=%v: shard %d still lists %d touched receivers at %v", medium, s, len(p.touched), edge)
+				}
+			}
+		})
 		if err := h.Run(12 * sim.Second); err != nil {
 			t.Fatalf("Run: %v", err)
 		}

@@ -2,8 +2,8 @@ package world
 
 import (
 	"math"
-	"sort"
 
+	"karyon/internal/coord"
 	"karyon/internal/sim"
 	"karyon/internal/wireless"
 )
@@ -21,6 +21,13 @@ import (
 // consumes its loss stream in exactly the same sequence; the counts are
 // summed in shard order afterwards. The output is therefore identical at
 // every width.
+//
+// A delivery does not write the receiver's table at once: it queues the
+// beacon in the receiver's batch, and once the shard's walk is done each
+// touched receiver merges its batch into its table in one pass
+// (coord.StateTable.Merge). That is exact because nothing reads a table
+// during the stage, beacons from distinct senders touch distinct entries,
+// and the merge keeps one sender's beacons in arrival order.
 
 // arcSpan is the x extent of one shard's entries in the published
 // snapshot; lo > hi marks a shard with none.
@@ -41,6 +48,9 @@ type deliveryPart struct {
 
 	// The shard's partial counts, summed into the world in shard order.
 	delivered, lost int64
+	// touched lists the receivers with a non-empty batch, in the order
+	// they first heard a beacon this stage.
+	touched []*Car
 
 	visitAbstract func(i int)
 	visitRadio    func(i int)
@@ -79,9 +89,14 @@ func (h *Highway) initDelivery() {
 		h.stageFn = func(shard int) {
 			p := h.parts[shard]
 			h.medium.Visit(shard, p.mEach, p.mDeliver, p.mDrop)
+			p.flush()
 		}
 	} else {
-		h.stageFn = func(shard int) { h.parts[shard].fanOut() }
+		h.stageFn = func(shard int) {
+			p := h.parts[shard]
+			p.fanOut()
+			p.flush()
+		}
 	}
 }
 
@@ -145,7 +160,7 @@ func (p *deliveryPart) fanOut() {
 
 // deliverAbstract decides the current sender's beacon at snapshot entry
 // i, if the shard owns it: jam, then the receiver's loss draw, then
-// delivery into its state table.
+// delivery into the receiver's batch.
 func (p *deliveryPart) deliverAbstract(i int) {
 	p.sent = true
 	h := p.h
@@ -162,8 +177,7 @@ func (p *deliveryPart) deliverAbstract(i int) {
 		p.lost++
 		return
 	}
-	p.delivered++
-	to.table.Update(c.pendState, c.pendAccel)
+	p.hear(to, &c.pendState, c.pendAccel)
 }
 
 // eachRadio is the medium's per-frame receiver walk for one shard: the
@@ -188,12 +202,31 @@ func (p *deliveryPart) offerRadio(i int) {
 	}
 }
 
-// deliverRadio writes a delivered frame's beacon into the receiver's
-// state table.
+// deliverRadio queues a delivered frame's beacon in the receiver's batch.
 func (p *deliveryPart) deliverRadio(tx *wireless.ShardedTx, to wireless.NodeID) {
 	b := tx.Payload.(*beacon)
-	p.h.cars[int(to)].table.Update(b.state, b.accel)
+	p.hear(p.h.cars[int(to)], &b.state, b.accel)
+}
+
+// hear queues a delivered beacon in the receiver's batch, noting the
+// receiver when the beacon is its first of the stage. The state stays put
+// until flush: it is the sender's pending beacon, frozen for the stage.
+func (p *deliveryPart) hear(to *Car, s *coord.CoopState, accel float64) {
+	if len(to.inbox) == 0 {
+		p.touched = append(p.touched, to)
+	}
+	to.inbox = append(to.inbox, coord.Heard{State: s, Accel: accel})
 	p.delivered++
+}
+
+// flush merges every touched receiver's batch into its state table and
+// empties it, so every batch is empty when the stage returns.
+func (p *deliveryPart) flush() {
+	for _, c := range p.touched {
+		c.table.Merge(c.inbox)
+		c.inbox = c.inbox[:0]
+	}
+	p.touched = p.touched[:0]
 }
 
 // reaches reports whether a beacon sent from x may reach any of the
@@ -263,8 +296,8 @@ func (h *Highway) eachInRange(c *Car, fn func(i int)) {
 		return
 	}
 	x := c.Body.X
-	r := h.cfg.V2VRange
-	if 2*r >= h.cfg.Length {
+	r, length := h.cfg.V2VRange, h.cfg.Length
+	if 2*r >= length {
 		for i := range h.snap {
 			if h.snap[i].id != c.ID {
 				fn(i)
@@ -272,27 +305,57 @@ func (h *Highway) eachInRange(c *Car, fn func(i int)) {
 		}
 		return
 	}
-	at := sort.Search(n, func(i int) bool { return h.snap[i].x > x })
+	// The first entry strictly past x: sort.Search's predicate, inlined.
+	lo, hi := 0, n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if !(h.snap[mid].x > x) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	at := lo
 	for i := 0; i < n-1; i++ {
-		k := (at + i) % n
+		k := at + i
+		if k >= n {
+			k -= n
+		}
 		e := &h.snap[k]
 		if e.id == c.ID {
 			continue
 		}
-		if math.Mod(e.x-x+h.cfg.Length, h.cfg.Length) > r {
+		if ringMod(e.x-x+length, length) > r {
 			break
 		}
 		fn(k)
 	}
 	for i := 1; i <= n-1; i++ {
-		k := ((at-i)%n + n) % n
+		k := at - i
+		if k < 0 {
+			k += n
+		}
 		e := &h.snap[k]
 		if e.id == c.ID {
 			continue
 		}
-		if math.Mod(x-e.x+h.cfg.Length, h.cfg.Length) > r {
+		if ringMod(x-e.x+length, length) > r {
 			break
 		}
 		fn(k)
 	}
+}
+
+// ringMod is math.Mod(v, length) without the call on the ring walk's
+// usual operands. For v in [0, length) the remainder is v; for v in
+// [length, 2·length) it is v − length, which Sterbenz's lemma makes exact.
+// Anything else — negative, larger, or not a number — takes math.Mod.
+func ringMod(v, length float64) float64 {
+	if v >= 0 && v < length {
+		return v
+	}
+	if v >= length && v < 2*length {
+		return v - length
+	}
+	return math.Mod(v, length)
 }
