@@ -51,7 +51,7 @@ func FuzzStateTableMerge(f *testing.F) {
 	f.Add([]byte{7, 3, 1, 1, 0xff, 7, 1, 9, 9, 2, 0, 1, 1, 7, 3, 5, 5})             // stale then equal time
 	f.Add([]byte{9, 0, 0, 0, 1, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0})       // unsorted, with a repeat
 	f.Add([]byte{0xff, 0xff, 2, 1, 1, 1})
-	var long []byte // past the insertion sort: 40 beacons, senders descending and repeated
+	var long []byte // a long batch: 40 beacons, senders descending and repeated
 	for i := 39; i >= 0; i-- {
 		long = append(long, byte(i/3), byte(i), byte(i), byte(i))
 	}

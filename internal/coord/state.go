@@ -37,7 +37,7 @@ type CoopState struct {
 // carried. The peers sit in one slice sorted by sender id and are updated
 // in place: a receiver hears only its radio neighbours, so the slice stays
 // short. Beacons arrive in batches (Merge), one per receiver and window,
-// and a batch costs one linear merge and no allocation once the
+// and a batch costs one forward pass and no allocation once the
 // neighbours are known.
 type StateTable struct {
 	clock sim.Clock
@@ -86,90 +86,22 @@ type Heard struct {
 // (an older one is ignored), and the acceleration is the last one
 // delivered, whatever its state's age. The batch is sorted by sender in
 // place, stably, so one sender's beacons keep their order; beacons of
-// distinct senders touch distinct entries and commute. The table then
-// takes the batch in one linear merge.
+// distinct senders touch distinct entries and commute. The table is then
+// walked once, with a cursor that only moves forward.
 func (t *StateTable) Merge(batch []Heard) {
-	sortBySender(batch)
-	// First pass: fold each sender's beacons into its existing entry, and
-	// count the senders the table has yet to hear of.
-	n, fresh := len(t.peers), 0
-	for i, j := 0, 0; j < len(batch); {
-		id := batch[j].State.ID
-		for i < n && t.peers[i].state.ID < id {
+	slices.SortStableFunc(batch, func(a, b Heard) int { return cmp.Compare(a.State.ID, b.State.ID) })
+	i := 0
+	for _, h := range batch {
+		s := h.State
+		for i < len(t.peers) && t.peers[i].state.ID < s.ID {
 			i++
 		}
-		g := groupEnd(batch, j)
-		if i < n && t.peers[i].state.ID == id {
-			t.peers[i].fold(batch[j:g])
-		} else {
-			fresh++
+		if i == len(t.peers) || t.peers[i].state.ID != s.ID {
+			t.peers = slices.Insert(t.peers, i, peer{state: *s})
+		} else if t.peers[i].state.Time <= s.Time {
+			t.peers[i].state = *s
 		}
-		j = g
-	}
-	if fresh == 0 {
-		return
-	}
-	// Second pass, from the back: shift the entries up to make room and
-	// insert each new sender's entry in place. The table grows as it would
-	// by inserting one entry at a time, so its capacity does not depend on
-	// how the beacons were batched.
-	for range fresh {
-		t.peers = append(t.peers, peer{})
-	}
-	i, w := n, n+fresh
-	for j := len(batch); j > 0 && w > i; {
-		id := batch[j-1].State.ID
-		g := j - 1
-		for g > 0 && batch[g-1].State.ID == id {
-			g--
-		}
-		for i > 0 && t.peers[i-1].state.ID > id {
-			i--
-			w--
-			t.peers[w] = t.peers[i]
-		}
-		if i == 0 || t.peers[i-1].state.ID != id {
-			w--
-			t.peers[w] = peer{state: *batch[g].State, accel: batch[g].Accel}
-			t.peers[w].fold(batch[g+1 : j])
-		}
-		j = g
-	}
-}
-
-// fold applies one sender's beacons to its entry, in order.
-func (p *peer) fold(batch []Heard) {
-	for k := range batch {
-		if p.state.Time <= batch[k].State.Time {
-			p.state = *batch[k].State
-		}
-		p.accel = batch[k].Accel
-	}
-}
-
-// groupEnd returns the end of the run of beacons from batch[j]'s sender.
-func groupEnd(batch []Heard, j int) int {
-	id := batch[j].State.ID
-	for j++; j < len(batch) && batch[j].State.ID == id; j++ {
-	}
-	return j
-}
-
-// sortBySender stably sorts a batch by sender. Batches are short and
-// often already in order, so an insertion sort does; a long one takes the
-// library's stable sort.
-func sortBySender(batch []Heard) {
-	if len(batch) > 32 {
-		slices.SortStableFunc(batch, func(a, b Heard) int { return cmp.Compare(a.State.ID, b.State.ID) })
-		return
-	}
-	for i := 1; i < len(batch); i++ {
-		b := batch[i]
-		k := i
-		for ; k > 0 && batch[k-1].State.ID > b.State.ID; k-- {
-			batch[k] = batch[k-1]
-		}
-		batch[k] = b
+		t.peers[i].accel = h.Accel
 	}
 }
 

@@ -129,43 +129,3 @@ func TestDrainMatchesStableSort(t *testing.T) {
 		}
 	}
 }
-
-// The outbox's radix sort is a stable sort by (at, sender) on any keys:
-// negative and extreme ones, keys differing in a single high byte, one
-// shared instant, and many repeats.
-func TestSortOutboxIsStable(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	extremes := []int64{0, -1, 1, -1 << 63, 1<<63 - 1, 255, 256, 1 << 40, -(1 << 40), 1 << 56}
-	key := func(shape int) int64 {
-		switch shape {
-		case 0:
-			return extremes[rng.Intn(len(extremes))]
-		case 1:
-			return int64(rng.Intn(4)) << (8 * uint(rng.Intn(8)))
-		case 2:
-			return 7
-		}
-		return rng.Int63() - rng.Int63()
-	}
-	sk, err := NewShardedKernel(1, 1, Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := sk.Shard(0)
-	for trial := 0; trial < 2000; trial++ {
-		atShape, senderShape := rng.Intn(4), rng.Intn(4)
-		s.outbox = s.outbox[:0]
-		for i, n := 0, rng.Intn(300); i < n; i++ {
-			// dst records the send order; the fn is not compared.
-			s.outbox = append(s.outbox, message{dst: i, at: Time(key(atShape)), sender: key(senderShape)})
-		}
-		want := slices.Clone(s.outbox)
-		slices.SortStableFunc(want, cmpMessage)
-		s.sortOutbox()
-		if !slices.EqualFunc(s.outbox, want, func(a, b message) bool {
-			return a.dst == b.dst && a.at == b.at && a.sender == b.sender
-		}) {
-			t.Fatalf("trial %d: sortOutbox differs from a stable sort", trial)
-		}
-	}
-}

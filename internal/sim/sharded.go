@@ -44,8 +44,6 @@ type Shard struct {
 	kernel *Kernel
 	sk     *ShardedKernel
 	outbox []message
-	// spare is the outbox sort's second buffer; the two trade places.
-	spare []message
 }
 
 // Index returns the shard's position in the partition.
@@ -364,60 +362,7 @@ func (sk *ShardedKernel) runJob(s *Shard, job shardJob) {
 		fn(s.idx, job.edge)
 	}
 	// Sorted after the hooks, so a message a hook sends is in the run.
-	s.sortOutbox()
-}
-
-// sortOutbox stably sorts the shard's outbox by (at, sender). It is a
-// least-significant-digit radix sort over the key's bytes, skipping every
-// byte on which all the keys agree: a window's messages mostly share one
-// instant and their senders are small ids, so that leaves a pass or two.
-// Every pass is stable, so equal keys keep their send order.
-func (s *Shard) sortOutbox() {
-	src := s.outbox
-	if len(src) < 2 {
-		return
-	}
-	var diffAt, diffSender uint64
-	for i := range src {
-		diffAt |= uint64(src[i].at ^ src[0].at)
-		diffSender |= uint64(src[i].sender ^ src[0].sender)
-	}
-	dst := slices.Grow(s.spare[:0], len(src))[:len(src)]
-	for shift := uint(0); shift < 128; shift += 8 {
-		diff := diffSender
-		if shift >= 64 {
-			diff = diffAt
-		}
-		if byte(diff>>(shift%64)) == 0 {
-			continue
-		}
-		var count [256]int
-		for i := range src {
-			count[src[i].digit(shift)]++
-		}
-		sum := 0
-		for d, c := range count {
-			count[d] = sum
-			sum += c
-		}
-		for i := range src {
-			d := src[i].digit(shift)
-			dst[count[d]] = src[i]
-			count[d]++
-		}
-		src, dst = dst, src
-	}
-	s.outbox, s.spare = src, dst[:0]
-}
-
-// digit returns the byte at shift of the message's 128-bit sort key: at
-// in the high half, sender in the low, each with its sign bit flipped so
-// that unsigned order is signed order.
-func (m *message) digit(shift uint) byte {
-	if shift < 64 {
-		return byte((uint64(m.sender) ^ 1<<63) >> shift)
-	}
-	return byte((uint64(m.at) ^ 1<<63) >> (shift - 64))
+	slices.SortStableFunc(s.outbox, cmpMessage)
 }
 
 // cmpMessage orders mailbox messages by (at, sender).

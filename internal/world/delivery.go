@@ -24,7 +24,7 @@ import (
 //
 // A delivery does not write the receiver's table at once: it queues the
 // beacon in the receiver's batch, and once the shard's walk is done each
-// touched receiver merges its batch into its table in one pass
+// of the shard's cars merges its batch into its table in one pass
 // (coord.StateTable.Merge). That is exact because nothing reads a table
 // during the stage, beacons from distinct senders touch distinct entries,
 // and the merge keeps one sender's beacons in arrival order.
@@ -48,9 +48,6 @@ type deliveryPart struct {
 
 	// The shard's partial counts, summed into the world in shard order.
 	delivered, lost int64
-	// touched lists the receivers with a non-empty batch, in the order
-	// they first heard a beacon this stage.
-	touched []*Car
 
 	visitAbstract func(i int)
 	visitRadio    func(i int)
@@ -208,25 +205,24 @@ func (p *deliveryPart) deliverRadio(tx *wireless.ShardedTx, to wireless.NodeID) 
 	p.hear(p.h.cars[int(to)], &b.state, b.accel)
 }
 
-// hear queues a delivered beacon in the receiver's batch, noting the
-// receiver when the beacon is its first of the stage. The state stays put
-// until flush: it is the sender's pending beacon, frozen for the stage.
+// hear queues a delivered beacon in the receiver's batch. The state stays
+// put until flush: it is the sender's pending beacon, frozen for the stage.
 func (p *deliveryPart) hear(to *Car, s *coord.CoopState, accel float64) {
-	if len(to.inbox) == 0 {
-		p.touched = append(p.touched, to)
-	}
 	to.inbox = append(to.inbox, coord.Heard{State: s, Accel: accel})
 	p.delivered++
 }
 
-// flush merges every touched receiver's batch into its state table and
-// empties it, so every batch is empty when the stage returns.
+// flush merges the batch of every car the shard owns into its state table
+// and empties it, so every batch is empty when the stage returns. The
+// shard's receivers are exactly its cars: ownership moves only after the
+// stage, in mergeSnapshot.
 func (p *deliveryPart) flush() {
-	for _, c := range p.touched {
-		c.table.Merge(c.inbox)
-		c.inbox = c.inbox[:0]
+	for _, c := range p.h.byShard[p.shard] {
+		if len(c.inbox) > 0 {
+			c.table.Merge(c.inbox)
+			c.inbox = c.inbox[:0]
+		}
 	}
-	p.touched = p.touched[:0]
 }
 
 // reaches reports whether a beacon sent from x may reach any of the
