@@ -126,11 +126,9 @@ type Medium struct {
 	cfg    Config
 	radios *registry
 	active []*transmission
-	// jamUntil[c] is the virtual time until which channel c is jammed;
-	// jamStart[c] is when the current (or last) jam burst began.
-	jamUntil []sim.Time
-	jamStart []sim.Time
-	stats    Stats
+	// jams[c] is channel c's current (or last) jam burst.
+	jams  []Burst
+	stats Stats
 	// onDrop, if set, observes every per-receiver drop (for experiments).
 	onDrop func(to NodeID, reason DropReason)
 }
@@ -142,11 +140,10 @@ func NewMedium(kernel *sim.Kernel, cfg Config) *Medium {
 		cfg.Channels = 1
 	}
 	return &Medium{
-		kernel:   kernel,
-		cfg:      cfg,
-		radios:   newRegistry(),
-		jamUntil: make([]sim.Time, cfg.Channels),
-		jamStart: make([]sim.Time, cfg.Channels),
+		kernel: kernel,
+		cfg:    cfg,
+		radios: newRegistry(),
+		jams:   make([]Burst, cfg.Channels),
 	}
 }
 
@@ -185,14 +182,7 @@ func (m *Medium) Jam(channel int, d sim.Time) {
 	if channel < 0 || channel >= m.cfg.Channels {
 		return
 	}
-	now := m.kernel.Now()
-	if now >= m.jamUntil[channel] {
-		// Previous burst (if any) has expired: this starts a new one.
-		m.jamStart[channel] = now
-	}
-	if until := now + d; until > m.jamUntil[channel] {
-		m.jamUntil[channel] = until
-	}
+	m.jams[channel].Extend(m.kernel.Now(), d)
 }
 
 // Jammed reports whether channel is currently jammed.
@@ -200,7 +190,7 @@ func (m *Medium) Jammed(channel int) bool {
 	if channel < 0 || channel >= m.cfg.Channels {
 		return false
 	}
-	return m.kernel.Now() < m.jamUntil[channel]
+	return m.jams[channel].Covers(m.kernel.Now())
 }
 
 // CarrierBusy reports whether node id senses energy on channel: an ongoing
@@ -265,7 +255,7 @@ func (m *Medium) complete(tx *transmission) {
 			continue
 		}
 		switch {
-		case m.jamOverlaps(tx):
+		case m.jams[tx.frame.Channel].Overlaps(tx.start, tx.end):
 			m.stats.Jammed++
 			m.drop(id, DropJam)
 		case m.collides(tx, rx):
@@ -302,19 +292,6 @@ func (m *Medium) drop(to NodeID, reason DropReason) {
 	if m.onDrop != nil {
 		m.onDrop(to, reason)
 	}
-}
-
-// jamOverlaps reports whether the transmission's on-air window [start,end)
-// overlapped the channel's current jam burst [jamStart, jamUntil).
-func (m *Medium) jamOverlaps(tx *transmission) bool {
-	c := tx.frame.Channel
-	if c < 0 || c >= len(m.jamUntil) {
-		return false
-	}
-	if m.jamStart[c] >= m.jamUntil[c] {
-		return false // empty burst (a zero-duration Jam) covers nothing
-	}
-	return m.jamStart[c] < tx.end && m.jamUntil[c] > tx.start
 }
 
 // collides reports whether another transmission audible at rx overlapped

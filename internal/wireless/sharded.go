@@ -68,13 +68,11 @@ type ShardedMedium struct {
 	parts  []*visitPart
 	nparts int
 
-	// jamStart/jamUntil track the current (or last) jam burst per channel,
-	// with Jam extending an ongoing burst — the same single-burst model as
-	// Medium.Jam. Frames are resolved at the barrier closing their window
-	// and jams are injected at barriers, so no frame ever needs a burst
-	// older than the current one.
-	jamStart []sim.Time
-	jamUntil []sim.Time
+	// jams holds the current (or last) jam burst per channel — the same
+	// single-burst model as Medium. Frames are resolved at the barrier
+	// closing their window and jams are injected at barriers, so no frame
+	// ever needs a burst older than the current one.
+	jams []Burst
 
 	// rx holds the per-receiver loss streams, indexed by node id; nil
 	// until the receiver's first draw (or Prime). A partitioned visit
@@ -195,10 +193,9 @@ func NewShardedMedium(seed int64, cfg ShardedConfig) *ShardedMedium {
 		cfg.Airtime = DefaultShardedConfig().Airtime
 	}
 	return &ShardedMedium{
-		seed:     seed,
-		cfg:      cfg,
-		jamStart: make([]sim.Time, cfg.Channels),
-		jamUntil: make([]sim.Time, cfg.Channels),
+		seed: seed,
+		cfg:  cfg,
+		jams: make([]Burst, cfg.Channels),
 	}
 }
 
@@ -207,9 +204,6 @@ func (m *ShardedMedium) Config() ShardedConfig { return m.cfg }
 
 // Stats returns a copy of the delivery accounting so far.
 func (m *ShardedMedium) Stats() ShardedStats { return m.stats }
-
-// Pending returns how many frames await the next Resolve.
-func (m *ShardedMedium) Pending() int { return len(m.pending) }
 
 // Queue hands one frame to the medium for resolution at the next barrier.
 // Barrier-only: call it from the mailbox message the sender routed to the
@@ -228,12 +222,7 @@ func (m *ShardedMedium) Jam(channel int, now, d sim.Time) {
 	if channel < 0 || channel >= m.cfg.Channels {
 		return
 	}
-	if now >= m.jamUntil[channel] {
-		m.jamStart[channel] = now
-	}
-	if until := now + d; until > m.jamUntil[channel] {
-		m.jamUntil[channel] = until
-	}
+	m.jams[channel].Extend(now, d)
 }
 
 // JamAll jams every channel — the external wideband interference that
@@ -249,7 +238,7 @@ func (m *ShardedMedium) Jammed(channel int, t sim.Time) bool {
 	if channel < 0 || channel >= m.cfg.Channels {
 		return false
 	}
-	return t >= m.jamStart[channel] && t < m.jamUntil[channel]
+	return m.jams[channel].Covers(t)
 }
 
 // dist is the metric of ShardedConfig.Ring: arc length along X on a ring
@@ -280,16 +269,6 @@ func inDomain(ring float64, p *Position) bool {
 		return p.X >= 0 && p.X < ring && p.X < maxCoord
 	}
 	return max(math.Abs(p.X), math.Abs(p.Y), math.Abs(p.Z)) < maxCoord
-}
-
-// jamOverlaps reports whether the frame's airtime window overlapped the
-// channel's current jam burst — the same interval test as Medium.
-func (m *ShardedMedium) jamOverlaps(tx *ShardedTx) bool {
-	c := tx.Channel
-	if m.jamStart[c] >= m.jamUntil[c] {
-		return false // empty burst (e.g. a zero-duration Jam) covers nothing
-	}
-	return m.jamStart[c] < tx.end(m.cfg.Airtime) && m.jamUntil[c] > tx.Start
 }
 
 // airtimesOverlap reports whether two frames' airtime windows intersect.
@@ -429,7 +408,7 @@ func (m *ShardedMedium) Visit(
 	vp.deliver, vp.drop = deliver, drop
 	for at, i := range m.onAir {
 		vp.tx, vp.at = &m.pending[i], at
-		vp.jammed = m.jamOverlaps(vp.tx)
+		vp.jammed = m.jams[vp.tx.Channel].Overlaps(vp.tx.Start, vp.tx.end(m.cfg.Airtime))
 		vp.nearBuilt = false
 		each(vp.tx, vp.visit)
 	}
@@ -627,7 +606,7 @@ func (m *ShardedMedium) senseClears(tx *ShardedTx, onAir []int) (sim.Time, bool)
 	busy := false
 	if m.Jammed(tx.Channel, tx.Start) {
 		busy = true
-		clearAt = m.jamUntil[tx.Channel]
+		clearAt = m.jams[tx.Channel].Until
 	}
 	// onAir is in start order and airtime is uniform, so ends are ordered
 	// too: scan back from the tail and stop at the first frame that ended

@@ -11,14 +11,18 @@ import (
 )
 
 // FuzzShardedMediumOverlap drives the interval math the collision and jam
-// decisions rest on: airtime overlap must be symmetric and agree with the
-// brute half-open-interval intersection, and jamOverlaps must agree with
-// the same predicate against the injected burst.
+// decisions rest on. Airtime overlap must be symmetric and agree with the
+// brute half-open-interval intersection. A fuzzed pair of jams — the
+// second inside the first burst, at its end or after it, zero durations
+// allowed — must leave a Burst, a Medium and a ShardedMedium jammed
+// exactly over the interval the brute model predicts: point by point
+// (Covers, Jammed) and for a frame's airtime (Overlaps, a jam drop).
 func FuzzShardedMediumOverlap(f *testing.F) {
-	f.Add(int64(0), int64(200), uint16(400), int64(100), int64(300))
-	f.Add(int64(1000), int64(1000), uint16(1), int64(0), int64(0))
-	f.Add(int64(5), int64(405), uint16(400), int64(400), int64(10))
-	f.Fuzz(func(t *testing.T, s1, s2 int64, airRaw uint16, jamAt, jamFor int64) {
+	f.Add(int64(0), int64(200), uint16(400), int64(100), int64(300), uint8(0), int64(50), int64(500))
+	f.Add(int64(1000), int64(1000), uint16(1), int64(0), int64(0), uint8(1), int64(0), int64(0))
+	f.Add(int64(5), int64(405), uint16(400), int64(400), int64(10), uint8(2), int64(3), int64(7))
+	f.Add(int64(450), int64(0), uint16(100), int64(100), int64(400), uint8(0), int64(399), int64(0))
+	f.Fuzz(func(t *testing.T, s1, s2 int64, airRaw uint16, jamAt, jamFor int64, where uint8, gap, jam2For int64) {
 		air := sim.Time(airRaw%5000) + 1
 		norm := func(v int64) sim.Time {
 			if v < 0 {
@@ -44,20 +48,91 @@ func FuzzShardedMediumOverlap(f *testing.F) {
 		if got, want := airtimesOverlap(&a, &b, air), brute(a.Start, a.end(air), b.Start, b.end(air)); got != want {
 			t.Fatalf("overlap(%d,%d air=%d) = %v, brute = %v", a.Start, b.Start, air, got, want)
 		}
+
+		// The jams: [t1, t1+d1), then d2 from t2.
+		t1, d1, d2 := norm(jamAt), norm(jamFor), norm(jam2For)
+		var t2 sim.Time
+		switch where % 3 {
+		case 0: // inside the first burst (at its start if it is empty)
+			t2 = t1
+			if d1 > 0 {
+				t2 += norm(gap) % d1
+			}
+		case 1: // at its end
+			t2 = t1 + d1
+		default: // after it
+			t2 = t1 + d1 + 1 + norm(gap)
+		}
+		// The brute model: a jam landing inside the first burst lengthens
+		// it, never shortens it; otherwise it replaces it.
+		first := func(at sim.Time) bool { return at >= t1 && at < t1+d1 }
+		from, until := t2, t2+d2
+		if t2 < t1+d1 {
+			from, until = t1, max(t1+d1, t2+d2)
+		}
+		covers := func(at sim.Time) bool { return at >= from && at < until }
+		jammed := brute(a.Start, a.end(air), from, until)
+		points := []sim.Time{0, t1, t1 + d1, t2, t2 + d2, from - 1, from, from + (until-from)/2, until - 1, until}
+
+		var burst Burst
+		burst.Extend(t1, d1)
+		burst.Extend(t2, d2)
+		for _, at := range points {
+			if got := burst.Covers(at); got != covers(at) {
+				t.Fatalf("Burst %+v: Covers(%d) = %v, model [%d,%d)", burst, at, got, from, until)
+			}
+		}
+		if got := burst.Overlaps(a.Start, a.end(air)); got != jammed {
+			t.Fatalf("Burst %+v: Overlaps(%d,%d) = %v, model [%d,%d)", burst, a.Start, a.end(air), got, from, until)
+		}
+
 		cfg := DefaultShardedConfig()
 		cfg.Airtime = air
-		m := NewShardedMedium(1, cfg)
-		start, dur := norm(jamAt), norm(jamFor)
-		m.Jam(0, start, dur)
-		if got, want := m.jamOverlaps(&a), brute(a.Start, a.end(air), start, start+dur); got != want {
-			t.Fatalf("jamOverlaps(start=%d air=%d) vs burst [%d,%d) = %v, brute = %v",
-				a.Start, air, start, start+dur, got, want)
-		}
-		// Jammed must be the point version of the same interval.
-		for _, at := range []sim.Time{start, start + dur/2, start + dur} {
-			if got, want := m.Jammed(0, at), at >= start && at < start+dur; got != want {
-				t.Fatalf("Jammed(%d) vs burst [%d,%d) = %v, want %v", at, start, start+dur, got, want)
+		sm := NewShardedMedium(1, cfg)
+		sm.Jam(0, t1, d1)
+		sm.Jam(0, t2, d2)
+		for _, at := range points {
+			if got := sm.Jammed(0, at); got != covers(at) {
+				t.Fatalf("ShardedMedium: Jammed(%d) = %v, model [%d,%d)", at, got, from, until)
 			}
+		}
+		var log outcomeLog
+		sm.Queue(a)
+		resolveAll(sm, map[NodeID]Position{0: {}, 1: {}}, &log)
+		if got := log.String() == fmt.Sprintf("0@%d->1 jam", a.Start); got != jammed {
+			t.Fatalf("ShardedMedium: frame %d+%d against model [%d,%d): %q", a.Start, air, from, until, log.String())
+		}
+
+		// The legacy medium jams at kernel time. Its frame completes after
+		// the second jam (the propagation delay carries it past t2), and
+		// Jammed is probed at every point the kernel reaches after t1.
+		mcfg := DefaultConfig()
+		mcfg.Airtime, mcfg.PropDelay = air, t2+1
+		k, m := newTestMedium(t, mcfg)
+		tx, rx := attach(t, m, 0, Position{}), attach(t, m, 1, Position{})
+		var reason DropReason
+		rx.OnReceive(func(Frame) { reason = -1 })
+		m.SetDropObserver(func(_ NodeID, r DropReason) { reason = r })
+		k.At(t1, func() { m.Jam(0, d1) })
+		k.At(t2, func() { m.Jam(0, d2) })
+		k.At(a.Start, func() { tx.Broadcast(nil) })
+		for _, at := range points {
+			if at < t1 {
+				continue
+			}
+			want := covers(at)
+			if at < t2 {
+				want = first(at)
+			}
+			k.At(at, func() {
+				if got := m.Jammed(0); got != want {
+					t.Errorf("Medium: Jammed at %d = %v, want %v (jams %d+%d, %d+%d)", at, got, want, t1, d1, t2, d2)
+				}
+			})
+		}
+		k.RunUntilIdle()
+		if got := reason == DropJam; got != jammed || reason == 0 {
+			t.Fatalf("Medium: frame %d+%d against model [%d,%d): reason %v", a.Start, air, from, until, reason)
 		}
 	})
 }
@@ -157,7 +232,7 @@ func bruteDist(ring float64, a, b Position) float64 {
 // collision check over every other on-air frame, loss. Frames carry no
 // Retry, so a busy channel drops the frame.
 func bruteResolve(cfg ShardedConfig, seed int64, queued []ShardedTx, nodes []Position,
-	jamStart, jamUntil []sim.Time) []oracleEntry {
+	jams []Burst) []oracleEntry {
 	frames := append([]ShardedTx(nil), queued...)
 	sort.SliceStable(frames, func(i, j int) bool {
 		if frames[i].Start != frames[j].Start {
@@ -173,7 +248,7 @@ func bruteResolve(cfg ShardedConfig, seed int64, queued []ShardedTx, nodes []Pos
 		tx := &frames[i]
 		if cfg.CarrierSense {
 			c := tx.Channel
-			busy := tx.Start >= jamStart[c] && tx.Start < jamUntil[c]
+			busy := tx.Start >= jams[c].Start && tx.Start < jams[c].Until
 			for _, o := range onAir {
 				if o.Channel == c && o.From != tx.From && o.Start < tx.Start && tx.Start < o.Start+air &&
 					bruteDist(cfg.Ring, o.Pos, tx.Pos) <= cfg.Range {
@@ -190,7 +265,8 @@ func bruteResolve(cfg ShardedConfig, seed int64, queued []ShardedTx, nodes []Pos
 	streams := make(map[NodeID]*sim.Stream)
 	for _, tx := range onAir {
 		c := tx.Channel
-		jammed := jamStart[c] < jamUntil[c] && jamStart[c] < tx.Start+air && jamUntil[c] > tx.Start
+		jam := jams[c]
+		jammed := jam.Start < jam.Until && jam.Start < tx.Start+air && jam.Until > tx.Start
 		for id, pos := range nodes {
 			to := NodeID(id)
 			if to == tx.From {
@@ -308,7 +384,7 @@ func FuzzShardedCollisionOracle(f *testing.F) {
 
 		ref := NewShardedMedium(seed, cfg)
 		jam(ref)
-		want := bruteResolve(cfg, seed, frames, nodes, ref.jamStart, ref.jamUntil)
+		want := bruteResolve(cfg, seed, frames, nodes, ref.jams)
 
 		for _, tx := range frames {
 			ref.Queue(tx)

@@ -57,8 +57,11 @@ func TestShardedDeliveryAndRange(t *testing.T) {
 	if st.Queued != 1 || st.Sent != 1 || st.Delivered != 1 || st.OutOfRange != 1 {
 		t.Fatalf("stats %+v", st)
 	}
-	if m.Pending() != 0 {
-		t.Fatalf("pending %d after resolve", m.Pending())
+	// The resolve emptied the queue: a second one decides nothing.
+	var again outcomeLog
+	resolveAll(m, nodes, &again)
+	if len(again.entries) != 0 || m.Stats() != st {
+		t.Fatalf("second resolve: outcomes %q, stats %+v, want none and %+v", again.entries, m.Stats(), st)
 	}
 }
 

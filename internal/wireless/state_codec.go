@@ -20,13 +20,14 @@ func (m *ShardedMedium) EncodeState(e *trace.Enc) {
 	e.I64(m.stats.Jammed)
 	e.I64(m.stats.OutOfRange)
 	e.I64(m.stats.Retries)
-	e.U32(uint32(len(m.jamStart)))
-	for _, t := range m.jamStart {
-		e.I64(int64(t))
+	// All starts, then all untils: the layout of the checkpoint format.
+	e.U32(uint32(len(m.jams)))
+	for _, b := range m.jams {
+		e.I64(int64(b.Start))
 	}
-	e.U32(uint32(len(m.jamUntil)))
-	for _, t := range m.jamUntil {
-		e.I64(int64(t))
+	e.U32(uint32(len(m.jams)))
+	for _, b := range m.jams {
+		e.I64(int64(b.Until))
 	}
 	n := 0
 	for _, s := range m.rx {
@@ -57,13 +58,17 @@ func (m *ShardedMedium) DecodeState(d *trace.Dec) {
 	m.stats.Jammed = d.I64()
 	m.stats.OutOfRange = d.I64()
 	m.stats.Retries = d.I64()
-	for _, jam := range [][]sim.Time{m.jamStart, m.jamUntil} {
-		if !d.CountIs(len(jam), "jam channel") {
-			return
-		}
-		for i := range jam {
-			jam[i] = sim.Time(d.I64())
-		}
+	if !d.CountIs(len(m.jams), "jam channel") {
+		return
+	}
+	for i := range m.jams {
+		m.jams[i].Start = sim.Time(d.I64())
+	}
+	if !d.CountIs(len(m.jams), "jam channel") {
+		return
+	}
+	for i := range m.jams {
+		m.jams[i].Until = sim.Time(d.I64())
 	}
 	for i, n := 0, d.Count(16); i < n && d.Err() == nil; i++ {
 		id := d.I64()

@@ -92,25 +92,16 @@ type Car struct {
 	phase  sim.Time
 	stepFn func()
 
-	// Cached mailbox closures plus the pending-beacon fields the barrier
-	// reads: the car's step writes pendState/pendAccel/pendSentAt
-	// (abstract V2V) or pendTx (Medium mode) and mails the cached closure,
-	// so the steady-state beacon path allocates nothing. The fields are
-	// stable between the send and the closing barrier — a car steps
-	// exactly once per window and the delivery stage runs before the next
-	// window is seeded.
-	// payload is the car's persistent Medium-mode frame payload: boxing
-	// the same pointer into pendTx.Payload avoids allocating a fresh
-	// interface value per frame (the contents are consumed when the frame
-	// resolves at that same window's edge, before the next step rewrites
-	// them).
-	deliverFn  func()
-	queueFn    func()
-	pendState  coord.CoopState
-	pendAccel  float64
-	pendSentAt sim.Time
-	pendTx     wireless.ShardedTx
-	payload    *beacon
+	// deliverFn is the car's cached mailbox closure, which enlists it as a
+	// sender of the closing window; pend is its pending beacon, and pendTx
+	// the frame that carries it in Medium mode (its payload points at
+	// pend). The car's step writes them and mails deliverFn, so the
+	// steady-state beacon path allocates nothing. They are stable between
+	// the send and the closing barrier: a car steps exactly once per
+	// window, and the delivery stage runs before the next window is seeded.
+	deliverFn func()
+	pend      beacon
+	pendTx    wireless.ShardedTx
 
 	// LaneChanges counts completed maneuvers.
 	LaneChanges int64

@@ -215,15 +215,11 @@ func TestReplayRejectsHostileCheckpoints(t *testing.T) {
 // notCheckpointed lists the Car fields a checkpoint leaves out, each with
 // the reason it may.
 var notCheckpointed = map[string]string{
-	"stepFn":     "closure: the cached control step, built by NewHighway",
-	"deliverFn":  "closure: the cached enlistment as a window's beacon sender, built by NewHighway",
-	"queueFn":    "closure: the cached radio enqueue, built by NewHighway",
-	"pendState":  "scratch: the pending beacon, drained at the barrier before a checkpoint",
-	"pendAccel":  "scratch: the pending beacon, drained at the barrier before a checkpoint",
-	"pendSentAt": "scratch: the pending beacon, drained at the barrier before a checkpoint",
-	"pendTx":     "scratch: the pending frame, resolved at the barrier before a checkpoint",
-	"payload":    "scratch: the pending frame's payload, resolved at the barrier before a checkpoint",
-	"inbox":      "scratch: the delivery stage's batch of heard beacons, merged into table before the stage returns",
+	"stepFn":    "closure: the cached control step, built by NewHighway",
+	"deliverFn": "closure: the cached enlistment as a window's beacon sender, built by NewHighway",
+	"pend":      "scratch: the pending beacon, drained at the barrier before a checkpoint",
+	"pendTx":    "scratch: the pending frame, resolved at the barrier before a checkpoint",
+	"inbox":     "scratch: the delivery stage's batch of heard beacons, merged into table before the stage returns",
 }
 
 // notCheckpointedWithin lists the fields of a car's components a
@@ -247,7 +243,7 @@ var highwayNotCheckpointed = map[string]string{
 	"inaccess":  "output-only histogram: never feeds back into behaviour",
 	"stageFn":   "closure: the cached delivery stage, built by NewHighway",
 	"parts":     "scratch: per-shard delivery contexts, reset by every delivery stage",
-	"senders":   "scratch: the window's abstract-path senders, drained at the barrier before a checkpoint",
+	"senders":   "scratch: the window's beacon senders, drained at the barrier before a checkpoint",
 	"outgoing":  "scratch: per-shard arc hand-offs, drained at the barrier before a checkpoint",
 	"nextOcc":   "scratch: collision-sweep buffers, rebuilt by every accounting pass",
 	"groupEnd":  "scratch: collision-sweep buffers, rebuilt by every accounting pass",

@@ -61,7 +61,9 @@ type deliveryPart struct {
 
 // initDelivery builds the per-shard delivery parts and the stage
 // function, and sizes the medium's receiver streams for a partitioned
-// visit.
+// visit. A shard's stage is the medium's visit of its receiver partition
+// in Medium mode and its fan-out otherwise, then the merge of its cars'
+// batches.
 func (h *Highway) initDelivery() {
 	n := h.sk.Shards()
 	h.span = make([]arcSpan, n)
@@ -83,17 +85,15 @@ func (h *Highway) initDelivery() {
 	}
 	if h.medium != nil {
 		h.medium.Reserve(len(h.cars))
-		h.stageFn = func(shard int) {
-			p := h.parts[shard]
+	}
+	h.stageFn = func(shard int) {
+		p := h.parts[shard]
+		if h.medium != nil {
 			h.medium.Visit(shard, p.mEach, p.mDeliver, p.mDrop)
-			p.flush()
-		}
-	} else {
-		h.stageFn = func(shard int) {
-			p := h.parts[shard]
+		} else {
 			p.fanOut()
-			p.flush()
 		}
+		p.flush()
 	}
 }
 
@@ -110,20 +110,44 @@ func (h *Highway) recordSpans() {
 	}
 }
 
-// deliverBeacons delivers the window's beacons in the barrier stage and
-// folds the shards' counts into the world, in shard order. It returns the
-// stage's error, which the kernel has latched.
+// deliverBeacons delivers the beacons of the window closing at edge in
+// the barrier stage and folds the shards' counts into the world, in shard
+// order. In Medium mode it first queues the senders' frames in drain
+// order and runs the serial contention pass; the stage then visits the
+// receivers, one partition per shard, and fleet-wide delivery outages
+// feed the inaccessibility accounting. It returns the stage's error,
+// which the kernel has latched.
 func (h *Highway) deliverBeacons(edge sim.Time) error {
-	if h.medium != nil {
-		return h.resolveMedium(edge)
-	}
 	if len(h.senders) == 0 {
-		return nil
+		return nil // nothing attempted: no information about the channel
+	}
+	if h.medium != nil {
+		for _, c := range h.senders {
+			h.medium.Queue(c.pendTx)
+		}
+		h.medium.Contend(len(h.parts), h.parts[0].mDrop)
 	}
 	err := h.sk.Stage(h.stageFn)
 	h.senders = h.senders[:0]
+	if h.medium != nil {
+		h.medium.Settle()
+	}
 	h.collectCounts()
-	return err
+	if err != nil || h.medium == nil {
+		return err
+	}
+	delivered := h.medium.Stats().Delivered
+	open := edge - h.cfg.ControlPeriod
+	switch {
+	case delivered == h.lastDelivered && !h.inOutage:
+		h.inOutage = true
+		h.outageStart = open
+	case delivered > h.lastDelivered && h.inOutage:
+		h.inaccess.Observe(float64(open-h.outageStart) / float64(sim.Millisecond))
+		h.inOutage = false
+	}
+	h.lastDelivered = delivered
+	return nil
 }
 
 // collectCounts adds the parts' delivery counts to the world's, in shard
@@ -165,8 +189,8 @@ func (p *deliveryPart) deliverAbstract(i int) {
 	if e.shard != p.shard {
 		return
 	}
-	c, to := p.sender, h.cars[e.id]
-	if h.jammed(c.pendSentAt) {
+	b, to := &p.sender.pend, h.cars[e.id]
+	if h.jam.Covers(b.state.Time) {
 		p.lost++
 		return
 	}
@@ -174,7 +198,7 @@ func (p *deliveryPart) deliverAbstract(i int) {
 		p.lost++
 		return
 	}
-	p.hear(to, &c.pendState, c.pendAccel)
+	p.hear(to, b)
 }
 
 // eachRadio is the medium's per-frame receiver walk for one shard: the
@@ -201,14 +225,13 @@ func (p *deliveryPart) offerRadio(i int) {
 
 // deliverRadio queues a delivered frame's beacon in the receiver's batch.
 func (p *deliveryPart) deliverRadio(tx *wireless.ShardedTx, to wireless.NodeID) {
-	b := tx.Payload.(*beacon)
-	p.hear(p.h.cars[int(to)], &b.state, b.accel)
+	p.hear(p.h.cars[int(to)], tx.Payload.(*beacon))
 }
 
 // hear queues a delivered beacon in the receiver's batch. The state stays
 // put until flush: it is the sender's pending beacon, frozen for the stage.
-func (p *deliveryPart) hear(to *Car, s *coord.CoopState, accel float64) {
-	to.inbox = append(to.inbox, coord.Heard{State: s, Accel: accel})
+func (p *deliveryPart) hear(to *Car, b *beacon) {
+	to.inbox = append(to.inbox, coord.Heard{State: &b.state, Accel: b.accel})
 	p.delivered++
 }
 
@@ -252,36 +275,6 @@ func (p *deliveryPart) reaches(x float64) bool {
 func ringDist(a, b, length float64) float64 {
 	d := math.Abs(a - b)
 	return min(d, length-d)
-}
-
-// resolveMedium runs the slot-level contention resolution for the window
-// closing at edge: the serial contention pass, then the receiver visits
-// in the delivery stage, one partition per shard. Per-receiver outcomes
-// feed the same state tables and counters the abstract path feeds, and
-// fleet-wide delivery outages feed the inaccessibility accounting.
-func (h *Highway) resolveMedium(edge sim.Time) error {
-	if h.medium.Pending() == 0 {
-		return nil // nothing attempted: no information about the channel
-	}
-	h.medium.Contend(len(h.parts), h.parts[0].mDrop)
-	err := h.sk.Stage(h.stageFn)
-	h.medium.Settle()
-	h.collectCounts()
-	if err != nil {
-		return err
-	}
-	delivered := h.medium.Stats().Delivered
-	open := edge - h.cfg.ControlPeriod
-	switch {
-	case delivered == h.lastDelivered && !h.inOutage:
-		h.inOutage = true
-		h.outageStart = open
-	case delivered > h.lastDelivered && h.inOutage:
-		h.inaccess.Observe(float64(open-h.outageStart) / float64(sim.Millisecond))
-		h.inOutage = false
-	}
-	h.lastDelivered = delivered
-	return nil
 }
 
 // eachInRange visits the indices of the snapshot entries within ring

@@ -226,10 +226,10 @@ type Highway struct {
 	medium *wireless.ShardedMedium
 
 	// Receiver-owned beacon delivery (delivery.go). The mailbox drain
-	// collects the window's abstract-path senders in id order; the
-	// barrier's delivery stage then runs on every shard at once, each
-	// shard delivering to the receivers it owns, with its counts in its
-	// part and summed in shard order. span[s] is the x extent of shard s's
+	// collects the window's beacon senders in id order; the barrier's
+	// delivery stage then runs on every shard at once, each shard
+	// delivering to the receivers it owns, with its counts in its part
+	// and summed in shard order. span[s] is the x extent of shard s's
 	// entries in the published snapshot.
 	senders []*Car
 	parts   []*deliveryPart
@@ -249,11 +249,10 @@ type Highway struct {
 
 	barrierScheduler
 
-	// jamStart/jamUntil model V2V inaccessibility (the paper's jammed
-	// channel): beacons sent inside the burst are lost. Written only at
-	// barriers or while the world is stopped.
-	jamStart sim.Time
-	jamUntil sim.Time
+	// jam models V2V inaccessibility (the paper's jammed channel) on the
+	// abstract path: beacons sent inside the burst are lost. Written only
+	// at barriers or while the world is stopped.
+	jam wireless.Burst
 
 	// Collisions counts bumper overlaps (the safety metric — the paper's
 	// claim is that this stays zero with the kernel engaged).
@@ -337,16 +336,12 @@ func NewHighway(sk *sim.ShardedKernel, cfg HighwayConfig) (*Highway, error) {
 		}
 		// One step closure per car for its whole lifetime: seeding a
 		// window is then allocation-free (the kernels recycle events).
-		// The beacon paths get the same treatment — one cached delivery
-		// closure and one persistent frame payload per car, fed through
-		// the pend* fields, so the steady-state window sends beacons
-		// without allocating.
+		// The beacon path gets the same treatment — one cached closure
+		// that enlists the car as a sender, fed through its pending
+		// beacon — so the steady-state window sends beacons without
+		// allocating.
 		car.stepFn = func() { car.step(h, h.sk.Shard(car.shard)) }
 		car.deliverFn = func() { h.senders = append(h.senders, car) }
-		if cfg.Medium {
-			car.payload = &beacon{}
-			car.queueFn = func() { h.medium.Queue(car.pendTx) }
-		}
 		h.cars = append(h.cars, car)
 	}
 	h.initDelivery()
@@ -415,12 +410,7 @@ func (h *Highway) JamV2V(d sim.Time) {
 	if h.medium != nil {
 		h.medium.JamAll(now, d)
 	}
-	if now >= h.jamUntil {
-		h.jamStart = now
-	}
-	if until := now + d; until > h.jamUntil {
-		h.jamUntil = until
-	}
+	h.jam.Extend(now, d)
 }
 
 // MediumStats returns the slot-level radio's delivery accounting (zero
@@ -444,10 +434,6 @@ func (h *Highway) Inaccessibility() metrics.Histogram {
 		out.Observe(float64(h.sk.Now()-h.outageStart) / float64(sim.Millisecond))
 	}
 	return out
-}
-
-func (h *Highway) jammed(t sim.Time) bool {
-	return t >= h.jamStart && t < h.jamUntil
 }
 
 // Start assigns cars to shards, publishes the first snapshot, seeds the
@@ -1052,37 +1038,9 @@ func (h *Highway) beaconDue(c *Car, now sim.Time) bool {
 	return (window+int64(c.ID))%k == 0
 }
 
-// sendBeacon broadcasts the car's cooperative state to every snapshot
-// neighbor within V2V range through ONE mailbox message per beacon. The
-// message only enlists the car as a sender of the closing window; the
-// per-receiver fan-out happens in the barrier's delivery stage, walking
-// the same immutable snapshot the sender transmitted against (the
-// snapshot is only replaced after the stage). This keeps delivery order,
-// loss draws, and counters exactly as if each receiver had its own
-// message — the drain enlists senders in (edge, sender) order, and every
-// receiver hears them in that order — while the mailbox carries one
-// message per beacon instead of one per receiver.
-func (h *Highway) sendBeacon(shard *sim.Shard, c *Car, now sim.Time) {
-	if h.medium != nil {
-		h.sendBeaconRadio(shard, c, now)
-		return
-	}
-	state := coord.CoopState{
-		ID:       wireless.NodeID(c.ID),
-		Pos:      wireless.Position{X: c.Body.X},
-		Speed:    c.Body.Speed,
-		Lane:     c.Body.Lane,
-		Intent:   "cruise",
-		Time:     now,
-		Validity: 1,
-	}
-	c.pendState = state
-	c.pendAccel = c.Body.Accel
-	c.pendSentAt = now
-	shard.Send(shard.Index(), h.sk.NextEdge(now), int64(c.ID), c.deliverFn)
-}
-
-// beacon is the payload a slot-level V2V frame carries.
+// beacon is a car's pending cooperative-state beacon: the abstract path
+// delivers it straight from the sender, and a slot-level frame carries a
+// pointer to it as its payload.
 type beacon struct {
 	state coord.CoopState
 	accel float64
@@ -1094,47 +1052,52 @@ type beacon struct {
 // function of (seed, car), never of shard layout.
 const beaconSlotJitter = 800 * sim.Microsecond
 
-// sendBeaconRadio is the Medium-mode transmit path: the car describes the
-// frame (slot start from its own jitter stream, clamped so the airtime
-// fits the sending window) and routes it through its shard's mailbox to
-// the closing barrier, where the medium resolves the whole window's
-// contention at once. One Send per beacon — the same mailbox budget as
-// the abstract path.
-func (h *Highway) sendBeaconRadio(shard *sim.Shard, c *Car, now sim.Time) {
-	state := coord.CoopState{
-		ID:       wireless.NodeID(c.ID),
-		Pos:      wireless.Position{X: c.Body.X},
-		Speed:    c.Body.Speed,
-		Lane:     c.Body.Lane,
-		Intent:   "cruise",
-		Time:     now,
-		Validity: 1,
+// sendBeacon broadcasts the car's cooperative state through ONE mailbox
+// message per beacon. The car writes the beacon into its pending slot —
+// in Medium mode also the frame that carries it — and the message only
+// enlists the car as a sender of the closing window. At the barrier the
+// drain enlists senders in (edge, sender) order, and deliverBeacons fans
+// each beacon out to the receivers in range of the same immutable
+// snapshot the sender transmitted against (the snapshot is only replaced
+// after the delivery stage): directly on the abstract path, through the
+// medium's contention resolution in Medium mode. Every receiver hears the
+// senders in drain order, exactly as if it had its own message.
+func (h *Highway) sendBeacon(shard *sim.Shard, c *Car, now sim.Time) {
+	c.pend = beacon{
+		state: coord.CoopState{
+			ID:       wireless.NodeID(c.ID),
+			Pos:      wireless.Position{X: c.Body.X},
+			Speed:    c.Body.Speed,
+			Lane:     c.Body.Lane,
+			Intent:   "cruise",
+			Time:     now,
+			Validity: 1,
+		},
+		accel: c.Body.Accel,
 	}
 	edge := h.sk.NextEdge(now)
-	lim := edge - h.medium.Config().Airtime
-	start := now + sim.Time(c.tx.Int63n(int64(beaconSlotJitter)))
-	if start > lim {
-		start = lim
+	if h.medium != nil {
+		// The frame's slot start comes from the car's own jitter stream,
+		// clamped so its airtime fits the sending window.
+		lim := edge - h.medium.Config().Airtime
+		start := now + sim.Time(c.tx.Int63n(int64(beaconSlotJitter)))
+		if start > lim {
+			start = lim
+		}
+		if start < now {
+			start = now // a step in the window's last airtime still sends now
+		}
+		c.pendTx = wireless.ShardedTx{
+			From:    wireless.NodeID(c.ID),
+			Channel: c.ID % h.cfg.Channels,
+			Pos:     wireless.Position{X: c.Body.X},
+			Start:   start,
+			// Retry lets a carrier-sense deferral re-contend when the sensed
+			// occupancy clears, up to the window's last in-window start — CSMA
+			// backoff as latency, not loss.
+			Retry:   lim,
+			Payload: &c.pend,
+		}
 	}
-	if start < now {
-		start = now // a step in the window's last airtime still sends now
-	}
-	// The car's persistent payload is rewritten in place: the frame is
-	// consumed (resolved or discarded) at this window's edge, before the
-	// next step could touch it again.
-	c.payload.state = state
-	c.payload.accel = c.Body.Accel
-	tx := wireless.ShardedTx{
-		From:    wireless.NodeID(c.ID),
-		Channel: c.ID % h.cfg.Channels,
-		Pos:     wireless.Position{X: c.Body.X},
-		Start:   start,
-		// Retry lets a carrier-sense deferral re-contend when the sensed
-		// occupancy clears, up to the window's last in-window start — CSMA
-		// backoff as latency, not loss.
-		Retry:   lim,
-		Payload: c.payload,
-	}
-	c.pendTx = tx
-	shard.Send(shard.Index(), edge, int64(c.ID), c.queueFn)
+	shard.Send(shard.Index(), edge, int64(c.ID), c.deliverFn)
 }

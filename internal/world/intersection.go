@@ -130,12 +130,6 @@ type iSnap struct {
 	length float64
 }
 
-// jamBurst is one V2V inaccessibility interval.
-type jamBurst struct {
-	start sim.Time
-	until sim.Time
-}
-
 // Intersection is the crossing-roads world on the sharded kernel: each
 // approach lives in a quadrant of world.QuadrantPartition, vehicles hand
 // off between quadrant shards as they cross, and — exactly as in the
@@ -166,7 +160,7 @@ type Intersection struct {
 	// compaction.
 	retiredPending int
 
-	arrival     [2]randStream
+	arrival     [2]*sim.Stream
 	nextArrival [2]sim.Time
 
 	// medium is the slot-level radio for the light's beacons (nil unless
@@ -174,7 +168,7 @@ type Intersection struct {
 	// mEach/mDeliver/mDrop are the Resolve callbacks, built once so the
 	// per-window resolution allocates no closures.
 	medium   *wireless.ShardedMedium
-	lightTx  randStream64
+	lightTx  *sim.Stream
 	mEach    func(*wireless.ShardedTx, func(wireless.NodeID, wireless.Position))
 	mDeliver func(*wireless.ShardedTx, wireless.NodeID)
 	mDrop    func(*wireless.ShardedTx, wireless.NodeID, wireless.DropReason)
@@ -182,7 +176,8 @@ type Intersection struct {
 	snap     [2][]iSnap // per road, sorted by x
 	snapEdge sim.Time
 
-	jams []jamBurst
+	// jams is the history of V2V jam bursts, in time order.
+	jams []wireless.Burst
 
 	barrierScheduler
 
@@ -193,16 +188,6 @@ type Intersection struct {
 	Conflicts int64
 	// WaitTimes collects per-vehicle waiting durations (s).
 	WaitTimes metrics.Histogram
-}
-
-// randStream is the minimal surface the arrival process needs.
-type randStream interface {
-	ExpFloat64() float64
-}
-
-// randStream64 is the minimal surface the light's slot jitter needs.
-type randStream64 interface {
-	Int63n(int64) int64
 }
 
 // lightNodeID is the physical traffic light's radio identity — below
@@ -307,25 +292,18 @@ func (w *Intersection) JamV2V(d sim.Time) {
 	if w.medium != nil {
 		w.medium.JamAll(now, d)
 	}
-	if n := len(w.jams); n > 0 && now < w.jams[n-1].until {
-		if now+d > w.jams[n-1].until {
-			w.jams[n-1].until = now + d
-		}
-		return
+	// The jam extends the live last burst or starts a new one; the zero
+	// burst standing in for an empty history has ended at every instant.
+	var last wireless.Burst
+	n := len(w.jams)
+	if n > 0 {
+		last = w.jams[n-1]
 	}
-	w.jams = append(w.jams, jamBurst{start: now, until: now + d})
-}
-
-func (w *Intersection) jammedAt(t sim.Time) bool {
-	for i := len(w.jams) - 1; i >= 0; i-- {
-		if t >= w.jams[i].start && t < w.jams[i].until {
-			return true
-		}
-		if t >= w.jams[i].until {
-			return false
-		}
+	if last.Extend(now, d) {
+		w.jams = append(w.jams, last)
+	} else {
+		w.jams[n-1] = last
 	}
-	return false
 }
 
 // Start registers the window hook and seeds the first window.
@@ -555,11 +533,11 @@ func (w *Intersection) lastLightRx(c *icar, now sim.Time) (sim.Time, bool) {
 	}
 	// Step out of any jam bursts (latest first; the list is short).
 	for i := len(w.jams) - 1; i >= 0; i-- {
-		if t >= w.jams[i].until {
+		if t >= w.jams[i].Until {
 			break
 		}
-		if t >= w.jams[i].start {
-			t = (w.jams[i].start - 1) / p * p
+		if t >= w.jams[i].Start {
+			t = (w.jams[i].Start - 1) / p * p
 		}
 	}
 	if t < p || t < c.spawnAt {
@@ -598,10 +576,10 @@ func (w *Intersection) virtualLive(now sim.Time) bool {
 	}
 	for i := len(w.jams) - 1; i >= 0; i-- {
 		j := w.jams[i]
-		if now >= j.start+vLeaderTimeout && now < j.until+vReestablish {
+		if now >= j.Start+vLeaderTimeout && now < j.Until+vReestablish {
 			return false
 		}
-		if now >= j.until+vReestablish {
+		if now >= j.Until+vReestablish {
 			break
 		}
 	}

@@ -283,8 +283,8 @@ func (h *Highway) encodeCheckpoint(e *trace.Enc) {
 	e.I64(h.lastDelivered)
 	e.Bool(h.inOutage)
 	e.I64(int64(h.outageStart))
-	e.I64(int64(h.jamStart))
-	e.I64(int64(h.jamUntil))
+	e.I64(int64(h.jam.Start))
+	e.I64(int64(h.jam.Until))
 	h.res.EncodeState(e)
 	e.Bool(h.medium != nil)
 	if h.medium != nil {
@@ -321,8 +321,8 @@ func (h *Highway) restoreCheckpoint(state []byte, edge sim.Time) error {
 	h.lastDelivered = d.I64()
 	h.inOutage = d.Bool()
 	h.outageStart = sim.Time(d.I64())
-	h.jamStart = sim.Time(d.I64())
-	h.jamUntil = sim.Time(d.I64())
+	h.jam.Start = sim.Time(d.I64())
+	h.jam.Until = sim.Time(d.I64())
 	h.res.DecodeState(d)
 	if hasMedium := d.Bool(); d.Err() == nil && hasMedium != (h.medium != nil) {
 		return fmt.Errorf("world: checkpoint medium presence (%v) does not match the world (%v)", hasMedium, h.medium != nil)
