@@ -11,7 +11,7 @@ import (
 func TestStateTableFreshness(t *testing.T) {
 	k := sim.NewKernel(1)
 	tab := NewStateTable(k, 100*sim.Millisecond)
-	tab.Merge([]Heard{{&CoopState{ID: 1, Speed: 10, Time: 0, Validity: 0.9}, 0.5}})
+	tab.Merge([]Heard{{1, &CoopState{ID: 1, Speed: 10, Time: 0, Validity: 0.9}, 0.5}})
 	if _, ok := tab.Get(1); !ok {
 		t.Fatal("fresh entry missing")
 	}
@@ -27,7 +27,7 @@ func TestStateTableFreshness(t *testing.T) {
 		if _, ok := tab.Get(1); ok {
 			t.Error("stale entry still returned")
 		}
-		tab.Merge([]Heard{{&CoopState{ID: 1, Speed: 12, Time: 200 * sim.Millisecond, Validity: 0.9}, 0}})
+		tab.Merge([]Heard{{1, &CoopState{ID: 1, Speed: 12, Time: 200 * sim.Millisecond, Validity: 0.9}, 0}})
 		if s, ok := tab.Get(1); !ok || s.Speed != 12 {
 			t.Errorf("refreshed entry = %+v, %v", s, ok)
 		}
@@ -38,8 +38,8 @@ func TestStateTableFreshness(t *testing.T) {
 // The newest state and the last acceleration win, whether the beacons
 // come in separate batches or in one.
 func TestStateTableKeepsNewest(t *testing.T) {
-	newer := Heard{&CoopState{ID: 1, Speed: 10, Time: 50 * sim.Millisecond}, 1.5}
-	older := Heard{&CoopState{ID: 1, Speed: 5, Time: 10 * sim.Millisecond}, -2}
+	newer := Heard{1, &CoopState{ID: 1, Speed: 10, Time: 50 * sim.Millisecond}, 1.5}
+	older := Heard{1, &CoopState{ID: 1, Speed: 5, Time: 10 * sim.Millisecond}, -2}
 	for _, batches := range [][][]Heard{
 		{{newer}, {older}},
 		{{newer, older}},
@@ -72,7 +72,7 @@ func TestStateTableSortedBySender(t *testing.T) {
 		tab := NewStateTable(k, sim.Second)
 		var batch []Heard
 		for _, id := range []wireless.NodeID{7, 2, 9, 2, 4, 0} {
-			batch = append(batch, Heard{&CoopState{ID: id, Speed: float64(id)}, float64(id) / 10})
+			batch = append(batch, Heard{id, &CoopState{ID: id, Speed: float64(id)}, float64(id) / 10})
 			if !batched {
 				tab.Merge(batch)
 				batch = batch[:0]

@@ -85,7 +85,7 @@ func FuzzStateTableMerge(f *testing.F) {
 				Time:  sim.Time(data[1]%4) * sim.Millisecond,
 			}
 			accel := float64(int8(data[3])) / 4
-			batch = append(batch, Heard{State: s, Accel: accel})
+			batch = append(batch, Heard{ID: s.ID, State: s, Accel: accel})
 			updateOne(want, *s, accel)
 			data = data[4:]
 		}

@@ -74,9 +74,12 @@ func (t *StateTable) find(id wireless.NodeID) (int, bool) {
 }
 
 // Heard is one delivered beacon awaiting a batched table write: the
-// sender's state and the acceleration the beacon carried. Merge reads the
-// state through the pointer, so it must not change until then.
+// sender's id, its state and the acceleration the beacon carried. Merge
+// sorts and walks the batch on ID, and reads the state through the
+// pointer only to take it, so the state must not change until then. ID
+// must equal State.ID.
 type Heard struct {
+	ID    wireless.NodeID
 	State *CoopState
 	Accel float64
 }
@@ -89,17 +92,16 @@ type Heard struct {
 // distinct senders touch distinct entries and commute. The table is then
 // walked once, with a cursor that only moves forward.
 func (t *StateTable) Merge(batch []Heard) {
-	slices.SortStableFunc(batch, func(a, b Heard) int { return cmp.Compare(a.State.ID, b.State.ID) })
+	slices.SortStableFunc(batch, func(a, b Heard) int { return cmp.Compare(a.ID, b.ID) })
 	i := 0
 	for _, h := range batch {
-		s := h.State
-		for i < len(t.peers) && t.peers[i].state.ID < s.ID {
+		for i < len(t.peers) && t.peers[i].state.ID < h.ID {
 			i++
 		}
-		if i == len(t.peers) || t.peers[i].state.ID != s.ID {
-			t.peers = slices.Insert(t.peers, i, peer{state: *s})
-		} else if t.peers[i].state.Time <= s.Time {
-			t.peers[i].state = *s
+		if i == len(t.peers) || t.peers[i].state.ID != h.ID {
+			t.peers = slices.Insert(t.peers, i, peer{state: *h.State})
+		} else if p := &t.peers[i].state; p.Time <= h.State.Time {
+			*p = *h.State
 		}
 		t.peers[i].accel = h.Accel
 	}

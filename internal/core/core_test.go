@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
 	"karyon/internal/sim"
+	"karyon/internal/trace"
 )
 
 func newManager(t *testing.T, seed int64, cfg ManagerConfig) (*sim.Kernel, *Manager) {
@@ -417,5 +419,63 @@ func TestPropertyGateOutputWithinEnvelope(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Two kernels built from one design share its rules and envelopes but
+// not their run-time state, and the design is frozen by the first Build.
+func TestDesignBuildSharesDesignNotState(t *testing.T) {
+	d, err := NewDesign("acc", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AddRule(2, MinValidity("v", 0.5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.SetEnvelopes(map[LoS]Envelope{
+		1: NewEnvelope().Bound("accel", -3, 0.5),
+		2: NewEnvelope().Bound("accel", -6, 2.5),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	key := d.Key("v")
+	k := sim.NewKernel(1)
+	cfg := ManagerConfig{Period: sim.Millisecond, UpgradeStability: 1}
+	m1, g1, err := d.Build(k, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, g2, err := d.Build(k, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.AddRule(2, FlagSet("w")); !errors.Is(err, ErrShared) {
+		t.Fatalf("AddRule after Build: %v, want ErrShared", err)
+	}
+	if err := d.SetEnvelopes(nil); !errors.Is(err, ErrShared) {
+		t.Fatalf("SetEnvelopes after Build: %v, want ErrShared", err)
+	}
+	m1.Runtime().SetKey(key, 1)
+	m1.Cycle()
+	m2.Cycle()
+	f1, f2 := m1.FunctionalityList()[0], m2.FunctionalityList()[0]
+	if f1.Current() != 2 || f2.Current() != 1 {
+		t.Fatalf("levels = %v, %v; want LoS2 for the kernel with valid data, LoS1 for the other", f1.Current(), f2.Current())
+	}
+	if out, _ := g1.Filter("accel", 2); out != 2 {
+		t.Fatalf("gate at LoS2 clamped 2 to %v", out)
+	}
+	if out, _ := g2.Filter("accel", 2); out != 0.5 {
+		t.Fatalf("gate at LoS1 let 2 through as %v", out)
+	}
+	// The codec carries the run-time state over between kernels of one design.
+	var e trace.Enc
+	m1.EncodeState(&e)
+	m2.DecodeState(trace.NewDec(e.Bytes()))
+	if f2.Current() != 2 {
+		t.Fatalf("decoded kernel at %v, want LoS2", f2.Current())
+	}
+	if ind, ok := m2.Runtime().Get("v"); !ok || ind.Value != 1 {
+		t.Fatalf("decoded indicator = %+v, %v", ind, ok)
 	}
 }

@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"karyon/internal/sim"
 )
@@ -18,12 +19,10 @@ type Switch struct {
 }
 
 // Functionality is one vehicle function managed by the safety kernel
-// (e.g. "cruise-control"). It owns a ladder of LoS levels, the design-time
-// rules gating each level, and its current level.
+// (e.g. "cruise-control"): the run-time state of a functionality whose
+// ladder of LoS levels and design-time rules live in its Design.
 type Functionality struct {
-	name   string
-	levels int
-	rules  map[LoS][]Rule
+	d *Design
 
 	current LoS
 	// upStreak counts consecutive cycles in which a higher level was
@@ -42,13 +41,13 @@ type Functionality struct {
 }
 
 // Name returns the functionality name.
-func (f *Functionality) Name() string { return f.name }
+func (f *Functionality) Name() string { return f.d.name }
 
 // Current returns the current LoS.
 func (f *Functionality) Current() LoS { return f.current }
 
 // Levels returns the number of levels.
-func (f *Functionality) Levels() int { return f.levels }
+func (f *Functionality) Levels() int { return f.d.levels }
 
 // OnChange registers a reconfiguration callback invoked on every switch.
 // This is the hook through which nominal components adjust their operating
@@ -61,7 +60,7 @@ func (f *Functionality) OnChange(fn func(old, new LoS)) {
 // including the current residence (up to now).
 func (f *Functionality) TimeAt(level LoS, now sim.Time) sim.Time {
 	var d sim.Time
-	if level >= LevelSafe && int(level) <= f.levels {
+	if level >= LevelSafe && int(level) <= f.d.levels {
 		d = f.timeAt[level]
 	}
 	if level == f.current {
@@ -70,33 +69,25 @@ func (f *Functionality) TimeAt(level LoS, now sim.Time) sim.Time {
 	return d
 }
 
-// AddRule attaches a design-time rule to a level. Level 1 accepts no
-// rules: its safety must be unconditional.
+// AddRule attaches a design-time rule to a level of the functionality's
+// design. Level 1 accepts no rules: its safety must be unconditional. A
+// functionality built from a shared Design cannot change it (ErrShared).
 func (f *Functionality) AddRule(level LoS, r Rule) error {
-	if level <= LevelSafe || int(level) > f.levels {
-		return fmt.Errorf("core: rule %q targets invalid level %v (levels 2..%d)",
-			r.Name, level, f.levels)
-	}
-	f.rules[level] = append(f.rules[level], r)
-	return nil
+	return f.d.AddRule(level, r)
 }
 
 // feasible returns the highest level whose cumulative rules hold, plus the
 // name of the first violated rule at the level above it.
 func (f *Functionality) feasible(ri *RuntimeInfo, now sim.Time) (LoS, string) {
 	level := LevelSafe
-	for l := LoS(2); int(l) <= f.levels; l++ {
-		violated := ""
-		for _, r := range f.rules[l] {
-			if !r.Check(ri, now) {
-				violated = r.Name
-				break
+	for l := 2; l <= f.d.levels; l++ {
+		rules := f.d.rules[l]
+		for i := range rules {
+			if !rules[i].holds(ri, now) {
+				return level, rules[i].Name
 			}
 		}
-		if violated != "" {
-			return level, violated
-		}
-		level = l
+		level = LoS(l)
 	}
 	return level, ""
 }
@@ -109,8 +100,8 @@ func (f *Functionality) Force(now sim.Time, level LoS) {
 	if level < LevelSafe {
 		level = LevelSafe
 	}
-	if int(level) > f.levels {
-		level = LoS(f.levels)
+	if int(level) > f.d.levels {
+		level = LoS(f.d.levels)
 	}
 	if level == f.current {
 		return
@@ -157,10 +148,8 @@ type Manager struct {
 	clock sim.Clock
 	ri    *RuntimeInfo
 
-	fns map[string]*Functionality
-	// ordered caches FunctionalityList's name-sorted view; Cycle runs once
-	// per control period on every car, and rebuilding the sorted slice
-	// there allocated more than the evaluation itself.
+	// ordered holds the functionalities sorted by name: Cycle's order and
+	// FunctionalityList's view.
 	ordered []*Functionality
 	ticker  *sim.Ticker
 
@@ -180,18 +169,22 @@ type scheduler interface {
 // periodic cycle); a sharded world passes the owning entity's clock and
 // drives Cycle explicitly instead of calling Start.
 func NewManager(clock sim.Clock, ri *RuntimeInfo, cfg ManagerConfig) (*Manager, error) {
+	cfg, err := checkConfig(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Manager{cfg: cfg, clock: clock, ri: ri}, nil
+}
+
+// checkConfig validates a manager configuration and applies its floor.
+func checkConfig(cfg ManagerConfig) (ManagerConfig, error) {
 	if cfg.Period <= 0 {
-		return nil, fmt.Errorf("core: manager period must be positive")
+		return cfg, fmt.Errorf("core: manager period must be positive")
 	}
 	if cfg.UpgradeStability < 1 {
 		cfg.UpgradeStability = 1
 	}
-	return &Manager{
-		cfg:   cfg,
-		clock: clock,
-		ri:    ri,
-		fns:   make(map[string]*Functionality),
-	}, nil
+	return cfg, nil
 }
 
 // Runtime returns the runtime-information store.
@@ -201,36 +194,45 @@ func (m *Manager) Runtime() *RuntimeInfo { return m.ri }
 func (m *Manager) Period() sim.Time { return m.cfg.Period }
 
 // AddFunctionality registers a functionality with the given number of
-// levels (≥ 1). It starts at LevelSafe.
+// levels (≥ 1) and a private design over the manager's indicator table. It
+// starts at LevelSafe. A manager built from a shared Design cannot take
+// more (ErrShared).
 func (m *Manager) AddFunctionality(name string, levels int) (*Functionality, error) {
-	if levels < 1 {
-		return nil, fmt.Errorf("core: functionality %q needs at least 1 level", name)
+	if m.ri.keys.shared {
+		return nil, ErrShared
 	}
-	if _, dup := m.fns[name]; dup {
+	d, err := newDesign(name, levels, m.ri.keys)
+	if err != nil {
+		return nil, err
+	}
+	i, dup := slices.BinarySearchFunc(m.ordered, name, func(f *Functionality, name string) int {
+		return strings.Compare(f.d.name, name)
+	})
+	if dup {
 		return nil, fmt.Errorf("core: functionality %q already registered", name)
 	}
 	f := &Functionality{
-		name:      name,
-		levels:    levels,
-		rules:     make(map[LoS][]Rule),
+		d:         d,
 		current:   LevelSafe,
 		timeAt:    make([]sim.Time, levels+1),
 		enteredAt: m.clock.Now(),
 	}
-	m.fns[name] = f
-	m.ordered = append(m.ordered, f)
-	sort.Slice(m.ordered, func(i, j int) bool { return m.ordered[i].name < m.ordered[j].name })
+	m.ordered = slices.Insert(m.ordered, i, f)
 	return f, nil
 }
 
 // Functionality returns a registered functionality.
 func (m *Manager) Functionality(name string) (*Functionality, bool) {
-	f, ok := m.fns[name]
-	return f, ok
+	for _, f := range m.ordered {
+		if f.d.name == name {
+			return f, true
+		}
+	}
+	return nil, false
 }
 
 // FunctionalityList returns all functionalities sorted by name. The
-// returned slice is the manager's cached view; callers must not mutate it.
+// returned slice is the manager's own view; callers must not mutate it.
 func (m *Manager) FunctionalityList() []*Functionality {
 	return m.ordered
 }
@@ -263,7 +265,7 @@ func (m *Manager) Stop() {
 func (m *Manager) Cycle() {
 	now := m.clock.Now()
 	m.Cycles++
-	for _, f := range m.FunctionalityList() {
+	for _, f := range m.ordered {
 		target, violated := f.feasible(m.ri, now)
 		switch {
 		case target < f.current:

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"karyon/internal/sim"
 	"karyon/internal/trace"
 )
@@ -12,8 +10,8 @@ import (
 // mutate during control cycles. Design-time structure (rules, envelopes,
 // level counts) is immutable after construction and is not encoded; a
 // decoder restores into a manager built with the same structure and
-// fails on input that does not fit it. The runtime indicators sit in a
-// map, so they encode sorted by key: the same logical state always
+// fails on input that does not fit it. The runtime indicators encode
+// sorted by key, whatever slot they sit in: the same logical state always
 // encodes to the same bytes.
 
 // EncodeState appends the manager's cycle count, every functionality's
@@ -27,20 +25,16 @@ func (m *Manager) EncodeState(e *trace.Enc) {
 		e.I64(int64(f.upStreak))
 		e.I64(int64(len(f.Switches)))
 		e.I64(int64(f.enteredAt))
-		e.U32(uint32(f.levels))
-		for l := LoS(1); int(l) <= f.levels; l++ {
+		e.U32(uint32(f.d.levels))
+		for l := LoS(1); int(l) <= f.d.levels; l++ {
 			e.I64(int64(f.timeAt[l]))
 		}
 	}
 	var buf [8]string
-	keys := buf[:0]
-	for k := range m.ri.m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
+	keys := m.ri.appendKeys(buf[:0])
 	e.U32(uint32(len(keys)))
 	for _, k := range keys {
-		ind := m.ri.m[k]
+		ind, _ := m.ri.Get(k)
 		e.Str(k)
 		e.F64(ind.Value)
 		e.I64(int64(ind.UpdatedAt))
@@ -62,27 +56,35 @@ func (m *Manager) DecodeState(d *trace.Dec) {
 		f.upStreak = int(d.I64())
 		switches := d.I64()
 		f.enteredAt = sim.Time(d.I64())
-		if !d.CountIs(f.levels, "time-at-level") {
+		if !d.CountIs(f.d.levels, "time-at-level") {
 			return
 		}
-		for l := LoS(1); int(l) <= f.levels; l++ {
+		for l := LoS(1); int(l) <= f.d.levels; l++ {
 			f.timeAt[l] = sim.Time(d.I64())
 		}
 		switch {
-		case f.current < LevelSafe || int(f.current) > f.levels:
-			d.Fail("functionality %q at level %d outside 1..%d", f.name, f.current, f.levels)
+		case f.current < LevelSafe || int(f.current) > f.d.levels:
+			d.Fail("functionality %q at level %d outside 1..%d", f.d.name, f.current, f.d.levels)
 			return
 		case switches < 0:
-			d.Fail("functionality %q has %d switches", f.name, switches)
+			d.Fail("functionality %q has %d switches", f.d.name, switches)
 			return
 		case switches <= int64(len(f.Switches)):
 			f.Switches = f.Switches[:switches]
 		}
 	}
-	clear(m.ri.m)
+	ri := m.ri
+	ri.clear()
 	for i, n := 0, d.Count(20); i < n && d.Err() == nil; i++ {
-		k := d.Str()
-		m.ri.m[k] = Indicator{Value: d.F64(), UpdatedAt: sim.Time(d.I64())}
+		b := d.Blob()
+		ind := Indicator{Value: d.F64(), UpdatedAt: sim.Time(d.I64())}
+		// A key the table has takes its slot without allocating its name.
+		if slot, ok := ri.keys.slot[string(b)]; ok {
+			ri.store(slot, "", ind)
+		} else {
+			key := string(b)
+			ri.store(ri.keys.intern(key), key, ind)
+		}
 	}
 }
 

@@ -26,9 +26,14 @@ type Detector interface {
 }
 
 // History is a bounded window of recent readings available to detectors.
+// It is a ring: once full, a push overwrites the oldest reading in place
+// instead of shifting the window. The buffer grows by append up to the
+// window size, so a history that never fills never allocates it all.
 type History struct {
 	buf  []Reading
 	size int
+	// head is the index of the oldest reading once buf is full, 0 before.
+	head int
 }
 
 // NewHistory creates a window keeping the last size readings (minimum 1).
@@ -41,10 +46,13 @@ func NewHistory(size int) *History {
 
 // Push appends a reading, evicting the oldest beyond the window size.
 func (h *History) Push(r Reading) {
-	h.buf = append(h.buf, r)
-	if len(h.buf) > h.size {
-		copy(h.buf, h.buf[1:])
-		h.buf = h.buf[:h.size]
+	if len(h.buf) < h.size {
+		h.buf = append(h.buf, r)
+		return
+	}
+	h.buf[h.head] = r
+	if h.head++; h.head == len(h.buf) {
+		h.head = 0
 	}
 }
 
@@ -53,17 +61,31 @@ func (h *History) Len() int { return len(h.buf) }
 
 // At returns the i-th most recent reading (0 = newest).
 func (h *History) At(i int) (Reading, bool) {
-	if i < 0 || i >= len(h.buf) {
+	n := len(h.buf)
+	if i < 0 || i >= n {
 		return Reading{}, false
 	}
-	return h.buf[len(h.buf)-1-i], true
+	k := h.head + n - 1 - i
+	if k >= n {
+		k -= n
+	}
+	return h.buf[k], true
+}
+
+// oldestFirst returns the retained readings, oldest first, as two runs.
+func (h *History) oldestFirst() (older, newer []Reading) {
+	return h.buf[h.head:], h.buf[:h.head]
 }
 
 // Values returns the retained values, oldest first.
 func (h *History) Values() []float64 {
-	out := make([]float64, len(h.buf))
-	for i, r := range h.buf {
-		out[i] = r.Value
+	out := make([]float64, 0, len(h.buf))
+	older, newer := h.oldestFirst()
+	for _, r := range older {
+		out = append(out, r.Value)
+	}
+	for _, r := range newer {
+		out = append(out, r.Value)
 	}
 	return out
 }
@@ -215,13 +237,20 @@ func detrendedStdDev(vals []float64) float64 {
 // replaces was the single largest allocation site in the whole simulation.
 func detrendedStdDevHist(hist *History, last float64) float64 {
 	fit := detrendFit{}
-	for i := range hist.buf {
-		fit.add(hist.buf[i].Value)
+	older, newer := hist.oldestFirst()
+	for i := range older {
+		fit.add(older[i].Value)
+	}
+	for i := range newer {
+		fit.add(newer[i].Value)
 	}
 	fit.add(last)
 	fit.solve()
-	for i := range hist.buf {
-		fit.residual(hist.buf[i].Value)
+	for i := range older {
+		fit.residual(older[i].Value)
+	}
+	for i := range newer {
+		fit.residual(newer[i].Value)
 	}
 	fit.residual(last)
 	return fit.stddev()
@@ -229,10 +258,14 @@ func detrendedStdDevHist(hist *History, last float64) float64 {
 
 // detrendFit accumulates a least-squares line fit in one pass and residual
 // energy in a second, with the same operation order for every caller so
-// results stay bit-identical however the values are stored.
+// results stay bit-identical however the values are stored. The
+// positions are 0..n-1, so their sums Σx and Σx² are integers, which a
+// float64 holds exactly up to 2⁵³: summing them one term at a time or
+// taking the closed forms gives the same bits, and solve takes the closed
+// forms.
 type detrendFit struct {
 	i                int
-	sx, sy, sxx, sxy float64
+	sy, sxy          float64
 	slope, intercept float64
 	j                int
 	ss               float64
@@ -241,18 +274,19 @@ type detrendFit struct {
 func (f *detrendFit) add(v float64) {
 	x := float64(f.i)
 	f.i++
-	f.sx += x
 	f.sy += v
-	f.sxx += x * x
 	f.sxy += x * v
 }
 
 func (f *detrendFit) solve() {
-	n := float64(f.i)
-	denom := n*f.sxx - f.sx*f.sx
+	m := int64(f.i)
+	n := float64(m)
+	sx := float64(m * (m - 1) / 2)
+	sxx := float64((m - 1) * m * (2*m - 1) / 6)
+	denom := n*sxx - sx*sx
 	if denom != 0 {
-		f.slope = (n*f.sxy - f.sx*f.sy) / denom
-		f.intercept = (f.sy - f.slope*f.sx) / n
+		f.slope = (n*f.sxy - sx*f.sy) / denom
+		f.intercept = (f.sy - f.slope*sx) / n
 	} else {
 		f.intercept = f.sy / n
 	}
@@ -298,7 +332,7 @@ func (d ModelDetector) Check(_ sim.Time, r Reading, _ *History) Verdict {
 // continuous estimates multiply (independent evidence).
 type FaultManagement struct {
 	detectors []Detector
-	hist      *History
+	hist      History
 	// lastVerdicts keeps the most recent per-detector outcomes for
 	// diagnostics and tests, indexed like detectors — a slice rather than a
 	// name-keyed map because Assess runs once per transducer sample on the
@@ -308,13 +342,24 @@ type FaultManagement struct {
 }
 
 // NewFaultManagement creates a unit with the given history window and
-// detectors.
+// detectors. The unit keeps the detectors slice as given, so units with
+// the same detectors may share one.
 func NewFaultManagement(window int, detectors ...Detector) *FaultManagement {
-	return &FaultManagement{
-		detectors:    detectors,
-		hist:         NewHistory(window),
-		lastVerdicts: make([]Verdict, len(detectors)),
+	// One allocation for the unit, with room for four verdicts inline.
+	b := &struct {
+		fm       FaultManagement
+		verdicts [4]Verdict
+	}{}
+	verdicts := b.verdicts[:0]
+	if len(detectors) > len(b.verdicts) {
+		verdicts = make([]Verdict, 0, len(detectors))
 	}
+	b.fm = FaultManagement{
+		detectors:    detectors,
+		hist:         *NewHistory(window),
+		lastVerdicts: verdicts[:len(detectors)],
+	}
+	return &b.fm
 }
 
 // Assess judges the reading, pushes it into the history and returns the
@@ -322,7 +367,7 @@ func NewFaultManagement(window int, detectors ...Detector) *FaultManagement {
 func (fm *FaultManagement) Assess(now sim.Time, r Reading) Reading {
 	validity := 1.0
 	for i, d := range fm.detectors {
-		v := d.Check(now, r, fm.hist)
+		v := d.Check(now, r, &fm.hist)
 		fm.lastVerdicts[i] = v
 		if v.Dominant && v.Validity == 0 {
 			validity = 0

@@ -48,10 +48,15 @@ func decodeReading(d *trace.Dec, held string) Reading {
 	return r
 }
 
-// EncodeState appends the unit's history window and last verdicts to e.
+// EncodeState appends the unit's history window, oldest reading first,
+// and last verdicts to e.
 func (fm *FaultManagement) EncodeState(e *trace.Enc) {
-	e.U32(uint32(len(fm.hist.buf)))
-	for _, r := range fm.hist.buf {
+	e.U32(uint32(fm.hist.Len()))
+	older, newer := fm.hist.oldestFirst()
+	for _, r := range older {
+		encodeReading(e, r)
+	}
+	for _, r := range newer {
 		encodeReading(e, r)
 	}
 	e.U32(uint32(len(fm.lastVerdicts)))
@@ -67,7 +72,7 @@ func (fm *FaultManagement) EncodeState(e *trace.Enc) {
 // The history is sized once, and its readings, which all name the same
 // source, share one source string.
 func (fm *FaultManagement) DecodeState(d *trace.Dec) {
-	h := fm.hist
+	h := &fm.hist
 	n := d.Count(25)
 	if n > h.size {
 		d.Fail("history of %d readings exceeds the window of %d", n, h.size)
@@ -77,7 +82,7 @@ func (fm *FaultManagement) DecodeState(d *trace.Dec) {
 	if len(h.buf) > 0 {
 		held = h.buf[0].Source
 	}
-	h.buf = slices.Grow(h.buf[:0], n)
+	h.buf, h.head = slices.Grow(h.buf[:0], n), 0
 	for i := 0; i < n && d.Err() == nil; i++ {
 		r := decodeReading(d, held)
 		held = r.Source

@@ -9,7 +9,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -60,43 +59,65 @@ type event struct {
 	// canceled events stay in the heap but are skipped when popped; this is
 	// cheaper than heap removal and keeps ordering deterministic.
 	canceled bool
-	index    int
 }
 
-// eventHeap implements container/heap ordered by (at, seq).
+// before orders events by (at, seq): a strict total order, since every
+// event gets a fresh seq, so any correct heap pops the same sequence.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	return e.seq < o.seq
+}
+
+// eventHeap is a binary min-heap of events ordered by before.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// push adds ev and sifts it up to its place.
+func (h *eventHeap) push(ev *event) {
+	q := append(*h, ev)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	q[i] = ev
+	*h = q
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	ev, ok := x.(*event)
-	if !ok {
-		return
+// pop removes and returns the earliest event; the heap must not be empty.
+func (h *eventHeap) pop() *event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = nil
+	q = q[:n]
+	if n > 0 {
+		// Sift last down from the root.
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && q[r].before(q[c]) {
+				c = r
+			}
+			if !q[c].before(last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
 	}
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+	*h = q
+	return top
 }
 
 // Kernel is a deterministic discrete-event scheduler. The zero value is not
@@ -199,7 +220,7 @@ func (k *Kernel) At(t Time, fn func()) Timer {
 		ev = &event{at: t, seq: k.seq, fn: fn}
 	}
 	k.seq++
-	heap.Push(&k.events, ev)
+	k.events.push(ev)
 	return Timer{ev: ev, seq: ev.seq}
 }
 
@@ -259,12 +280,8 @@ func (k *Kernel) Stop() { k.stopped = true }
 // reports whether an event was executed (false when the queue is empty or
 // only canceled events remain).
 func (k *Kernel) Step() bool {
-	for k.events.Len() > 0 {
-		evAny := heap.Pop(&k.events)
-		ev, ok := evAny.(*event)
-		if !ok {
-			continue
-		}
+	for len(k.events) > 0 {
+		ev := k.events.pop()
 		if ev.canceled {
 			k.recycle(ev)
 			continue
@@ -288,14 +305,12 @@ func (k *Kernel) Step() bool {
 func (k *Kernel) Run(until Time) {
 	k.stopped = false
 	for !k.stopped {
-		if k.events.Len() == 0 {
+		if len(k.events) == 0 {
 			break
 		}
 		next := k.events[0]
 		if next.canceled {
-			if ev, ok := heap.Pop(&k.events).(*event); ok {
-				k.recycle(ev)
-			}
+			k.recycle(k.events.pop())
 			continue
 		}
 		if next.at > until {
@@ -323,7 +338,7 @@ func (k *Kernel) RunUntilIdle() {
 
 // Pending reports the number of events (including canceled placeholders)
 // still queued.
-func (k *Kernel) Pending() int { return k.events.Len() }
+func (k *Kernel) Pending() int { return len(k.events) }
 
 // reset discards every queued event (recycling it) and sets the clock to
 // at. The executed counter is kept, and so is the sequence counter: it
@@ -332,7 +347,6 @@ func (k *Kernel) Pending() int { return k.events.Len() }
 // handles.
 func (k *Kernel) reset(at Time) {
 	for _, ev := range k.events {
-		ev.index = 0
 		k.recycle(ev)
 	}
 	k.events = k.events[:0]

@@ -1,8 +1,8 @@
 package world
 
 import (
-	"fmt"
 	"math"
+	"strconv"
 
 	"karyon/internal/coord"
 	"karyon/internal/core"
@@ -146,10 +146,78 @@ func (c *Car) SetCruiseSpeed(v float64) {
 	}
 }
 
-// newCar assembles the stack. Every random stream the car consumes is a
-// sim.NewStream entity stream, so neither the shard assignment nor other
-// cars' event interleaving can perturb it.
-func newCar(seed int64, id int, x float64, cfg HighwayConfig) (*Car, error) {
+// carDesign is the design-time half of every car in a world: built once
+// by NewHighway and read, never written, by all of its cars on every
+// shard. It holds the safety kernel's design and the keys of the two
+// indicators a car's step sets, the transducers' detectors (pure
+// configuration, so three transducers of five thousand cars share four
+// values), and the lane-change region names, so the step path formats no
+// string.
+type carDesign struct {
+	kernel    *core.Design
+	validity  core.Key
+	v2vLead   core.Key
+	detectors []sensor.Detector
+	// regions[k] is the name of lane-change region k, "lc@<k>".
+	regions []coord.Resource
+}
+
+// newCarDesign builds the design every car of a world with cfg shares:
+// the LoS ladder 1..3 with the paper's rule structure, the envelopes
+// certified per level, the transducers' detectors, and the names of the
+// ring's 200 m lane-change regions.
+func newCarDesign(cfg HighwayConfig) (*carDesign, error) {
+	k, err := core.NewDesign("cruise", 3)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range []struct {
+		level core.LoS
+		rule  core.Rule
+	}{
+		{2, core.MinValidity("dist.validity", 0.7)},
+		{3, core.FlagSet("v2v.lead")},
+		{3, core.MaxAge("v2v.lead", 400*sim.Millisecond)},
+	} {
+		if err := k.AddRule(r.level, r.rule); err != nil {
+			return nil, err
+		}
+	}
+	if err := k.SetEnvelopes(map[core.LoS]core.Envelope{
+		1: core.NewEnvelope().Bound("accel", -6, 1.0),
+		2: core.NewEnvelope().Bound("accel", -6, 1.5),
+		3: core.NewEnvelope().Bound("accel", -6, 2.5),
+	}); err != nil {
+		return nil, err
+	}
+	regions := make([]coord.Resource, max(int(cfg.Length/200), 1))
+	for i := range regions {
+		regions[i] = coord.Resource("lc@" + strconv.Itoa(i))
+	}
+	return &carDesign{
+		kernel:   k,
+		validity: k.Key("dist.validity"),
+		v2vLead:  k.Key("v2v.lead"),
+		detectors: []sensor.Detector{
+			sensor.RangeDetector{Min: -10, Max: cfg.Length},
+			sensor.FreshnessDetector{MaxAge: 3 * cfg.ControlPeriod},
+			sensor.StuckDetector{MinRepeats: 4},
+			sensor.NoiseDetector{Sigma: cfg.SensorSigma, Tolerance: 5, MinWindow: 8},
+		},
+		regions: regions,
+	}, nil
+}
+
+// carPhase is the offset of car id's control step inside every window.
+func carPhase(seed int64, id int, cfg HighwayConfig) sim.Time {
+	return 1 + sim.Time(uint64(sim.SplitSeed(seed, int64(id)*64+4))%uint64(cfg.ControlPeriod-1))
+}
+
+// newCar assembles the car's run-time stack over the world's design.
+// Every random stream the car consumes is a sim.NewStream entity stream,
+// so neither the shard assignment nor other cars' event interleaving can
+// perturb it.
+func newCar(seed int64, id int, x float64, cfg HighwayConfig, d *carDesign) (*Car, error) {
 	c := &Car{
 		ID:       id,
 		Body:     vehicle.Body{X: x, Speed: 20, Length: 4.5},
@@ -159,62 +227,43 @@ func newCar(seed int64, id int, x float64, cfg HighwayConfig) (*Car, error) {
 		params:   vehicle.DefaultACCParams(),
 		est:      gear.NewLeadEstimator(),
 		truthGap: cfg.Length,
+		phase:    carPhase(seed, id, cfg),
+		inputs:   make([]*sensor.Abstract, 3),
 	}
 	c.hidden = gear.NewHiddenChannel(c.est, 1.5)
-	c.phase = 1 + sim.Time(uint64(sim.SplitSeed(seed, int64(id)*64+4))%uint64(cfg.ControlPeriod-1))
 	truth := func(sim.Time) float64 { return c.truthGap }
-	for s := 0; s < 3; s++ {
+	// The three transducer names, "dist-<id>-<s>", are equally long
+	// thirds of one string.
+	var buf [3 * 24]byte
+	name := buf[:0]
+	for s := range c.inputs {
+		name = append(strconv.AppendInt(append(name, "dist-"...), int64(id), 10), '-', byte('0'+s))
+	}
+	names, n := string(name), len(name)/len(c.inputs)
+	for s := range c.inputs {
 		c.sensorRx[s] = sim.NewStream(seed, int64(id), int64(s))
-		phys := sensor.NewPhysicalDetached(c.clock,
-			fmt.Sprintf("dist-%d-%d", id, s), truth, cfg.SensorSigma,
-			c.sensorRx[s].Rand)
-		fm := sensor.NewFaultManagement(16,
-			sensor.RangeDetector{Min: -10, Max: cfg.Length},
-			sensor.FreshnessDetector{MaxAge: 3 * cfg.ControlPeriod},
-			sensor.StuckDetector{MinRepeats: 4},
-			sensor.NoiseDetector{Sigma: cfg.SensorSigma, Tolerance: 5, MinWindow: 8},
-		)
-		c.inputs = append(c.inputs, sensor.NewAbstract(c.clock, phys, fm))
+		phys := sensor.NewPhysicalDetached(c.clock, names[s*n:(s+1)*n], truth,
+			cfg.SensorSigma, c.sensorRx[s].Rand)
+		fm := sensor.NewFaultManagement(16, d.detectors...)
+		c.inputs[s] = sensor.NewAbstract(c.clock, phys, fm)
 	}
 	c.dist = sensor.NewReliable(c.clock, c.inputs, 4*cfg.SensorSigma+1, 1, 0.3)
 
 	// Cooperative state table fed by V2V beacons delivered at barriers.
 	c.table = coord.NewStateTable(c.clock, 500*sim.Millisecond)
 
-	// Safety kernel: LoS ladder 1..3 with the paper's rule structure. The
-	// manager is detached (clock, not kernel): the control step drives one
-	// evaluation cycle per period, so the cycle travels with the car.
-	ri := core.NewRuntimeInfo(c.clock)
-	mgr, err := core.NewManager(c.clock, ri, core.ManagerConfig{
+	// Safety kernel over the shared design. The manager is detached
+	// (clock, not kernel): the control step drives one evaluation cycle
+	// per period, so the cycle travels with the car.
+	mgr, gate, err := d.kernel.Build(c.clock, core.ManagerConfig{
 		Period:           cfg.ControlPeriod,
 		UpgradeStability: 5,
 	})
 	if err != nil {
 		return nil, err
 	}
-	fn, err := mgr.AddFunctionality("cruise", 3)
-	if err != nil {
-		return nil, err
-	}
-	if err := fn.AddRule(2, core.MinValidity("dist.validity", 0.7)); err != nil {
-		return nil, err
-	}
-	if err := fn.AddRule(3, core.FlagSet("v2v.lead")); err != nil {
-		return nil, err
-	}
-	if err := fn.AddRule(3, core.MaxAge("v2v.lead", 400*sim.Millisecond)); err != nil {
-		return nil, err
-	}
-	gate, err := core.NewGate(fn, map[core.LoS]core.Envelope{
-		1: core.NewEnvelope().Bound("accel", -6, 1.0),
-		2: core.NewEnvelope().Bound("accel", -6, 1.5),
-		3: core.NewEnvelope().Bound("accel", -6, 2.5),
-	})
-	if err != nil {
-		return nil, err
-	}
 	c.manager = mgr
-	c.fn = fn
+	c.fn = mgr.FunctionalityList()[0]
 	c.gate = gate
 	return c, nil
 }
@@ -249,7 +298,7 @@ func (c *Car) step(h *Highway, shard *sim.Shard) {
 
 	// 2. Feed the Run-Time Safety Information.
 	ri := c.manager.Runtime()
-	ri.Set("dist.validity", reading.Validity)
+	ri.SetKey(h.design.validity, reading.Validity)
 	var leadState coord.CoopState
 	haveV2V := false
 	leadID := -1
@@ -261,7 +310,7 @@ func (c *Car) step(h *Highway, shard *sim.Shard) {
 		}
 	}
 	if haveV2V {
-		ri.Set("v2v.lead", 1)
+		ri.SetKey(h.design.v2vLead, 1)
 	}
 	switch h.cfg.Mode {
 	case ModeFixed, ModeReckless:
@@ -392,10 +441,7 @@ func (c *Car) maybeLaneChange(h *Highway, view vehicle.LeadView, level core.LoS,
 		return
 	}
 	c.nextAttempt = now + 4*sim.Second
-	segments := int(h.cfg.Length / 200)
-	if segments < 1 {
-		segments = 1
-	}
-	c.wantRegion = coord.Resource(fmt.Sprintf("lc@%d", int(c.Body.X/200)%segments))
+	regions := h.design.regions
+	c.wantRegion = regions[int(c.Body.X/200)%len(regions)]
 	c.wantLane = target
 }

@@ -16,6 +16,7 @@ import (
 	"strings"
 	"testing"
 
+	"karyon/internal/sensor"
 	"karyon/internal/sim"
 	"karyon/internal/trace"
 	"karyon/internal/wireless"
@@ -225,19 +226,24 @@ var notCheckpointed = map[string]string{
 // notCheckpointedWithin lists the fields of a car's components a
 // checkpoint leaves out, keyed by type and field name.
 var notCheckpointedWithin = map[string]string{
-	"core.Functionality.Switches":  "output-only transition log: the checkpoint keeps only its length",
-	"sensor.Reliable.readings":     "scratch: per-Read fusion buffer",
-	"sensor.Reliable.intervals":    "scratch: per-Read fusion buffer",
-	"sensor.Reliable.edges":        "scratch: per-Read fusion buffer",
-	"wireless.ShardedMedium.onAir": "scratch: the contention pass's on-air index, reused across barriers",
-	"wireless.ShardedMedium.keys":  "scratch: the contention pass's sort keys, reused across barriers",
-	"wireless.ShardedMedium.parts": "scratch: per-partition visit contexts, built on first use and reused",
+	"core.Functionality.d":             "design-time, immutable, shared by every car",
+	"core.RuntimeInfo.keys":            "design-time, immutable, shared by every car",
+	"core.Gate.env":                    "design-time, immutable, shared by every car",
+	"sensor.FaultManagement.detectors": "design-time, immutable, shared by every car",
+	"core.Functionality.Switches":      "output-only transition log: the checkpoint keeps only its length",
+	"sensor.Reliable.readings":         "scratch: per-Read fusion buffer",
+	"sensor.Reliable.intervals":        "scratch: per-Read fusion buffer",
+	"sensor.Reliable.edges":            "scratch: per-Read fusion buffer",
+	"wireless.ShardedMedium.onAir":     "scratch: the contention pass's on-air index, reused across barriers",
+	"wireless.ShardedMedium.keys":      "scratch: the contention pass's sort keys, reused across barriers",
+	"wireless.ShardedMedium.parts":     "scratch: per-partition visit contexts, built on first use and reused",
 }
 
 // highwayNotCheckpointed lists the Highway fields a checkpoint leaves out
 // or that the wall does not compare, each with the reason.
 var highwayNotCheckpointed = map[string]string{
 	"cars":      "the cars themselves: compared field by field by the Car wall",
+	"design":    "design-time, immutable, shared by every car",
 	"sk":        "kernel: rewound by Warp and re-seeded by seedWindow; its queues hold closures",
 	"TimeGaps":  "output-only histogram: never feeds back into behaviour",
 	"inaccess":  "output-only histogram: never feeds back into behaviour",
@@ -347,14 +353,30 @@ func TestCheckpointCompleteness(t *testing.T) {
 	}
 }
 
-// sameState is reflect.DeepEqual for checkpointed state, with four
+// sameState is reflect.DeepEqual for checkpointed state, with five
 // differences: func values (construction-time closures) compare by
 // nil-ness, nil and empty slices and maps are equal, floats compare by
-// bits so a restored NaN matches, and fields on notCheckpointedWithin are
-// skipped. Differences are appended to diff by path.
+// bits so a restored NaN matches, a sensor.History ring compares by its
+// readings newest first, not by where in its buffer they sit, and fields
+// on notCheckpointedWithin are skipped. Differences are appended to diff
+// by path.
 func sameState(a, b reflect.Value, path string, seen map[[2]uintptr]bool, diff *[]string) {
 	if a.Type() != b.Type() {
 		*diff = append(*diff, path+" (type)")
+		return
+	}
+	if a.Type() == reflect.TypeOf(sensor.History{}) && a.CanAddr() && b.CanAddr() {
+		ha := (*sensor.History)(a.Addr().UnsafePointer())
+		hb := (*sensor.History)(b.Addr().UnsafePointer())
+		if ha.Len() != hb.Len() {
+			*diff = append(*diff, path+" (length)")
+			return
+		}
+		for i := 0; i < ha.Len(); i++ {
+			ra, _ := ha.At(i)
+			rb, _ := hb.At(i)
+			sameState(reflect.ValueOf(ra), reflect.ValueOf(rb), path+".At("+strconv.Itoa(i)+")", seen, diff)
+		}
 		return
 	}
 	switch a.Kind() {
@@ -433,10 +455,13 @@ func sameState(a, b reflect.Value, path string, seen map[[2]uintptr]bool, diff *
 
 // restoreAllocsPerCar bounds the allocations of one restoreCheckpoint
 // into a freshly built world, per car. The decoders size each slice once
-// and share repeated strings, so a car's restore allocates about a dozen
-// objects: each sensor history and the state table once, the first of
-// each run of equal strings, and the safety kernel's indicators.
-const restoreAllocsPerCar = 16
+// and share repeated strings, and the safety kernel's indicators land in
+// the slots of the shared design's table without allocating, so a car's
+// restore allocates about eight objects (8.1 measured): each sensor
+// history and the state table once, and the first of each run of equal
+// strings. A build with the race detector allocates 14.1, which the
+// budget still admits.
+const restoreAllocsPerCar = 15
 
 // TestRestoreAllocBudget restores a checkpoint of a world at the
 // reference density into fresh worlds, as ReplayTrace does, and bounds the

@@ -198,7 +198,7 @@ func (p *deliveryPart) deliverAbstract(i int) {
 		p.lost++
 		return
 	}
-	p.hear(to, b)
+	p.hear(to, p.sender.ID, b)
 }
 
 // eachRadio is the medium's per-frame receiver walk for one shard: the
@@ -225,13 +225,14 @@ func (p *deliveryPart) offerRadio(i int) {
 
 // deliverRadio queues a delivered frame's beacon in the receiver's batch.
 func (p *deliveryPart) deliverRadio(tx *wireless.ShardedTx, to wireless.NodeID) {
-	p.hear(p.h.cars[int(to)], tx.Payload.(*beacon))
+	p.hear(p.h.cars[int(to)], int(tx.From), tx.Payload.(*beacon))
 }
 
-// hear queues a delivered beacon in the receiver's batch. The state stays
-// put until flush: it is the sender's pending beacon, frozen for the stage.
-func (p *deliveryPart) hear(to *Car, b *beacon) {
-	to.inbox = append(to.inbox, coord.Heard{State: &b.state, Accel: b.accel})
+// hear queues a delivered beacon of sender from in the receiver's batch.
+// The state stays put until flush: it is the sender's pending beacon,
+// frozen for the stage.
+func (p *deliveryPart) hear(to *Car, from int, b *beacon) {
+	to.inbox = append(to.inbox, coord.Heard{ID: wireless.NodeID(from), State: &b.state, Accel: b.accel})
 	p.delivered++
 }
 

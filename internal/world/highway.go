@@ -191,6 +191,8 @@ type Highway struct {
 	sk   *sim.ShardedKernel
 	part RingPartition
 	cars []*Car // by id
+	// design is the cars' shared design-time half (carDesign).
+	design *carDesign
 
 	byShard  [][]*Car
 	snap     []hwSnap // sorted by (x, id); replaced at barriers, never mutated
@@ -328,9 +330,24 @@ func NewHighway(sk *sim.ShardedKernel, cfg HighwayConfig) (*Highway, error) {
 	h.arcs = make([][]hwSnap, sk.Shards())
 	h.outgoing = make([][]hwSnap, sk.Shards())
 	h.hot = make([]carHot, cfg.Cars)
+	if h.design, err = newCarDesign(cfg); err != nil {
+		return nil, err
+	}
+	// Cars are built in the order the shards step them, ascending (phase,
+	// id), and stored by id: each shard's window then walks the cars'
+	// memory forward.
+	order := make([]int, cfg.Cars)
+	phase := make([]sim.Time, cfg.Cars)
+	for i := range order {
+		order[i], phase[i] = i, carPhase(sk.Seed(), i, cfg)
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(phase[a], phase[b]), cmp.Compare(a, b))
+	})
+	h.cars = make([]*Car, cfg.Cars)
 	spacing := cfg.Length / float64(cfg.Cars)
-	for i := 0; i < cfg.Cars; i++ {
-		car, err := newCar(sk.Seed(), i, float64(i)*spacing, cfg)
+	for _, i := range order {
+		car, err := newCar(sk.Seed(), i, float64(i)*spacing, cfg, h.design)
 		if err != nil {
 			return nil, err
 		}
@@ -342,7 +359,7 @@ func NewHighway(sk *sim.ShardedKernel, cfg HighwayConfig) (*Highway, error) {
 		// allocating.
 		car.stepFn = func() { car.step(h, h.sk.Shard(car.shard)) }
 		car.deliverFn = func() { h.senders = append(h.senders, car) }
-		h.cars = append(h.cars, car)
+		h.cars[i] = car
 	}
 	h.initDelivery()
 	return h, nil

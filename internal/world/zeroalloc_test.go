@@ -1,6 +1,8 @@
 package world
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"karyon/internal/sim"
@@ -62,5 +64,44 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 					tc.name, per, tc.budget)
 			}
 		})
+	}
+}
+
+// buildAllocsPerCar bounds what building and starting a world allocates
+// per car. Every car gets its own run-time state and nothing else: the
+// safety kernel's design, the transducers' detectors and the lane-change
+// region names are built once per world and shared (carDesign), and a
+// car's kernel, each of its fault-management units, and the names of its
+// transducers are one allocation each. The budget is the measured 38.3
+// per car at 1200 cars (102.5 before the design was shared) plus a margin
+// of 4, about 10%: a per-car map, closure or formatted string brought
+// back costs several per car, and fails here. Every allocation here is paid again on every replay
+// request, which rebuilds the world.
+const buildAllocsPerCar = 42
+
+// TestBuildAllocBudget builds and starts the reference 1200-car world, as
+// ReplayTrace does for every request, and bounds the allocations per car.
+func TestBuildAllocBudget(t *testing.T) {
+	cfg := DefaultHighwayConfig()
+	cfg.Length = 36000
+	cfg.Cars = 1200
+	best := uint64(math.MaxUint64)
+	for range 3 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		h, err := BuildHighway(1, 2, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Start(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		best = min(best, m1.Mallocs-m0.Mallocs)
+	}
+	perCar := float64(best) / float64(cfg.Cars)
+	t.Logf("build: %d allocations, %.1f per car", best, perCar)
+	if perCar > buildAllocsPerCar {
+		t.Fatalf("building a world allocates %.1f objects per car, budget %d", perCar, buildAllocsPerCar)
 	}
 }
