@@ -8,7 +8,6 @@
 package coord
 
 import (
-	"cmp"
 	"slices"
 
 	"karyon/internal/sim"
@@ -37,8 +36,8 @@ type CoopState struct {
 // carried. The peers sit in one slice sorted by sender id and are updated
 // in place: a receiver hears only its radio neighbours, so the slice stays
 // short. Beacons arrive in batches (Merge), one per receiver and window,
-// and a batch costs one forward pass and no allocation once the
-// neighbours are known.
+// and a batch costs one binary search per beacon and no allocation once
+// the neighbours are known.
 type StateTable struct {
 	clock sim.Clock
 	// MaxAge bounds how old an entry may be before it is reported stale.
@@ -75,9 +74,9 @@ func (t *StateTable) find(id wireless.NodeID) (int, bool) {
 
 // Heard is one delivered beacon awaiting a batched table write: the
 // sender's id, its state and the acceleration the beacon carried. Merge
-// sorts and walks the batch on ID, and reads the state through the
-// pointer only to take it, so the state must not change until then. ID
-// must equal State.ID.
+// looks the sender up by ID, and reads the state through the pointer only
+// to take it, so the state must not change until then. ID must equal
+// State.ID.
 type Heard struct {
 	ID    wireless.NodeID
 	State *CoopState
@@ -87,18 +86,15 @@ type Heard struct {
 // Merge records a batch of heard beacons exactly as if each had been
 // delivered on its own, in batch order: a peer keeps only its newest state
 // (an older one is ignored), and the acceleration is the last one
-// delivered, whatever its state's age. The batch is sorted by sender in
-// place, stably, so one sender's beacons keep their order; beacons of
-// distinct senders touch distinct entries and commute. The table is then
-// walked once, with a cursor that only moves forward.
+// delivered, whatever its state's age. It applies the batch in arrival
+// order with one search per beacon: a batch holds a receiver's dozen
+// neighbours in on-air order, and sorting it first costs more than the
+// searches it would save.
 func (t *StateTable) Merge(batch []Heard) {
-	slices.SortStableFunc(batch, func(a, b Heard) int { return cmp.Compare(a.ID, b.ID) })
-	i := 0
-	for _, h := range batch {
-		for i < len(t.peers) && t.peers[i].state.ID < h.ID {
-			i++
-		}
-		if i == len(t.peers) || t.peers[i].state.ID != h.ID {
+	for k := range batch {
+		h := &batch[k]
+		i, ok := t.find(h.ID)
+		if !ok {
 			t.peers = slices.Insert(t.peers, i, peer{state: *h.State})
 		} else if p := &t.peers[i].state; p.Time <= h.State.Time {
 			*p = *h.State

@@ -32,8 +32,8 @@ func (c *ManualClock) Set(t Time) { c.t = t }
 // and of how other entities' events interleave. The returned Stream exposes
 // State/Restore so a record/replay checkpoint can capture and restore it.
 func NewStream(seed, entity, dim int64) *Stream {
-	src := &source{state: uint64(SplitSeed(seed, entity*64+dim))}
-	return &Stream{Rand: rand.New(src), src: src}
+	src := NewSource(seed, entity, dim)
+	return &Stream{Rand: rand.New(&src), src: &src}
 }
 
 // DriftClock models an imperfect local oscillator: a node's view of time

@@ -56,7 +56,13 @@ func (s *Shard) Kernel() *Kernel { return s.kernel }
 // the only legal way for one shard's events to affect another shard.
 //
 // Messages are buffered in the sending shard's outbox and drained at the
-// next window barrier, in (at, sender, send order). The conservative
+// next window barrier, in (at, sender, send order). sender is the model's
+// key for the sending entity, never for the sending shard, so the drain
+// order is the same at every width. Any entity-unique key works; a model
+// whose shards step their entities in one fixed order does best to key
+// each entity by its rank in that order: a shard's messages of one
+// instant then reach its outbox already sorted, and the shard skips its
+// end-of-window sort. The conservative
 // contract: at must be no earlier than the edge of the window in which Send
 // is called (the model's lookahead guarantees a frame cannot affect a
 // neighboring shard sooner). Earlier instants are clamped to the drain edge
@@ -342,7 +348,9 @@ func (sk *ShardedKernel) shardWorker(s *Shard, jobs chan shardJob) {
 
 // runJob executes one shard's job — one window's event-queue drain plus
 // the per-shard hooks and the outbox sort, or one call of a barrier
-// stage — recording any panic in the shard's errs slot.
+// stage — recording any panic in the shard's errs slot. The outbox is
+// sorted only if it is out of (at, sender) order: a sorted outbox is its
+// own stable sort.
 func (sk *ShardedKernel) runJob(s *Shard, job shardJob) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -361,8 +369,12 @@ func (sk *ShardedKernel) runJob(s *Shard, job shardJob) {
 	for _, fn := range sk.shardHooks {
 		fn(s.idx, job.edge)
 	}
-	// Sorted after the hooks, so a message a hook sends is in the run.
-	slices.SortStableFunc(s.outbox, cmpMessage)
+	// Sorted after the hooks, so a message a hook sends is in the run. A
+	// model that keys its messages by its shards' step order (see Send)
+	// emits them sorted already, and then the check is the whole cost.
+	if !slices.IsSortedFunc(s.outbox, cmpMessage) {
+		slices.SortStableFunc(s.outbox, cmpMessage)
+	}
 }
 
 // cmpMessage orders mailbox messages by (at, sender).
@@ -463,13 +475,14 @@ func runHook(hook func(Time), edge Time) (err error) {
 
 // drain applies every shard's outbox in deterministic order: by (at,
 // sender), and by send order within a sender, whose messages all live in
-// one outbox. Each shard stable-sorted its outbox at the end of its window
-// job, so drain k-way merges the sorted runs, taking the lower shard on a
-// tie — exactly a stable sort of the outboxes' concatenation in shard
-// order. At width 1 the single run is used as it is. Messages due now
-// execute at the barrier; future ones are scheduled onto their destination
-// shard's kernel. A message a drained one sends lands in an emptied outbox
-// and drains at the next barrier.
+// one outbox. Each shard's outbox is in that order by the end of its
+// window job (runJob stable-sorts it unless it arrived sorted), so drain
+// k-way merges the sorted runs, taking the lower shard on a tie —
+// exactly a stable sort of the outboxes' concatenation in shard order.
+// At width 1 the single run is used as it is. Messages due now execute at
+// the barrier; future ones are scheduled onto their destination shard's
+// kernel. A message a drained one sends lands in an emptied outbox and
+// drains at the next barrier.
 func (sk *ShardedKernel) drain(edge Time) (err error) {
 	pending := sk.mergeOutboxes()
 	if len(pending) == 0 {

@@ -74,11 +74,15 @@ type ShardedMedium struct {
 	// ever needs a burst older than the current one.
 	jams []Burst
 
-	// rx holds the per-receiver loss streams, indexed by node id; nil
-	// until the receiver's first draw (or Prime). A partitioned visit
-	// creates streams in place, so the table is sized beforehand by
+	// rx holds the per-receiver loss streams, indexed by node id: one
+	// dense slice of one-word generators, so a visit's loss draw is an
+	// indexed read-modify-write, not a pointer chase to a heap stream.
+	// live[id] marks the streams created so far, at the receiver's first
+	// draw (or Prime); only those reach a checkpoint. A partitioned visit
+	// creates streams in place, so both tables are sized beforehand by
 	// Reserve.
-	rx    []*sim.Stream
+	rx    []sim.Source
+	live  []bool
 	stats ShardedStats
 }
 
@@ -280,20 +284,19 @@ func airtimesOverlap(a, b *ShardedTx, airtime sim.Time) bool {
 // Streams are keyed by entity id and derived from SplitSeed, so creation
 // order — and therefore shard layout — cannot perturb the draws. Only a
 // serial caller may grow the table; a partitioned visit finds it sized by
-// Reserve.
-func (m *ShardedMedium) rxStream(id NodeID) *sim.Stream {
+// Reserve. The pointer is valid until the table next grows.
+func (m *ShardedMedium) rxStream(id NodeID) *sim.Source {
 	if int(id) >= len(m.rx) {
 		if m.nparts > 1 {
 			panic(fmt.Sprintf("wireless: receiver %d outside the %d reserved loss streams in a partitioned visit", id, len(m.rx)))
 		}
 		m.Reserve(int(id) + 1)
 	}
-	s := m.rx[id]
-	if s == nil {
-		s = sim.NewStream(m.seed, int64(id), shardedLossDim)
-		m.rx[id] = s
+	if !m.live[id] {
+		m.rx[id] = sim.NewSource(m.seed, int64(id), shardedLossDim)
+		m.live[id] = true
 	}
-	return s
+	return &m.rx[id]
 }
 
 // Reserve sizes the loss-stream table for node ids below n without
@@ -301,7 +304,8 @@ func (m *ShardedMedium) rxStream(id NodeID) *sim.Stream {
 // partitions reserves every id it will visit first.
 func (m *ShardedMedium) Reserve(n int) {
 	if n > len(m.rx) {
-		m.rx = append(m.rx, make([]*sim.Stream, n-len(m.rx))...)
+		m.rx = append(m.rx, make([]sim.Source, n-len(m.rx))...)
+		m.live = append(m.live, make([]bool, n-len(m.live))...)
 	}
 }
 

@@ -3,6 +3,7 @@ package wireless
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -467,5 +468,88 @@ func TestShardedPartitionedVisitMatchesResolve(t *testing.T) {
 		if !bytes.Equal(ea.Bytes(), eb.Bytes()) {
 			t.Fatalf("parts=%d: checkpoints differ: the receivers' loss streams drew differently", parts)
 		}
+	}
+}
+
+// TestQueueOrderIrrelevant pins the argument that lets a world queue a
+// window's frames in any order, such as its shards' step order rather
+// than sender id: Contend decides frames in (start, sender) order, a key
+// no two frames of a window share, so the queue order cannot show. Each
+// window's frames — carrier sense with retries and deferrals, a jam, two
+// channels, a lossy link — go into two media, once in id order and once shuffled, and
+// Contend, a two-partition Visit and Settle must report the same drops and
+// deliveries, the same Stats and the same checkpoint.
+func TestQueueOrderIrrelevant(t *testing.T) {
+	cfg := DefaultShardedConfig()
+	cfg.LossProb = 0.2
+	cfg.Channels = 2
+	cfg.CarrierSense = true
+	cfg.Ring = 2000
+	const (
+		nodes  = 60
+		parts  = 2
+		window = 10 * sim.Millisecond
+	)
+	rng := sim.NewStream(5, 0, 0)
+	pos := make([]Position, nodes)
+	for i := range pos {
+		pos[i] = Position{X: float64(rng.Intn(2000))}
+	}
+	byID, shuffled := NewShardedMedium(11, cfg), NewShardedMedium(11, cfg)
+	byID.Reserve(nodes)
+	shuffled.Reserve(nodes)
+	run := func(m *ShardedMedium, frames []ShardedTx, log *outcomeLog) {
+		for _, tx := range frames {
+			m.Queue(tx)
+		}
+		m.Contend(parts, log.drop)
+		for p := 0; p < parts; p++ {
+			m.Visit(p, func(tx *ShardedTx, visit func(NodeID, Position)) {
+				for i := p; i < nodes; i += parts {
+					visit(NodeID(i), pos[i])
+				}
+			}, log.deliver, log.drop)
+		}
+		m.Settle()
+	}
+	for w := 0; w < 10; w++ {
+		open := sim.Time(w) * window
+		byID.JamAll(open+2*sim.Millisecond, 300*sim.Microsecond)
+		shuffled.JamAll(open+2*sim.Millisecond, 300*sim.Microsecond)
+		frames := make([]ShardedTx, nodes)
+		for i := range frames {
+			frames[i] = ShardedTx{
+				From:    NodeID(i),
+				Channel: i % cfg.Channels,
+				Pos:     pos[i],
+				// Crowded into the first 4 ms, so carrier sense defers and
+				// retries often.
+				Start: open + sim.Time(rng.Intn(4000))*sim.Microsecond,
+			}
+			if i%5 != 0 { // every fifth frame drops when it senses a busy channel
+				frames[i].Retry = open + window - cfg.Airtime
+			}
+		}
+		mixed := slices.Clone(frames)
+		rng.Shuffle(len(mixed), func(a, b int) { mixed[a], mixed[b] = mixed[b], mixed[a] })
+		var want, got outcomeLog
+		run(byID, frames, &want)
+		run(shuffled, mixed, &got)
+		if got.String() != want.String() {
+			t.Fatalf("window %d: shuffled queue decided\n%s\nwant\n%s", w, got.String(), want.String())
+		}
+	}
+	if byID.Stats() != shuffled.Stats() {
+		t.Fatalf("stats %+v, want %+v", shuffled.Stats(), byID.Stats())
+	}
+	s := byID.Stats()
+	if s.Retries == 0 || s.Deferred == 0 || s.Collisions == 0 || s.Jammed == 0 || s.Losses == 0 || s.Delivered == 0 {
+		t.Fatalf("degenerate outcome mix: %+v", s)
+	}
+	var ea, eb trace.Enc
+	byID.EncodeState(&ea)
+	shuffled.EncodeState(&eb)
+	if !bytes.Equal(ea.Bytes(), eb.Bytes()) {
+		t.Fatal("checkpoints differ: the receivers' loss streams drew differently")
 	}
 }

@@ -30,16 +30,16 @@ func (m *ShardedMedium) EncodeState(e *trace.Enc) {
 		e.I64(int64(b.Until))
 	}
 	n := 0
-	for _, s := range m.rx {
-		if s != nil {
+	for _, live := range m.live {
+		if live {
 			n++
 		}
 	}
 	e.U32(uint32(n))
-	for id, s := range m.rx {
-		if s != nil {
+	for id, live := range m.live {
+		if live {
 			e.I64(int64(id))
-			e.U64(s.State())
+			e.U64(m.rx[id].State())
 		}
 	}
 }
@@ -73,7 +73,7 @@ func (m *ShardedMedium) DecodeState(d *trace.Dec) {
 	for i, n := 0, d.Count(16); i < n && d.Err() == nil; i++ {
 		id := d.I64()
 		state := d.U64()
-		if id < 0 || id >= int64(len(m.rx)) || m.rx[id] == nil {
+		if id < 0 || id >= int64(len(m.rx)) || !m.live[id] {
 			d.Fail("receiver %d has no loss stream", id)
 			return
 		}

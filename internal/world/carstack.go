@@ -86,19 +86,25 @@ type Car struct {
 	nextAttempt sim.Time
 
 	// shard is the owning partition; phase offsets the control step inside
-	// a window. stepFn is the car's cached control-step closure: it reads
-	// shard at execution time, so re-seeding windows never allocates.
+	// a window. rank is the car's step rank: its position in the world's
+	// ascending (phase, id) order, which is the order every shard steps
+	// its cars in. stepFn is the car's cached control-step closure: it
+	// reads shard at execution time, so re-seeding windows never
+	// allocates.
 	shard  int
 	phase  sim.Time
+	rank   int
 	stepFn func()
 
 	// deliverFn is the car's cached mailbox closure, which enlists it as a
-	// sender of the closing window; pend is its pending beacon, and pendTx
-	// the frame that carries it in Medium mode (its payload points at
-	// pend). The car's step writes them and mails deliverFn, so the
-	// steady-state beacon path allocates nothing. They are stable between
-	// the send and the closing barrier: a car steps exactly once per
-	// window, and the delivery stage runs before the next window is seeded.
+	// sender of the closing window; the car mails it under its step rank
+	// (sendBeacon), so a shard's outbox is in drain order as it fills.
+	// pend is its pending beacon, and pendTx the frame that carries it in
+	// Medium mode (its payload points at pend). The car's step writes them
+	// and mails deliverFn, so the steady-state beacon path allocates
+	// nothing. They are stable between the send and the closing barrier: a
+	// car steps exactly once per window, and the delivery stage runs
+	// before the next window is seeded.
 	deliverFn func()
 	pend      beacon
 	pendTx    wireless.ShardedTx

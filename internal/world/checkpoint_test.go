@@ -250,6 +250,7 @@ var highwayNotCheckpointed = map[string]string{
 	"stageFn":   "closure: the cached delivery stage, built by NewHighway",
 	"parts":     "scratch: per-shard delivery contexts, reset by every delivery stage",
 	"senders":   "scratch: the window's beacon senders, drained at the barrier before a checkpoint",
+	"bucket":    "scratch: the abstract path's per-id sender bucket, emptied by every id sort",
 	"outgoing":  "scratch: per-shard arc hand-offs, drained at the barrier before a checkpoint",
 	"nextOcc":   "scratch: collision-sweep buffers, rebuilt by every accounting pass",
 	"groupEnd":  "scratch: collision-sweep buffers, rebuilt by every accounting pass",

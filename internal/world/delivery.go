@@ -112,8 +112,12 @@ func (h *Highway) recordSpans() {
 
 // deliverBeacons delivers the beacons of the window closing at edge in
 // the barrier stage and folds the shards' counts into the world, in shard
-// order. In Medium mode it first queues the senders' frames in drain
-// order and runs the serial contention pass; the stage then visits the
+// order. The drain enlisted the senders in step-rank order. In Medium
+// mode it queues their frames in that order and runs the serial
+// contention pass, which decides frames in (start, sender) order: every
+// frame's key is unique, so the queue order cannot show. The abstract
+// path has no such key — each receiver's loss draws follow the sender
+// walk — so it sorts the senders by id. The stage then visits the
 // receivers, one partition per shard, and fleet-wide delivery outages
 // feed the inaccessibility accounting. It returns the stage's error,
 // which the kernel has latched.
@@ -126,6 +130,8 @@ func (h *Highway) deliverBeacons(edge sim.Time) error {
 			h.medium.Queue(c.pendTx)
 		}
 		h.medium.Contend(len(h.parts), h.parts[0].mDrop)
+	} else {
+		h.sortSendersByID()
 	}
 	err := h.sk.Stage(h.stageFn)
 	h.senders = h.senders[:0]
@@ -150,6 +156,27 @@ func (h *Highway) deliverBeacons(edge sim.Time) error {
 	return nil
 }
 
+// sortSendersByID puts the window's senders in car-id order. Ids are the
+// dense range [0, cars), so one bucket pass over a per-id scratch does it
+// without comparisons; the senders arrive in step-rank order, the order
+// their cars sit in memory, so reading their ids walks memory forward.
+func (h *Highway) sortSendersByID() {
+	if len(h.bucket) < len(h.cars) {
+		h.bucket = make([]*Car, len(h.cars))
+	}
+	for _, c := range h.senders {
+		h.bucket[c.ID] = c
+	}
+	out := h.senders[:0]
+	for id, c := range h.bucket {
+		if c != nil {
+			out = append(out, c)
+			h.bucket[id] = nil
+		}
+	}
+	h.senders = out
+}
+
 // collectCounts adds the parts' delivery counts to the world's, in shard
 // order, and clears them.
 func (h *Highway) collectCounts() {
@@ -161,10 +188,10 @@ func (h *Highway) collectCounts() {
 }
 
 // fanOut is one shard's half of the abstract path: every sender of the
-// window, in id order, offered to the shard's receivers in range. The
-// sender's own shard walks every sender it owns, even with no receiver
-// of its own in reach, because it alone decides whether the beacon found
-// any neighbour (beaconsSent).
+// window, in id order (deliverBeacons sorted them), offered to the
+// shard's receivers in range. The sender's own shard walks every sender
+// it owns, even with no receiver of its own in reach, because it alone
+// decides whether the beacon found any neighbour (beaconsSent).
 func (p *deliveryPart) fanOut() {
 	for _, c := range p.h.senders {
 		own := c.shard == p.shard

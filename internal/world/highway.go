@@ -159,12 +159,15 @@ type carHot struct {
 // wherever that state changes: the end of the car's own control step, a
 // maneuver grant at the barrier (markManeuver), and the full-rebuild
 // publishSnapshot path (startup, collision resolution, checkpoint restore).
-func (h *Highway) syncHot(c *Car) {
+func (h *Highway) syncHot(c *Car) { h.hot[c.ID] = hotOf(c) }
+
+// hotOf is c's kinematic state as the hot table holds it.
+func hotOf(c *Car) carHot {
 	lane2 := int32(-1)
 	if c.maneuver.Active() {
 		lane2 = int32(c.maneuver.TargetLane)
 	}
-	h.hot[c.ID] = carHot{
+	return carHot{
 		x: c.Body.X, speed: c.Body.Speed, length: c.Body.Length,
 		lane: int32(c.Body.Lane), lane2: lane2,
 	}
@@ -191,9 +194,14 @@ type Highway struct {
 	sk   *sim.ShardedKernel
 	part RingPartition
 	cars []*Car // by id
+	// order holds the cars by step rank: ascending (phase, id), the order
+	// in which the shards step them (see Car.rank).
+	order []*Car
 	// design is the cars' shared design-time half (carDesign).
 	design *carDesign
 
+	// byShard lists each shard's cars in step-rank order, so seedWindow
+	// pushes a shard's control steps in the order they will run.
 	byShard  [][]*Car
 	snap     []hwSnap // sorted by (x, id); replaced at barriers, never mutated
 	snapEdge sim.Time
@@ -228,12 +236,16 @@ type Highway struct {
 	medium *wireless.ShardedMedium
 
 	// Receiver-owned beacon delivery (delivery.go). The mailbox drain
-	// collects the window's beacon senders in id order; the barrier's
-	// delivery stage then runs on every shard at once, each shard
-	// delivering to the receivers it owns, with its counts in its part
-	// and summed in shard order. span[s] is the x extent of shard s's
-	// entries in the published snapshot.
+	// collects the window's beacon senders in step-rank order, the order
+	// the shards sent them in; the abstract path re-sorts them by id
+	// through the per-id scratch bucket, while the medium orders frames by
+	// their own (start, sender) key. The barrier's delivery stage then
+	// runs on every shard at once, each shard delivering to the receivers
+	// it owns, with its counts in its part and summed in shard order.
+	// span[s] is the x extent of shard s's entries in the published
+	// snapshot.
 	senders []*Car
+	bucket  []*Car
 	parts   []*deliveryPart
 	stageFn func(shard int)
 	span    []arcSpan
@@ -335,7 +347,7 @@ func NewHighway(sk *sim.ShardedKernel, cfg HighwayConfig) (*Highway, error) {
 	}
 	// Cars are built in the order the shards step them, ascending (phase,
 	// id), and stored by id: each shard's window then walks the cars'
-	// memory forward.
+	// memory forward. A car's position in that order is its step rank.
 	order := make([]int, cfg.Cars)
 	phase := make([]sim.Time, cfg.Cars)
 	for i := range order {
@@ -345,12 +357,14 @@ func NewHighway(sk *sim.ShardedKernel, cfg HighwayConfig) (*Highway, error) {
 		return cmp.Or(cmp.Compare(phase[a], phase[b]), cmp.Compare(a, b))
 	})
 	h.cars = make([]*Car, cfg.Cars)
+	h.order = make([]*Car, 0, cfg.Cars)
 	spacing := cfg.Length / float64(cfg.Cars)
-	for _, i := range order {
+	for rank, i := range order {
 		car, err := newCar(sk.Seed(), i, float64(i)*spacing, cfg, h.design)
 		if err != nil {
 			return nil, err
 		}
+		car.rank = rank
 		// One step closure per car for its whole lifetime: seeding a
 		// window is then allocation-free (the kernels recycle events).
 		// The beacon path gets the same treatment — one cached closure
@@ -360,6 +374,7 @@ func NewHighway(sk *sim.ShardedKernel, cfg HighwayConfig) (*Highway, error) {
 		car.stepFn = func() { car.step(h, h.sk.Shard(car.shard)) }
 		car.deliverFn = func() { h.senders = append(h.senders, car) }
 		h.cars[i] = car
+		h.order = append(h.order, car)
 	}
 	h.initDelivery()
 	return h, nil
@@ -520,14 +535,14 @@ func (h *Highway) onWindow(edge sim.Time) {
 }
 
 // assignShards rebuilds shard ownership from current positions. Iteration
-// is in car-id order so the rebuild is deterministic. This is the
-// full-rebuild path (startup and collision resolution); steady-state
-// barriers maintain ownership incrementally in mergeSnapshot.
+// is in step-rank order, so every ownership list comes out rank-ordered.
+// This is the full-rebuild path (startup and collision resolution);
+// steady-state barriers maintain ownership incrementally in mergeSnapshot.
 func (h *Highway) assignShards() {
 	for i := range h.byShard {
 		h.byShard[i] = h.byShard[i][:0]
 	}
-	for _, c := range h.cars {
+	for _, c := range h.order {
 		owner := h.part.ShardOf(c.Body.X)
 		c.shard = owner
 		h.byShard[owner] = append(h.byShard[owner], c)
@@ -653,11 +668,12 @@ func (h *Highway) shardPhase(shard int, edge sim.Time) {
 }
 
 // mergeSnapshot is the barrier's snapshot reconciliation: hand each
-// boundary crosser to its new arc (and move its car between the id-ordered
-// ownership lists), then stitch the per-shard arcs into the global ring
-// view. Arcs cover contiguous, ascending x ranges, so the stitch is a
-// straight concatenation — the serial comparison work is O(crossers), not
-// O(n log n), and no snapshot entry is constructed on the hook goroutine.
+// boundary crosser to its new arc (and move its car between the
+// rank-ordered ownership lists), then stitch the per-shard arcs into the
+// global ring view. Arcs cover contiguous, ascending x ranges, so the
+// stitch is a straight concatenation — the serial comparison work is
+// O(crossers), not O(n log n), and no snapshot entry is constructed on
+// the hook goroutine.
 func (h *Highway) mergeSnapshot(edge sim.Time) {
 	for src := range h.outgoing {
 		for _, e := range h.outgoing[src] {
@@ -679,9 +695,11 @@ func (h *Highway) mergeSnapshot(edge sim.Time) {
 	h.recordSpans()
 }
 
-// assertSnapshotSync panics if any stitched entry diverged from its car —
-// the loud failure mode for a Schedule action that mutated kinematics in
-// violation of the onWindow contract (see debugSnapshotSync).
+// assertSnapshotSync panics if any stitched entry or hot-table entry
+// diverged from its car — the loud failure mode for a Schedule action
+// that mutated kinematics in violation of the onWindow contract (see
+// debugSnapshotSync). Accounting reads speeds from the hot table, so every
+// car's entry is checked against its body: x, speed, length, lane, lane2.
 func (h *Highway) assertSnapshotSync(edge sim.Time) {
 	if len(h.snap) != len(h.cars) {
 		panic(fmt.Sprintf("world: snapshot holds %d entries for %d cars at %v",
@@ -694,6 +712,13 @@ func (h *Highway) assertSnapshotSync(edge sim.Time) {
 			panic(fmt.Sprintf(
 				"world: snapshot desync at %v: car %d snap(x=%v v=%v lane=%d) body(x=%v v=%v lane=%d) — a barrier action mutated kinematics",
 				edge, c.ID, e.x, e.speed, e.lane, c.Body.X, c.Body.Speed, c.Body.Lane))
+		}
+	}
+	for _, c := range h.cars {
+		if hot, body := h.hot[c.ID], hotOf(c); hot != body {
+			panic(fmt.Sprintf(
+				"world: hot table desync at %v: car %d hot%+v body%+v — a barrier action mutated kinematics",
+				edge, c.ID, hot, body))
 		}
 	}
 }
@@ -710,17 +735,17 @@ func (h *Highway) insertArcEntry(e hwSnap) {
 	h.arcs[e.shard] = arc
 }
 
-// moveOwner moves c between the id-ordered per-shard ownership lists and
-// records its new shard — the incremental replacement for a full
+// moveOwner moves c between the rank-ordered per-shard ownership lists
+// and records its new shard — the incremental replacement for a full
 // assignShards pass.
 func (h *Highway) moveOwner(c *Car, src, dst int) {
 	list := h.byShard[src]
-	at := sort.Search(len(list), func(i int) bool { return list[i].ID >= c.ID })
+	at := sort.Search(len(list), func(i int) bool { return list[i].rank >= c.rank })
 	copy(list[at:], list[at+1:])
 	list[len(list)-1] = nil
 	h.byShard[src] = list[:len(list)-1]
 	list = h.byShard[dst]
-	at = sort.Search(len(list), func(i int) bool { return list[i].ID >= c.ID })
+	at = sort.Search(len(list), func(i int) bool { return list[i].rank >= c.rank })
 	list = append(list, nil)
 	copy(list[at+1:], list[at:])
 	list[at] = c
@@ -732,19 +757,23 @@ func (h *Highway) moveOwner(c *Car, src, dst int) {
 // car-id order, and detects + resolves collisions against the fresh
 // snapshot. Every car's leader comes from one linear sweep per lane over
 // the already-sorted snapshot (sweepLeaders) instead of a per-car binary
-// search — O(lanes·n) with memcpy-class constants. It reports whether any
-// collision was resolved.
+// search — O(lanes·n) with memcpy-class constants. Speeds come from the
+// dense hot table, which equals the bodies at every barrier
+// (assertSnapshotSync checks it), so the walk touches a car only to
+// resolve a collision. It reports whether any collision was resolved.
 func (h *Highway) accountMetrics() bool {
 	h.sweepLeaders()
 	resolved := false
-	for _, c := range h.cars {
+	for id := range h.hot {
+		speed := h.hot[id].speed
 		var lead *hwSnap
 		var gap float64
-		if li := h.sweepLead[c.ID]; li >= 0 {
+		if li := h.sweepLead[id]; li >= 0 {
 			lead = &h.snap[li]
-			gap = h.sweepGap[c.ID]
+			gap = h.sweepGap[id]
 		}
 		if lead != nil && gap <= 0 {
+			c := h.cars[id]
 			if debugCollisions {
 				lc := h.cars[lead.id]
 				fmt.Printf("COLLISION t=%v car=%d lane=%d x=%.1f v=%.1f man=%v->%d | lead=%d lane=%d x=%.1f v=%.1f man=%v->%d\n",
@@ -755,11 +784,12 @@ func (h *Highway) accountMetrics() bool {
 			// Resolve the overlap so one event is counted once, not forever.
 			c.Body.X = math.Mod(lead.x-lead.length-0.5+h.cfg.Length, h.cfg.Length)
 			c.Body.Speed = lead.speed
+			speed = lead.speed
 			resolved = true
-		} else if lead != nil && c.Body.Speed > 1 {
-			h.TimeGaps.Observe(gap / c.Body.Speed)
+		} else if lead != nil && speed > 1 {
+			h.TimeGaps.Observe(gap / speed)
 		}
-		h.speedSum += c.Body.Speed
+		h.speedSum += speed
 		h.speedN++
 	}
 	return resolved
@@ -929,9 +959,10 @@ func (h *Highway) markManeuver(c *Car) {
 }
 
 // seedWindow schedules every car's control step for the window opening at
-// edge, on the kernel of the shard that owns the car. The cars' cached
-// step closures resolve their owning shard at execution time, so seeding
-// allocates nothing.
+// edge, on the kernel of the shard that owns the car. The ownership lists
+// are in step-rank order, so each kernel receives its steps in the order
+// they will run. The cars' cached step closures resolve their owning
+// shard at execution time, so seeding allocates nothing.
 func (h *Highway) seedWindow(edge sim.Time) {
 	for idx, list := range h.byShard {
 		k := h.sk.Shard(idx).Kernel()
@@ -1072,13 +1103,14 @@ const beaconSlotJitter = 800 * sim.Microsecond
 // sendBeacon broadcasts the car's cooperative state through ONE mailbox
 // message per beacon. The car writes the beacon into its pending slot —
 // in Medium mode also the frame that carries it — and the message only
-// enlists the car as a sender of the closing window. At the barrier the
-// drain enlists senders in (edge, sender) order, and deliverBeacons fans
-// each beacon out to the receivers in range of the same immutable
-// snapshot the sender transmitted against (the snapshot is only replaced
-// after the delivery stage): directly on the abstract path, through the
-// medium's contention resolution in Medium mode. Every receiver hears the
-// senders in drain order, exactly as if it had its own message.
+// enlists the car as a sender of the closing window. The message's sender
+// key is the car's step rank, so each shard's outbox fills in key order
+// and needs no sort; at the barrier the drain enlists senders in (edge,
+// step rank) order. deliverBeacons then fans each beacon out to the
+// receivers in range of the same immutable snapshot the sender
+// transmitted against (the snapshot is only replaced after the delivery
+// stage): on the abstract path directly, in car-id order; in Medium mode
+// through the medium's contention resolution, in on-air order.
 func (h *Highway) sendBeacon(shard *sim.Shard, c *Car, now sim.Time) {
 	c.pend = beacon{
 		state: coord.CoopState{
@@ -1116,5 +1148,5 @@ func (h *Highway) sendBeacon(shard *sim.Shard, c *Car, now sim.Time) {
 			Payload: &c.pend,
 		}
 	}
-	shard.Send(shard.Index(), edge, int64(c.ID), c.deliverFn)
+	shard.Send(shard.Index(), edge, int64(c.rank), c.deliverFn)
 }

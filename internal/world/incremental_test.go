@@ -1,6 +1,7 @@
 package world
 
 import (
+	"cmp"
 	"math/rand"
 	"sort"
 	"strings"
@@ -38,7 +39,8 @@ func bruteSnapshot(h *Highway) []hwSnap {
 // x=0, and mid-maneuver lane2 entries — followed by the per-shard phase
 // and the barrier merge must leave the stitched global snapshot
 // element-for-element equal to the brute-force (x, id) sort, ownership
-// equal to ShardOf, and the per-shard ownership lists id-ordered.
+// equal to ShardOf, and the per-shard ownership lists in step-rank order,
+// each car's rank its position in the world's (phase, id) order.
 func TestStitchedSnapshotMatchesBruteSort(t *testing.T) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		cfg := DefaultHighwayConfig() // 2 km ring, 250 m reach: up to 8 arcs
@@ -47,6 +49,12 @@ func TestStitchedSnapshotMatchesBruteSort(t *testing.T) {
 		h := buildHighway(t, 5, shards, cfg)
 		if got := h.Kernel().Shards(); got != shards {
 			t.Fatalf("wanted %d shards, got %d", shards, got)
+		}
+		for r, c := range h.order {
+			if c.rank != r || (r > 0 && cmp.Or(cmp.Compare(h.order[r-1].phase, c.phase),
+				cmp.Compare(h.order[r-1].ID, c.ID)) >= 0) {
+				t.Fatalf("shards=%d: car %d at rank %d (its rank %d) breaks the (phase, id) order", shards, c.ID, r, c.rank)
+			}
 		}
 		h.assignShards()
 		h.publishSnapshot(0)
@@ -114,8 +122,8 @@ func TestStitchedSnapshotMatchesBruteSort(t *testing.T) {
 						t.Fatalf("shards=%d round=%d: car %d at %.3f owned by %d, want %d",
 							shards, round, c.ID, c.Body.X, c.shard, want)
 					}
-					if i > 0 && list[i-1].ID >= c.ID {
-						t.Fatalf("shards=%d round=%d: byShard[%d] not id-ordered", shards, round, s)
+					if i > 0 && list[i-1].rank >= c.rank {
+						t.Fatalf("shards=%d round=%d: byShard[%d] not in step-rank order", shards, round, s)
 					}
 				}
 				owned += len(list)
@@ -178,7 +186,7 @@ func TestSweepLeadersMatchesBinarySearch(t *testing.T) {
 // forced braking, cruise-speed changes) keep the stitched snapshot in sync
 // with the cars, while an action that mutates kinematics is caught loudly
 // by the debugSnapshotSync assertion instead of silently desyncing the
-// next window.
+// next window. The assertion covers the dense hot table as well.
 func TestBarrierActionContract(t *testing.T) {
 	debugSnapshotSync = true
 	defer func() { debugSnapshotSync = false }()
@@ -202,5 +210,18 @@ func TestBarrierActionContract(t *testing.T) {
 	err := h.Run(2 * sim.Second)
 	if err == nil || !strings.Contains(err.Error(), "desync") {
 		t.Fatalf("kinematic mutation not caught: %v", err)
+	}
+
+	// The hot table is checked field by field against the bodies too
+	// (accounting reads speeds from it): a mutation the snapshot entries
+	// do not carry, such as a car's length, is caught there.
+	h = buildHighway(t, 31, 2, cfg)
+	if err := h.Start(); err != nil {
+		t.Fatal(err)
+	}
+	h.Schedule(sim.Second, func() { h.Cars()[4].Body.Length = 9 })
+	err = h.Run(2 * sim.Second)
+	if err == nil || !strings.Contains(err.Error(), "hot table desync") {
+		t.Fatalf("hot-table mutation not caught: %v", err)
 	}
 }
