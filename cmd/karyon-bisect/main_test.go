@@ -14,7 +14,7 @@ func record(t *testing.T, path string, seed int64, shards int, perturb uint64) {
 	t.Helper()
 	sc := harness.HighwayScenario{
 		Duration: 8 * time.Second, Cars: 10, Mode: "adaptive",
-		TracePath: path, CheckpointEvery: 20, PerturbWindow: perturb,
+		Recording: harness.Recording{TracePath: path, CheckpointEvery: 20, PerturbWindow: perturb},
 	}
 	if _, err := sc.RunSharded(context.Background(), seed, shards); err != nil {
 		t.Fatal(err)

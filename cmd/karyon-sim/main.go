@@ -7,8 +7,19 @@
 //	karyon-sim -scenario megahighway [-cars 200] [-length 10000] [-loss 0.05] [-shards N] [-medium] [-jam-every 30s -jam-burst 2s]
 //	karyon-sim -scenario intersection [-failat 60s] [-nobackup] [-medium] [-jam-every 30s -jam-burst 2s]
 //	karyon-sim -scenario encounter [-geometry same-direction|leveled-crossing|level-change] [-voice]
+//	karyon-sim -scenario E13 [-medium] [-replicas N]
 //	karyon-sim -scenario highway -record run.ktr [-checkpoint-every 50] [-perturb-window N]
 //	karyon-sim -replay run.ktr [-window A:B] [-shards N]
+//
+// The scenario flags fill one service.JobSpec, the job spec karyon-d
+// accepts. Its Normalize applies every default and validity rule, and its
+// Build makes the run, whether that run executes in-process or on a
+// daemon; so -scenario also takes any experiment id (E1..E16, E-MAC-S),
+// and a flag means the same thing through either door. The corner inputs
+// follow Normalize: -seed 0 is the default seed 1, a zero or negative
+// -cars is the scenario default, and -duration 0, -loss outside [0,1],
+// a negative duration or -fault-rate, and a non-finite -loss, -length,
+// -v2v-range or -fault-rate are errors.
 //
 // All scenarios accept -replicas, -parallel, -shards, and -json. The
 // output is byte-identical for any -parallel and any -shards value at a
@@ -46,10 +57,11 @@
 // -daemon URL submits the run to a resident karyon-d instead of executing
 // in-process: the daemon dedupes equivalent runs and replays archived
 // results byte-identically, so repeated sweeps cost one execution. The
-// rendered output is identical to local mode; a cache-hit note goes to
-// stderr only. The client retries transport errors and degraded-mode 503s
-// with exponential backoff (-daemon-retries / -daemon-backoff) and
-// resumes a dropped result stream mid-job — all safe because job IDs are
+// rendered output is identical to local mode, since both run the same
+// normalized spec; a cache-hit note goes to stderr only. The client
+// retries transport errors and degraded-mode 503s with exponential
+// backoff (-daemon-retries / -daemon-backoff) and resumes a dropped
+// result stream mid-job — all safe because job IDs are
 // deterministic content addresses, so a replayed submit dedupes instead
 // of re-running.
 package main
@@ -83,40 +95,50 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("karyon-sim", flag.ContinueOnError)
-	scenario := fs.String("scenario", "highway", "highway | megahighway | intersection | encounter")
-	seed := fs.Int64("seed", 1, "base seed of the replica seed matrix")
-	duration := fs.Duration("duration", 2*time.Minute, "simulated duration")
-	cars := fs.Int("cars", 0, "highway/megahighway: number of cars (0 = scenario default)")
-	length := fs.Float64("length", 0, "megahighway: ring circumference in meters (0 = default)")
-	loss := fs.Float64("loss", 0.05, "megahighway: per-beacon loss probability")
-	v2vRange := fs.Float64("v2v-range", 0, "megahighway: beacon reach in meters (0 = default 300); bounds the widest -shards partition")
-	mode := fs.String("mode", "adaptive", "highway: adaptive|fixed1|fixed2|fixed3|reckless")
-	faultRate := fs.Float64("fault-rate", 0, "highway: randomized fault-campaign events per simulated minute (0 = none)")
-	jamEvery := fs.Duration("jam-every", 0, "highway/megahighway/intersection: period between V2V jam bursts (0 = none)")
-	jamBurst := fs.Duration("jam-burst", 0, "highway/megahighway/intersection: duration of each V2V jam burst")
-	medium := fs.Bool("medium", false, "highway/megahighway/intersection: slot-level sharded radio medium (airtime, collisions, carrier sense) instead of abstract loss draws")
-	channels := fs.Int("channels", 1, "orthogonal radio channels for -medium")
-	failAt := fs.Duration("failat", 0, "intersection: when the physical light fails (0 = never)")
-	noBackup := fs.Bool("nobackup", false, "intersection: disable the virtual traffic light")
-	geometry := fs.String("geometry", "leveled-crossing", "encounter: same-direction|leveled-crossing|level-change")
-	voice := fs.Bool("voice", false, "encounter: intruder is non-collaborative (voice position only)")
-	replicas := fs.Int("replicas", 1, "independent replicas, seeds spaced by the harness stride")
+	// The scenario flags fill one service.JobSpec, the daemon's wire form;
+	// its Normalize holds every default and validity rule for both paths.
+	var spec service.JobSpec
+	var loss float64
+	fs.StringVar(&spec.Scenario, "scenario", "highway", "highway | megahighway | intersection | encounter | an experiment id (E1..E16, E-MAC-S)")
+	fs.Int64Var(&spec.Seed, "seed", 0, "base seed of the replica seed matrix (0 = default 1)")
+	fs.StringVar(&spec.Duration, "duration", "", "simulated duration, positive (empty = default 2m)")
+	fs.IntVar(&spec.Cars, "cars", 0, "highway/megahighway: number of cars (0 or negative = scenario default)")
+	fs.Float64Var(&spec.Length, "length", 0, "megahighway: ring circumference in meters (0 = default 10000)")
+	fs.Float64Var(&loss, "loss", 0, "megahighway: per-beacon loss probability in [0,1] (unset = default 0.05)")
+	fs.Float64Var(&spec.V2VRange, "v2v-range", 0, "megahighway: beacon reach in meters (0 = default 300); bounds the widest -shards partition")
+	fs.StringVar(&spec.Mode, "mode", "", "highway: adaptive|fixed1|fixed2|fixed3|reckless (empty = adaptive)")
+	fs.Float64Var(&spec.FaultRate, "fault-rate", 0, "highway: randomized fault-campaign events per simulated minute (0 = none)")
+	fs.StringVar(&spec.JamEvery, "jam-every", "", "highway/megahighway/intersection: period between V2V jam bursts (empty = none)")
+	fs.StringVar(&spec.JamBurst, "jam-burst", "", "highway/megahighway/intersection: duration of each V2V jam burst")
+	fs.BoolVar(&spec.Medium, "medium", false, "highway/megahighway/intersection: slot-level sharded radio medium (airtime, collisions, carrier sense) instead of abstract loss draws")
+	fs.IntVar(&spec.Channels, "channels", 0, "orthogonal radio channels for -medium (0 = default 1)")
+	fs.StringVar(&spec.FailAt, "failat", "", "intersection: when the physical light fails (empty = never)")
+	fs.BoolVar(&spec.NoBackup, "nobackup", false, "intersection: disable the virtual traffic light")
+	fs.StringVar(&spec.Geometry, "geometry", "", "encounter: same-direction|leveled-crossing|level-change (empty = leveled-crossing)")
+	fs.BoolVar(&spec.Voice, "voice", false, "encounter: intruder is non-collaborative (voice position only)")
+	fs.IntVar(&spec.Replicas, "replicas", 0, "independent replicas, seeds spaced by the harness stride (0 = default 1)")
+	fs.IntVar(&spec.Shards, "shards", 0, "shard kernels per replica (world scenarios; 0 = default 1); affects wall time only, never output")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "replica worker-pool width; affects wall time only, never output")
-	shards := fs.Int("shards", 1, "shard kernels per replica (megahighway); affects wall time only, never output")
 	jsonOut := fs.Bool("json", false, "emit a JSON report with full per-value distributions")
 	daemon := fs.String("daemon", "", "submit to a karyon-d control API at this URL instead of running in-process (e.g. http://127.0.0.1:7077)")
 	daemonRetries := fs.Int("daemon-retries", 3, "-daemon: max retries per API call on transport errors and degraded-mode 503s (safe: deterministic job IDs dedupe replays); negative disables")
 	daemonBackoff := fs.Duration("daemon-backoff", 100*time.Millisecond, "-daemon: base of the exponential retry backoff (doubles per attempt, seeded jitter, server Retry-After honored)")
 	cpuProfile := fs.String("cpuprofile", "", "write a runtime/pprof CPU profile of the run to this file")
 	memProfile := fs.String("memprofile", "", "write a runtime/pprof heap profile (after a final GC) to this file at exit")
-	record := fs.String("record", "", "highway/megahighway: write a record/replay trace of the run to this file (requires -replicas 1, no -fault-rate, no -daemon)")
-	checkpointEvery := fs.Int("checkpoint-every", 50, "-record: windows between full-state checkpoints, the replay restart points")
-	perturbWindow := fs.Uint64("perturb-window", 0, "-record: force car 0 to brake at this window's barrier — a deliberate divergence for exercising karyon-bisect (0 = none)")
+	var rec harness.Recording
+	fs.StringVar(&rec.TracePath, "record", "", "highway/megahighway: write a record/replay trace of the run to this file (requires -replicas 1, no -fault-rate, no -daemon)")
+	fs.IntVar(&rec.CheckpointEvery, "checkpoint-every", 0, "-record: windows between full-state checkpoints, the replay restart points (0 = default 50)")
+	fs.Uint64Var(&rec.PerturbWindow, "perturb-window", 0, "-record: force car 0 to brake at this window's barrier — a deliberate divergence for exercising karyon-bisect (0 = none)")
 	replayPath := fs.String("replay", "", "re-run a recorded trace from the nearest checkpoint and verify byte-identity window by window; nonzero exit on divergence")
 	windowRange := fs.String("window", "", "-replay: window range A:B, 1-based inclusive (empty = the full trace)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "loss" {
+			spec.Loss = &loss // unset leaves Normalize's default
+		}
+	})
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -144,100 +166,58 @@ func run(args []string, out io.Writer) error {
 		}()
 	}
 	if *replayPath != "" {
-		shardsSet := false
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "shards" {
-				shardsSet = true
-			}
-		})
-		override := 0
-		if shardsSet {
-			override = *shards
-		}
-		return runReplay(*replayPath, *windowRange, override, out)
+		return runReplay(*replayPath, *windowRange, spec.Shards, out)
 	}
-	if *record != "" {
+	spec, err := spec.Normalize()
+	if err != nil {
+		return fmt.Errorf("karyon-sim: %w", err)
+	}
+	if rec.TracePath != "" {
 		switch {
-		case *scenario != "highway" && *scenario != "megahighway":
-			return fmt.Errorf("karyon-sim: -record supports highway and megahighway, not %q", *scenario)
-		case *replicas != 1:
+		case spec.Replicas != 1:
 			return errors.New("karyon-sim: -record requires -replicas 1 (a trace captures exactly one run)")
-		case *faultRate > 0:
-			return errors.New("karyon-sim: -record cannot reproduce a -fault-rate campaign")
 		case *daemon != "":
 			return errors.New("karyon-sim: -record runs in-process; drop -daemon")
 		}
 	}
+	var rep *harness.Report
 	if *daemon != "" {
-		spec := service.JobSpec{
-			Scenario: *scenario, Seed: *seed, Replicas: *replicas, Shards: *shards,
-			Duration: (*duration).String(), Cars: *cars,
-			Length: *length, Loss: loss, V2VRange: *v2vRange, Mode: *mode,
-			FaultRate: *faultRate, Medium: *medium, Channels: *channels,
-			NoBackup: *noBackup, Geometry: *geometry, Voice: *voice,
-		}
-		if *jamEvery > 0 {
-			spec.JamEvery = (*jamEvery).String()
-		}
-		if *jamBurst > 0 {
-			spec.JamBurst = (*jamBurst).String()
-		}
-		if *failAt > 0 {
-			spec.FailAt = (*failAt).String()
-		}
 		client := serviceclient.NewWithOptions(*daemon, serviceclient.Options{
 			Retries:     *daemonRetries,
 			BackoffBase: *daemonBackoff,
-			Seed:        *seed,
+			Seed:        spec.Seed,
 		})
-		st, rep, err := client.Run(context.Background(), spec)
-		if err != nil {
+		var st *service.Status
+		if st, rep, err = client.Run(context.Background(), spec); err != nil {
 			return err
 		}
 		if st.Cached {
 			fmt.Fprintf(os.Stderr, "karyon-sim: job %.12s served from the daemon's run cache\n", st.ID)
 		}
-		return render(rep, *jsonOut, out)
+	} else {
+		sc, err := spec.Build()
+		if err == nil && rec.TracePath != "" {
+			sc, err = harness.Record(sc, rec)
+		}
+		if err != nil {
+			return fmt.Errorf("karyon-sim: %w", err)
+		}
+		if rep, err = harness.Run(context.Background(), sc, spec.Options(*parallel)); err != nil {
+			return err
+		}
 	}
-	var sc harness.Scenario
-	switch *scenario {
-	case "highway":
-		n := *cars
-		if n == 0 {
-			n = 30
-		}
-		sc = harness.HighwayScenario{
-			Duration: *duration, Cars: n, Mode: *mode,
-			SensorFaultRate: *faultRate, JamEvery: *jamEvery, JamBurst: *jamBurst,
-			Medium: *medium, Channels: *channels,
-			TracePath: *record, CheckpointEvery: *checkpointEvery, PerturbWindow: *perturbWindow,
-		}
-	case "megahighway":
-		sc = harness.MegaHighwayScenario{
-			Duration: *duration, Cars: *cars, Length: *length, Loss: *loss, V2VRange: *v2vRange,
-			Medium: *medium, Channels: *channels, JamEvery: *jamEvery, JamBurst: *jamBurst,
-			TracePath: *record, CheckpointEvery: *checkpointEvery, PerturbWindow: *perturbWindow,
-		}
-	case "intersection":
-		sc = harness.IntersectionScenario{
-			Duration: *duration, FailAt: *failAt, VirtualBackup: !*noBackup,
-			Medium: *medium, Channels: *channels, JamEvery: *jamEvery, JamBurst: *jamBurst,
-		}
-	case "encounter":
-		sc = harness.EncounterScenario{Geometry: *geometry, Collaborative: !*voice}
-	default:
-		return fmt.Errorf("unknown scenario %q", *scenario)
+	if *jsonOut {
+		enc := json.NewEncoder(out)
+		enc.SetIndent("", "  ")
+		return enc.Encode(rep)
 	}
-	rep, err := harness.Run(context.Background(), sc,
-		harness.Options{Seed: *seed, Replicas: *replicas, Parallel: *parallel, Shards: *shards})
-	if err != nil {
-		return err
-	}
-	return render(rep, *jsonOut, out)
+	fmt.Fprint(out, rep.Summary.Table().String())
+	return nil
 }
 
 // runReplay is the -replay mode: verify a recorded trace range against a
-// fresh re-execution. shardsOverride 0 replays at the recorded width.
+// fresh re-execution. shardsOverride 0 (-shards unset) replays at the
+// recorded width.
 func runReplay(path, windowRange string, shardsOverride int, out io.Writer) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -272,15 +252,4 @@ func parseWindowRange(s string) (from, to uint64, err error) {
 		return 0, 0, fmt.Errorf("karyon-sim: -window must be A:B (1-based, inclusive), got %q", s)
 	}
 	return from, to, nil
-}
-
-// render prints a report exactly the same way for local and daemon runs.
-func render(rep *harness.Report, jsonOut bool, out io.Writer) error {
-	if jsonOut {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rep)
-	}
-	fmt.Fprint(out, rep.Summary.Table().String())
-	return nil
 }

@@ -173,7 +173,10 @@ func TestRunMediumScenariosShardInvariance(t *testing.T) {
 }
 
 // -daemon submits to karyon-d and must render byte-identically to a local
-// run of the same flags — cached or not.
+// run of the same flags — cached or not, table or JSON. Both paths run the
+// same JobSpec.Normalize → Build, so every scenario, every experiment id and
+// every corner input (seed 0, zero duration, negative cars, loss outside
+// [0,1]) means the same run, or the same error, through either door.
 func TestDaemonModeMatchesLocalOutput(t *testing.T) {
 	srv, err := service.New(service.Config{
 		CacheDir: t.TempDir(), Workers: 2, Log: io.Discard,
@@ -185,40 +188,63 @@ func TestDaemonModeMatchesLocalOutput(t *testing.T) {
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 
-	flags := []string{"-scenario", "highway", "-duration", "10s", "-cars", "8", "-seed", "3", "-replicas", "2"}
-	var local, remote, cached strings.Builder
-	if err := run(flags, &local); err != nil {
-		t.Fatal(err)
-	}
-	daemonFlags := append([]string{"-daemon", hs.URL}, flags...)
-	if err := run(daemonFlags, &remote); err != nil {
-		t.Fatal(err)
-	}
-	if local.String() != remote.String() {
-		t.Fatalf("daemon output differs from local:\nlocal:\n%s\ndaemon:\n%s", local.String(), remote.String())
-	}
-	// Second submission hits the cache; rendered output must not change.
-	if err := run(daemonFlags, &cached); err != nil {
-		t.Fatal(err)
-	}
-	if cached.String() != local.String() {
-		t.Fatalf("cached daemon output differs:\n%s", cached.String())
-	}
-	if st := srv.Stats(); st.CacheMisses != 1 || st.CacheHits != 1 {
-		t.Fatalf("stats %+v", st)
+	for _, tc := range []struct {
+		name  string
+		flags []string
+		err   string // non-empty: both paths must fail with this message
+	}{
+		{name: "highway", flags: []string{"-scenario", "highway", "-duration", "10s", "-cars", "8", "-seed", "3", "-replicas", "2"}},
+		{name: "megahighway-medium", flags: []string{"-scenario", "megahighway", "-duration", "2s", "-cars", "60", "-length", "3000",
+			"-medium", "-channels", "2", "-jam-every", "1s", "-jam-burst", "300ms", "-shards", "2"}},
+		{name: "intersection-medium", flags: []string{"-scenario", "intersection", "-duration", "20s", "-medium"}},
+		{name: "encounter", flags: []string{"-scenario", "encounter", "-geometry", "level-change", "-voice"}},
+		{name: "experiment", flags: []string{"-scenario", "E1"}},
+		{name: "seed-0", flags: []string{"-scenario", "highway", "-duration", "5s", "-cars", "5", "-seed", "0"}},
+		{name: "negative-cars", flags: []string{"-scenario", "highway", "-duration", "5s", "-cars", "-5"}},
+		{name: "zero-duration", flags: []string{"-scenario", "highway", "-duration", "0"}, err: `bad duration "0": zero`},
+		{name: "loss-above-1", flags: []string{"-scenario", "megahighway", "-loss", "1.5"}, err: "bad loss 1.5: want [0,1]"},
+		{name: "loss-nan", flags: []string{"-scenario", "megahighway", "-loss", "NaN"}, err: "bad loss NaN: want [0,1]"},
+		{name: "length-nan", flags: []string{"-scenario", "megahighway", "-length", "NaN"}, err: "bad length NaN: want a finite number"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, form := range [][]string{nil, {"-json"}} {
+				flags := append(append([]string{}, tc.flags...), form...)
+				var local, remote strings.Builder
+				lerr := run(flags, &local)
+				rerr := run(append([]string{"-daemon", hs.URL}, flags...), &remote)
+				if tc.err != "" {
+					for _, err := range []error{lerr, rerr} {
+						if err == nil || !strings.Contains(err.Error(), tc.err) {
+							t.Fatalf("%v: err %v, want %q on both paths", flags, err, tc.err)
+						}
+					}
+					continue
+				}
+				if lerr != nil || rerr != nil {
+					t.Fatalf("%v: local err %v, daemon err %v", flags, lerr, rerr)
+				}
+				if local.String() != remote.String() {
+					t.Fatalf("%v: daemon output differs from local:\nlocal:\n%s\ndaemon:\n%s", flags, local.String(), remote.String())
+				}
+			}
+		})
 	}
 
-	// JSON mode round-trips through the daemon identically too.
-	var localJSON, remoteJSON strings.Builder
-	jsonFlags := append(flags, "-json")
-	if err := run(jsonFlags, &localJSON); err != nil {
+	// A second submission hits the cache; rendered output must not change.
+	flags := []string{"-daemon", hs.URL, "-scenario", "highway", "-duration", "10s", "-cars", "8", "-seed", "3", "-replicas", "2"}
+	before := srv.Stats()
+	var first, cached strings.Builder
+	if err := run(flags, &first); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(append([]string{"-daemon", hs.URL}, jsonFlags...), &remoteJSON); err != nil {
+	if err := run(flags, &cached); err != nil {
 		t.Fatal(err)
 	}
-	if localJSON.String() != remoteJSON.String() {
-		t.Fatalf("daemon JSON differs from local:\nlocal:\n%s\ndaemon:\n%s", localJSON.String(), remoteJSON.String())
+	if cached.String() != first.String() {
+		t.Fatalf("cached daemon output differs:\n%s", cached.String())
+	}
+	if st := srv.Stats(); st.CacheMisses != before.CacheMisses || st.CacheHits != before.CacheHits+2 {
+		t.Fatalf("stats before %+v, after %+v", before, st)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -297,5 +299,31 @@ func TestSubMicrosecondJamPeriodDoesNotHang(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("sub-microsecond -jam-every hung the scenario")
+	}
+}
+
+// Record is the one place that knows which scenarios record: the two
+// highway-family scenarios take the recording, every other is refused,
+// and a highway under a fault campaign is refused before a trace exists.
+func TestRecordAttachesOnlyToHighways(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ktr")
+	r := Recording{TracePath: path, CheckpointEvery: 10}
+	if h, err := Record(HighwayScenario{}, r); err != nil || h.(HighwayScenario).Recording != r {
+		t.Fatalf("highway: %+v, %v", h, err)
+	}
+	if m, err := Record(MegaHighwayScenario{}, r); err != nil || m.(MegaHighwayScenario).Recording != r {
+		t.Fatalf("megahighway: %+v, %v", m, err)
+	}
+	for _, sc := range []Scenario{IntersectionScenario{}, EncounterScenario{}, noisy()} {
+		if _, err := Record(sc, r); err == nil || !strings.Contains(err.Error(), sc.Name()) {
+			t.Fatalf("%s: err %v, want a refusal naming the scenario", sc.Name(), err)
+		}
+	}
+	sc := HighwayScenario{Duration: time.Second, Cars: 3, Mode: "adaptive", SensorFaultRate: 2, Recording: r}
+	if _, err := sc.RunSharded(context.Background(), 1, 1); err == nil || !strings.Contains(err.Error(), "fault campaign") {
+		t.Fatalf("recording a fault campaign: err %v", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("refused recording left a trace file: %v", err)
 	}
 }

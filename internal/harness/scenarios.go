@@ -37,17 +37,39 @@ type HighwayScenario struct {
 	// draws; Channels sets its orthogonal channel count.
 	Medium   bool
 	Channels int
-	// TracePath writes a record/replay trace of the run (windows,
-	// barrier decisions, digests, periodic checkpoints; see
-	// internal/world record.go). Recording requires a single replica and
-	// no fault campaign — the trace spec cannot reproduce campaign
-	// injections. CheckpointEvery sets the checkpoint interval in
-	// windows (0 = default 50); PerturbWindow > 0 forces car 0 to brake
-	// at that window's barrier, the deliberate-divergence knob the
-	// bisect tooling is tested with.
-	TracePath       string
+	// Recording writes a record/replay trace of the run. It cannot
+	// reproduce a fault campaign, so it requires SensorFaultRate 0.
+	Recording
+}
+
+// Recording asks a highway-family run to write a record/replay trace
+// (windows, barrier decisions, digests, periodic checkpoints; see
+// internal/world record.go). It rides beside a run's spec: it changes
+// what is written, never what is simulated, so no cache key holds it.
+type Recording struct {
+	// TracePath is the trace file; empty records nothing.
+	TracePath string
+	// CheckpointEvery sets the checkpoint interval in windows (0 =
+	// default 50).
 	CheckpointEvery int
-	PerturbWindow   uint64
+	// PerturbWindow > 0 forces car 0 to brake at that window's barrier,
+	// the deliberate-divergence knob the bisect tooling is tested with.
+	PerturbWindow uint64
+}
+
+// Record attaches r to sc. Only the highway and megahighway scenarios
+// record; any other scenario is refused. A trace captures one run, so
+// the caller must run the result as a single replica.
+func Record(sc Scenario, r Recording) (Scenario, error) {
+	switch s := sc.(type) {
+	case HighwayScenario:
+		s.Recording = r
+		return s, nil
+	case MegaHighwayScenario:
+		s.Recording = r
+		return s, nil
+	}
+	return nil, fmt.Errorf("harness: recording supports highway and megahighway, not %q", sc.Name())
 }
 
 // Name implements Scenario.
@@ -78,51 +100,30 @@ func (s HighwayScenario) RunSharded(ctx context.Context, seed int64, shards int)
 	default:
 		return nil, fmt.Errorf("unknown mode %q", s.Mode)
 	}
-	h, err := world.BuildHighway(seed, shards, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := h.Start(); err != nil {
-		return nil, err
-	}
-	dur := sim.FromDuration(s.Duration)
-	scheduleJams(h, s.JamEvery, s.JamBurst, dur)
-	var finishTrace func() error
-	if s.TracePath != "" {
-		if s.SensorFaultRate > 0 {
+	var rep *faultinject.Report
+	var drive func(h *world.Highway, dur sim.Time) error
+	if s.SensorFaultRate > 0 {
+		if s.TracePath != "" {
 			return nil, fmt.Errorf("harness: recording cannot reproduce a fault campaign; disable the fault rate")
 		}
-		spec := world.TraceSpec{
-			Scenario: s.Name(), Seed: seed, Shards: shards, Duration: dur,
-			Config: cfg, Jams: jamSpecs(s.JamEvery, s.JamBurst, dur),
-			PerturbWindow: s.PerturbWindow,
-		}
-		if finishTrace, err = attachRecorder(h, s.TracePath, s.CheckpointEvery, spec); err != nil {
-			return nil, err
-		}
-	}
-	var rep *faultinject.Report
-	if s.SensorFaultRate > 0 {
-		events := int(s.SensorFaultRate*s.Duration.Minutes() + 0.5)
+		dur := sim.FromDuration(s.Duration)
 		campaign, err := faultinject.Generate(sim.NewStream(seed, 9001, 0).Rand, faultinject.GenerateConfig{
 			Duration: dur,
 			Warmup:   dur / 10,
-			Events:   events,
+			Events:   int(s.SensorFaultRate*s.Duration.Minutes() + 0.5),
 			Targets:  cfg.Cars,
 		})
 		if err != nil {
 			return nil, err
 		}
-		if rep, err = faultinject.RunOnHighway(ctx, h, campaign, dur); err != nil {
-			return nil, err
+		drive = func(h *world.Highway, dur sim.Time) (err error) {
+			rep, err = faultinject.RunOnHighway(ctx, h, campaign, dur)
+			return err
 		}
-	} else if err := h.RunContext(ctx, dur); err != nil {
-		return nil, err
 	}
-	if finishTrace != nil {
-		if err := finishTrace(); err != nil {
-			return nil, err
-		}
+	h, err := runHighway(ctx, s.Name(), seed, shards, cfg, s.Duration, s.JamEvery, s.JamBurst, s.Recording, drive)
+	if err != nil {
+		return nil, err
 	}
 	res := metrics.NewResult(fmt.Sprintf("highway: %d cars, %s simulated", cfg.Cars, s.Duration))
 	levels := map[core.LoS]int{}
@@ -152,6 +153,43 @@ func (s HighwayScenario) RunSharded(ctx context.Context, seed int64, shards int)
 		recordMediumStats(rec, h)
 	}
 	return res, nil
+}
+
+// runHighway is the run shared by the highway-family scenarios: build the
+// world from cfg, start it, schedule the jam bursts, attach the recording
+// if one is asked for, run it for d and finish the trace. drive runs the
+// world over the duration when the scenario needs more than a plain run
+// (the highway's fault campaign); nil means h.RunContext.
+func runHighway(ctx context.Context, name string, seed int64, shards int, cfg world.HighwayConfig,
+	d, jamEvery, jamBurst time.Duration, rec Recording,
+	drive func(h *world.Highway, dur sim.Time) error) (*world.Highway, error) {
+	h, err := world.BuildHighway(seed, shards, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := h.Start(); err != nil {
+		return nil, err
+	}
+	dur := sim.FromDuration(d)
+	scheduleJams(h, jamEvery, jamBurst, dur)
+	finishTrace := func() error { return nil }
+	if rec.TracePath != "" {
+		spec := world.TraceSpec{
+			Scenario: name, Seed: seed, Shards: shards, Duration: dur,
+			Config: cfg, Jams: jamSpecs(jamEvery, jamBurst, dur),
+			PerturbWindow: rec.PerturbWindow,
+		}
+		if finishTrace, err = attachRecorder(h, rec.TracePath, rec.CheckpointEvery, spec); err != nil {
+			return nil, err
+		}
+	}
+	if drive == nil {
+		drive = func(h *world.Highway, dur sim.Time) error { return h.RunContext(ctx, dur) }
+	}
+	if err := drive(h, dur); err != nil {
+		return nil, err
+	}
+	return h, finishTrace()
 }
 
 // jammable is a world that accepts barrier-scheduled V2V jam bursts.
@@ -237,7 +275,7 @@ type MegaHighwayScenario struct {
 	Length float64
 	// Loss is the per-beacon loss probability, used verbatim — unlike
 	// Cars/Length, zero means a genuinely lossless channel, not "use the
-	// config default" (the CLI flag supplies the 5% default, and a
+	// config default" (service.JobSpec supplies the 5% default, and a
 	// lossless run must remain expressible).
 	Loss float64
 	// V2VRange is the beacon reach in meters (0 = default 300). It bounds
@@ -252,11 +290,8 @@ type MegaHighwayScenario struct {
 	// must be positive to take effect).
 	JamEvery time.Duration
 	JamBurst time.Duration
-	// TracePath/CheckpointEvery/PerturbWindow mirror
-	// HighwayScenario's recording knobs.
-	TracePath       string
-	CheckpointEvery int
-	PerturbWindow   uint64
+	// Recording writes a record/replay trace of the run.
+	Recording
 }
 
 // Name implements Scenario.
@@ -286,33 +321,9 @@ func (s MegaHighwayScenario) RunSharded(ctx context.Context, seed int64, shards 
 	cfg.Medium = s.Medium
 	cfg.Channels = s.Channels
 	cfg.CarrierSense = s.Medium
-	h, err := world.BuildHighway(seed, shards, cfg)
+	h, err := runHighway(ctx, s.Name(), seed, shards, cfg, s.Duration, s.JamEvery, s.JamBurst, s.Recording, nil)
 	if err != nil {
 		return nil, err
-	}
-	if err := h.Start(); err != nil {
-		return nil, err
-	}
-	dur := sim.FromDuration(s.Duration)
-	scheduleJams(h, s.JamEvery, s.JamBurst, dur)
-	var finishTrace func() error
-	if s.TracePath != "" {
-		spec := world.TraceSpec{
-			Scenario: s.Name(), Seed: seed, Shards: shards, Duration: dur,
-			Config: cfg, Jams: jamSpecs(s.JamEvery, s.JamBurst, dur),
-			PerturbWindow: s.PerturbWindow,
-		}
-		if finishTrace, err = attachRecorder(h, s.TracePath, s.CheckpointEvery, spec); err != nil {
-			return nil, err
-		}
-	}
-	if err := h.RunContext(ctx, dur); err != nil {
-		return nil, err
-	}
-	if finishTrace != nil {
-		if err := finishTrace(); err != nil {
-			return nil, err
-		}
 	}
 	sent, delivered, lost := h.BeaconStats()
 	var ebrakes int64

@@ -853,12 +853,12 @@ func (s *Server) runContained(ctx context.Context, j *job) (err error) {
 
 // run builds the scenario and streams the replicated run into the job.
 func (s *Server) run(ctx context.Context, j *job) error {
-	sc, err := j.spec.scenario()
+	sc, err := j.spec.Build()
 	if err != nil {
 		return err
 	}
 	var encErr error
-	rep, err := s.cfg.Runner.RunStream(ctx, sc, j.spec.options(s.cfg.Parallel),
+	rep, err := s.cfg.Runner.RunStream(ctx, sc, j.spec.Options(s.cfg.Parallel),
 		func(i int, seed int64, res *metrics.Result) {
 			line, err := replicaLine(i, seed, res)
 			if err != nil {

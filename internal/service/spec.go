@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"time"
 
 	"karyon/internal/experiments"
@@ -91,23 +92,23 @@ const (
 	kindExperiment
 )
 
-func (s JobSpec) kind() (scenarioKind, error) {
+// kind classifies the spec; for kindExperiment it also returns the
+// registry entry.
+func (s JobSpec) kind() (scenarioKind, experiments.Experiment, error) {
 	switch s.Scenario {
 	case "highway":
-		return kindHighway, nil
+		return kindHighway, experiments.Experiment{}, nil
 	case "megahighway":
-		return kindMegaHighway, nil
+		return kindMegaHighway, experiments.Experiment{}, nil
 	case "intersection":
-		return kindIntersection, nil
+		return kindIntersection, experiments.Experiment{}, nil
 	case "encounter":
-		return kindEncounter, nil
+		return kindEncounter, experiments.Experiment{}, nil
 	}
-	for _, e := range experiments.All() {
-		if e.ID == s.Scenario {
-			return kindExperiment, nil
-		}
+	if e, ok := experiments.ByID(s.Scenario); ok {
+		return kindExperiment, e, nil
 	}
-	return 0, fmt.Errorf("unknown scenario %q", s.Scenario)
+	return 0, experiments.Experiment{}, fmt.Errorf("unknown scenario %q", s.Scenario)
 }
 
 func parseDur(name, v string) (time.Duration, error) {
@@ -124,6 +125,18 @@ func parseDur(name, v string) (time.Duration, error) {
 	return d, nil
 }
 
+// orDefault returns v, or def when v is zero or negative. A non-finite v
+// is an error: NaN passes every comparison, so it must be named here.
+func orDefault(name string, v, def float64) (float64, error) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("bad %s %v: want a finite number", name, v)
+	}
+	if v <= 0 {
+		return def, nil
+	}
+	return v, nil
+}
+
 // Normalize validates the spec and rewrites it into its canonical
 // spelling: defaults applied explicitly, duration strings re-rendered in
 // Go's canonical form, and every field that does not apply to the chosen
@@ -131,7 +144,7 @@ func parseDur(name, v string) (time.Duration, error) {
 // smuggle two names for the same run. The returned spec is what the daemon
 // stores, hashes, and executes.
 func (s JobSpec) Normalize() (JobSpec, error) {
-	kind, err := s.kind()
+	kind, _, err := s.kind()
 	if err != nil {
 		return JobSpec{}, err
 	}
@@ -200,6 +213,9 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 		default:
 			return JobSpec{}, fmt.Errorf("unknown mode %q", s.Mode)
 		}
+		if math.IsNaN(s.FaultRate) || s.FaultRate < 0 || math.IsInf(s.FaultRate, 1) {
+			return JobSpec{}, fmt.Errorf("bad fault_rate %v: want a finite rate >= 0", s.FaultRate)
+		}
 		n.FaultRate = s.FaultRate
 		setJam()
 		setMedium()
@@ -209,19 +225,17 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 		if n.Cars <= 0 {
 			n.Cars = 200
 		}
-		n.Length = s.Length
-		if n.Length <= 0 {
-			n.Length = 10000
+		if n.Length, err = orDefault("length", s.Length, 10000); err != nil {
+			return JobSpec{}, err
 		}
-		n.V2VRange = s.V2VRange
-		if n.V2VRange <= 0 {
-			n.V2VRange = 300
+		if n.V2VRange, err = orDefault("v2v_range", s.V2VRange, 300); err != nil {
+			return JobSpec{}, err
 		}
 		loss := 0.05
 		if s.Loss != nil {
 			loss = *s.Loss
 		}
-		if loss < 0 || loss > 1 {
+		if !(loss >= 0 && loss <= 1) { // NaN fails both comparisons
 			return JobSpec{}, fmt.Errorf("bad loss %v: want [0,1]", loss)
 		}
 		n.Loss = &loss
@@ -332,15 +346,17 @@ func (s JobSpec) CacheKey(build string) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// scenario builds the runnable harness.Scenario for a normalized spec.
-func (s JobSpec) scenario() (harness.Scenario, error) {
-	dur, _ := parseDur("duration", s.Duration)
-	jamEvery, _ := parseDur("jam_every", s.JamEvery)
-	jamBurst, _ := parseDur("jam_burst", s.JamBurst)
-	kind, err := s.kind()
+// Build returns the runnable harness.Scenario for a normalized spec.
+// It is the one mapping from a job's knobs to a run: the daemon executes
+// it, and karyon-sim runs it in-process.
+func (s JobSpec) Build() (harness.Scenario, error) {
+	kind, exp, err := s.kind()
 	if err != nil {
 		return nil, err
 	}
+	dur, _ := parseDur("duration", s.Duration)
+	jamEvery, _ := parseDur("jam_every", s.JamEvery)
+	jamBurst, _ := parseDur("jam_burst", s.JamBurst)
 	switch kind {
 	case kindHighway:
 		return harness.HighwayScenario{
@@ -366,19 +382,13 @@ func (s JobSpec) scenario() (harness.Scenario, error) {
 	case kindEncounter:
 		return harness.EncounterScenario{Geometry: s.Geometry, Collaborative: !s.Voice}, nil
 	default:
-		for _, e := range experiments.All() {
-			if e.ID == s.Scenario {
-				return experiments.Harnessed{Exp: e, Short: s.Short, Medium: s.Medium}, nil
-			}
-		}
-		return nil, fmt.Errorf("unknown scenario %q", s.Scenario)
+		return experiments.Harnessed{Exp: exp, Short: s.Short, Medium: s.Medium}, nil
 	}
 }
 
-// options builds the harness options for a normalized spec; parallel is
-// the per-job replica pool width chosen by the daemon (wall time only,
-// never identity).
-func (s JobSpec) options(parallel int) harness.Options {
+// Options builds the harness options for a normalized spec; parallel is
+// the replica pool width (wall time only, never identity).
+func (s JobSpec) Options(parallel int) harness.Options {
 	return harness.Options{Seed: s.Seed, Replicas: s.Replicas, Parallel: parallel, Shards: s.Shards}
 }
 

@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -160,19 +161,61 @@ func TestCacheKeyBuildSensitivity(t *testing.T) {
 }
 
 func TestNormalizeRejectsBadSpecs(t *testing.T) {
-	bad := []JobSpec{
-		{Scenario: ""},
-		{Scenario: "warp-drive"},
-		{Scenario: "highway", Mode: "bogus"},
-		{Scenario: "highway", Duration: "soon"},
-		{Scenario: "highway", Duration: "-5s"},
-		{Scenario: "encounter", Geometry: "spiral"},
-		{Scenario: "megahighway", Loss: ptr(1.5)},
-		{Scenario: "highway", Timeout: "whenever"},
+	for _, tc := range []struct {
+		spec JobSpec
+		want string // substring of the error; empty = any error
+	}{
+		{JobSpec{Scenario: ""}, ""},
+		{JobSpec{Scenario: "warp-drive"}, ""},
+		{JobSpec{Scenario: "highway", Mode: "bogus"}, ""},
+		{JobSpec{Scenario: "highway", Duration: "soon"}, ""},
+		{JobSpec{Scenario: "highway", Duration: "-5s"}, ""},
+		{JobSpec{Scenario: "encounter", Geometry: "spiral"}, ""},
+		{JobSpec{Scenario: "megahighway", Loss: ptr(1.5)}, ""},
+		{JobSpec{Scenario: "highway", Timeout: "whenever"}, ""},
+		// Non-finite and negative knobs: NaN passes every range
+		// comparison, so each one is named.
+		{JobSpec{Scenario: "megahighway", Loss: ptr(math.NaN())}, "bad loss NaN: want [0,1]"},
+		{JobSpec{Scenario: "megahighway", Length: math.NaN()}, "bad length NaN"},
+		{JobSpec{Scenario: "megahighway", Length: math.Inf(1)}, "bad length +Inf"},
+		{JobSpec{Scenario: "megahighway", V2VRange: math.NaN()}, "bad v2v_range NaN"},
+		{JobSpec{Scenario: "megahighway", V2VRange: math.Inf(-1)}, "bad v2v_range -Inf"},
+		{JobSpec{Scenario: "highway", FaultRate: -1}, "bad fault_rate -1"},
+		{JobSpec{Scenario: "highway", FaultRate: math.NaN()}, "bad fault_rate NaN"},
+		{JobSpec{Scenario: "highway", FaultRate: math.Inf(1)}, "bad fault_rate +Inf"},
+	} {
+		_, err := tc.spec.Normalize()
+		if err == nil {
+			t.Errorf("Normalize(%+v) accepted a bad spec", tc.spec)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Normalize(%+v) = %v, want %q", tc.spec, err, tc.want)
+		}
 	}
-	for _, spec := range bad {
-		if _, err := spec.Normalize(); err == nil {
-			t.Errorf("Normalize(%+v) accepted a bad spec", spec)
+}
+
+// TestCacheKeyGolden pins job IDs under a fixed build string. A job ID
+// names an archived result stream, so a refactor of the spec must leave
+// every key as it was; a deliberate change bumps specVersion instead.
+func TestCacheKeyGolden(t *testing.T) {
+	for _, tc := range []struct {
+		spec JobSpec
+		key  string
+	}{
+		{JobSpec{Scenario: "highway"}, "7991474902dc532a4d5ebd5643da574ffcd10737c10f271d1c1696d009e5b4bb"},
+		{JobSpec{Scenario: "megahighway"}, "7155d9fac62b9f0dcf352a14fff3657e4a8f328370713f9d6e3872136aa1bd2e"},
+		{JobSpec{Scenario: "intersection"}, "e28606b85d752bc8d84cb9755d8af6c82a284f9f86527c441dffc845e9a428a1"},
+		{JobSpec{Scenario: "encounter"}, "73481daa7c82845f8ab5ecef42125f73e11f45b992ae2ad5744b57e830210d09"},
+		{JobSpec{Scenario: "E12", Short: true}, "d31b198e46fc4cd0387e818c562fece7cdf23cd1a474d30a963cf120afff48f3"},
+		{JobSpec{Scenario: "megahighway", Loss: ptr(0.0)}, "b134a842479c6790d11c5e32610eda5788bc065c2214fe50947814a744f51c3f"},
+		{JobSpec{Scenario: "megahighway", Seed: 4, Duration: "2s", Cars: 60, Length: 3000,
+			Medium: true, Channels: 2, JamEvery: "1s", JamBurst: "300ms"}, "fe0cd8b94b0673a937959c9f034e8b24588ee27be81f2b0de3c467520f8b50e1"},
+	} {
+		key, err := tc.spec.CacheKey("golden-build")
+		if err != nil {
+			t.Fatalf("CacheKey(%+v): %v", tc.spec, err)
+		}
+		if key != tc.key {
+			t.Errorf("CacheKey(%+v) = %s, want %s", tc.spec, key, tc.key)
 		}
 	}
 }

@@ -173,10 +173,6 @@ func hotOf(c *Car) carHot {
 	}
 }
 
-// debugCollisions, when set by a test, prints the full geometry of every
-// collision — the fastest way to diagnose a lane-change safety hole.
-var debugCollisions = false
-
 // debugSnapshotSync, when set by a test, asserts at every barrier that the
 // stitched snapshot still matches the cars' kinematic state — i.e. that no
 // scheduled action violated the incremental snapshot's contract (snapshots
@@ -774,12 +770,6 @@ func (h *Highway) accountMetrics() bool {
 		}
 		if lead != nil && gap <= 0 {
 			c := h.cars[id]
-			if debugCollisions {
-				lc := h.cars[lead.id]
-				fmt.Printf("COLLISION t=%v car=%d lane=%d x=%.1f v=%.1f man=%v->%d | lead=%d lane=%d x=%.1f v=%.1f man=%v->%d\n",
-					h.sk.Now(), c.ID, c.Body.Lane, c.Body.X, c.Body.Speed, c.maneuver.Active(), c.maneuver.TargetLane,
-					lc.ID, lc.Body.Lane, lc.Body.X, lc.Body.Speed, lc.maneuver.Active(), lc.maneuver.TargetLane)
-			}
 			h.Collisions++
 			// Resolve the overlap so one event is counted once, not forever.
 			c.Body.X = math.Mod(lead.x-lead.length-0.5+h.cfg.Length, h.cfg.Length)
