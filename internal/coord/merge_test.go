@@ -34,8 +34,9 @@ func updateOne(t *StateTable, s CoopState, accel float64) {
 // tableBytes is everything a checkpoint writes of a table.
 func tableBytes(t *StateTable) []byte {
 	var e trace.Enc
-	t.EncodeState(&e)
-	t.EncodeAccels(&e)
+	c := trace.Encoder(&e)
+	t.State(c)
+	t.AccelState(c)
 	return e.Bytes()
 }
 

@@ -470,8 +470,8 @@ func TestDesignBuildSharesDesignNotState(t *testing.T) {
 	}
 	// The codec carries the run-time state over between kernels of one design.
 	var e trace.Enc
-	m1.EncodeState(&e)
-	m2.DecodeState(trace.NewDec(e.Bytes()))
+	m1.State(trace.Encoder(&e))
+	m2.State(trace.Decoder(trace.NewDec(e.Bytes())))
 	if f2.Current() != 2 {
 		t.Fatalf("decoded kernel at %v, want LoS2", f2.Current())
 	}

@@ -1,101 +1,97 @@
 package core
 
-import (
-	"karyon/internal/sim"
-	"karyon/internal/trace"
-)
+import "karyon/internal/trace"
 
 // Checkpoint codecs for the safety kernel: everything the manager, its
 // functionalities, the runtime-information store and the actuation gate
 // mutate during control cycles. Design-time structure (rules, envelopes,
 // level counts) is immutable after construction and is not encoded; a
-// decoder restores into a manager built with the same structure and
-// fails on input that does not fit it. The runtime indicators encode
-// sorted by key, whatever slot they sit in: the same logical state always
-// encodes to the same bytes.
+// restore goes into a manager built with the same structure and fails on
+// input that does not fit it.
 
-// EncodeState appends the manager's cycle count, every functionality's
-// level bookkeeping and the runtime indicators to e. Of the append-only
-// Switches log only the length is encoded.
-func (m *Manager) EncodeState(e *trace.Enc) {
-	e.I64(m.Cycles)
-	e.U32(uint32(len(m.ordered)))
-	for _, f := range m.ordered {
-		e.I64(int64(f.current))
-		e.I64(int64(f.upStreak))
-		e.I64(int64(len(f.Switches)))
-		e.I64(int64(f.enteredAt))
-		e.U32(uint32(f.d.levels))
-		for l := LoS(1); int(l) <= f.d.levels; l++ {
-			e.I64(int64(f.timeAt[l]))
-		}
-	}
-	var buf [8]string
-	keys := m.ri.appendKeys(buf[:0])
-	e.U32(uint32(len(keys)))
-	for _, k := range keys {
-		ind, _ := m.ri.Get(k)
-		e.Str(k)
-		e.F64(ind.Value)
-		e.I64(int64(ind.UpdatedAt))
-	}
-}
-
-// DecodeState restores state written by EncodeState. The Switches log is
-// truncated back to the encoded length; a freshly built manager's log is
-// shorter than that and is left as it is, because the entries themselves
-// are not in the checkpoint. Runtime indicators set since the checkpoint
-// are dropped.
-func (m *Manager) DecodeState(d *trace.Dec) {
-	m.Cycles = d.I64()
-	if !d.CountIs(len(m.ordered), "functionality") {
+// State visits the manager's cycle count, every functionality's level
+// bookkeeping and the runtime indicators. Of the append-only Switches log
+// only the length is encoded: a restore truncates the log back to it, and
+// leaves a freshly built manager's shorter log as it is, because the
+// entries themselves are not in the checkpoint.
+func (m *Manager) State(c *trace.Codec) {
+	trace.Int(c, &m.Cycles)
+	if !c.LenIs(len(m.ordered), "functionality") {
 		return
 	}
 	for _, f := range m.ordered {
-		f.current = LoS(d.I64())
-		f.upStreak = int(d.I64())
-		switches := d.I64()
-		f.enteredAt = sim.Time(d.I64())
-		if !d.CountIs(f.d.levels, "time-at-level") {
+		trace.Int(c, &f.current)
+		trace.Int(c, &f.upStreak)
+		switches := len(f.Switches)
+		trace.Int(c, &switches)
+		trace.Int(c, &f.enteredAt)
+		if !c.LenIs(f.d.levels, "time-at-level") {
 			return
 		}
-		for l := LoS(1); int(l) <= f.d.levels; l++ {
-			f.timeAt[l] = sim.Time(d.I64())
+		for l := 1; l <= f.d.levels; l++ {
+			trace.Int(c, &f.timeAt[l])
+		}
+		if !c.Decoding() {
+			continue
 		}
 		switch {
 		case f.current < LevelSafe || int(f.current) > f.d.levels:
-			d.Fail("functionality %q at level %d outside 1..%d", f.d.name, f.current, f.d.levels)
+			c.Fail("functionality %q at level %d outside 1..%d", f.d.name, f.current, f.d.levels)
 			return
 		case switches < 0:
-			d.Fail("functionality %q has %d switches", f.d.name, switches)
+			c.Fail("functionality %q has %d switches", f.d.name, switches)
 			return
-		case switches <= int64(len(f.Switches)):
+		case switches <= len(f.Switches):
 			f.Switches = f.Switches[:switches]
 		}
 	}
-	ri := m.ri
-	ri.clear()
-	for i, n := 0, d.Count(20); i < n && d.Err() == nil; i++ {
-		b := d.Blob()
-		ind := Indicator{Value: d.F64(), UpdatedAt: sim.Time(d.I64())}
-		// A key the table has takes its slot without allocating its name.
-		if slot, ok := ri.keys.slot[string(b)]; ok {
+	m.ri.state(c)
+}
+
+// state visits the indicators sorted by key, whatever slot they sit in:
+// the same logical state always encodes to the same bytes. A restore drops
+// the indicators set since the checkpoint and requires strictly ascending
+// keys; a key the table has takes its slot without allocating its name.
+func (ri *RuntimeInfo) state(c *trace.Codec) {
+	var buf [8]string
+	var keys []string
+	if c.Decoding() {
+		ri.clear()
+	} else {
+		keys = ri.appendKeys(buf[:0])
+	}
+	n := c.Len(len(keys), 20)
+	var prev []byte
+	for i := range n {
+		var key []byte
+		var ind Indicator
+		if d := c.Dec(); d != nil {
+			key = d.Blob()
+		} else {
+			ind, _ = ri.Get(keys[i])
+			c.Str(&keys[i])
+		}
+		c.F64(&ind.Value)
+		trace.Int(c, &ind.UpdatedAt)
+		if !c.Decoding() {
+			continue
+		}
+		if i > 0 && string(key) <= string(prev) {
+			c.Fail("indicator %q after %q", key, prev)
+			return
+		}
+		prev = key
+		if slot, ok := ri.keys.slot[string(key)]; ok {
 			ri.store(slot, "", ind)
 		} else {
-			key := string(b)
-			ri.store(ri.keys.intern(key), key, ind)
+			k := string(key)
+			ri.store(ri.keys.intern(k), k, ind)
 		}
 	}
 }
 
-// EncodeState appends the gate's counters to e.
-func (g *Gate) EncodeState(e *trace.Enc) {
-	e.I64(g.Clamped)
-	e.I64(g.Passed)
-}
-
-// DecodeState restores state written by EncodeState.
-func (g *Gate) DecodeState(d *trace.Dec) {
-	g.Clamped = d.I64()
-	g.Passed = d.I64()
+// State visits the gate's counters.
+func (g *Gate) State(c *trace.Codec) {
+	trace.Int(c, &g.Clamped)
+	trace.Int(c, &g.Passed)
 }

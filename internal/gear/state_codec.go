@@ -1,33 +1,17 @@
 package gear
 
-import (
-	"karyon/internal/sim"
-	"karyon/internal/trace"
-)
+import "karyon/internal/trace"
 
-// EncodeState appends the estimator's full state (gains and filter
-// memory) to e, for the record/replay trace checkpoints.
-func (le *LeadEstimator) EncodeState(e *trace.Enc) {
-	e.F64(le.Alpha)
-	e.F64(le.Beta)
-	e.F64(le.MinValidity)
-	e.I64(int64(le.lastAt))
-	e.F64(le.lastGap)
-	e.F64(le.relSpeed)
-	e.F64(le.leadSpeed)
-	e.F64(le.leadAccel)
-	e.I64(int64(le.samples))
-}
-
-// DecodeState reads estimator state written by EncodeState.
-func (le *LeadEstimator) DecodeState(d *trace.Dec) {
-	le.Alpha = d.F64()
-	le.Beta = d.F64()
-	le.MinValidity = d.F64()
-	le.lastAt = sim.Time(d.I64())
-	le.lastGap = d.F64()
-	le.relSpeed = d.F64()
-	le.leadSpeed = d.F64()
-	le.leadAccel = d.F64()
-	le.samples = int(d.I64())
+// State visits the estimator's full state (gains and filter memory), for
+// the record/replay trace checkpoints.
+func (le *LeadEstimator) State(c *trace.Codec) {
+	c.F64(&le.Alpha)
+	c.F64(&le.Beta)
+	c.F64(&le.MinValidity)
+	trace.Int(c, &le.lastAt)
+	c.F64(&le.lastGap)
+	c.F64(&le.relSpeed)
+	c.F64(&le.leadSpeed)
+	c.F64(&le.leadAccel)
+	trace.Int(c, &le.samples)
 }

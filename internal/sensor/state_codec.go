@@ -4,96 +4,68 @@ import (
 	"errors"
 	"slices"
 
-	"karyon/internal/sim"
 	"karyon/internal/trace"
 )
 
-// Checkpoint codecs for the record/replay trace: each method writes or
-// reads the live object's mutable state in a fixed order. Encoding must
-// be a pure function of the state (no map iteration, no addresses) so
-// identical states always produce identical bytes. A decoder restores
-// into an already constructed object and treats its input as hostile:
-// anything the object's structure cannot take fails the decode.
+// Checkpoint codecs for the record/replay trace: each State method visits
+// the live object's mutable state in a fixed order, writing it or
+// restoring it. Encoding must be a pure function of the state (no map
+// iteration, no addresses) so identical states always produce identical
+// bytes. A restore goes into an already constructed object and treats its
+// input as hostile: anything the object's structure cannot take fails the
+// decode.
 
-// EncodeState appends the transducer's stuck-at latch to e. The noise
-// stream is owned and checkpointed by the entity that constructed the
-// sensor; fault episodes come only from fault campaigns, which a
-// recording refuses, so they are not part of it.
-func (p *Physical) EncodeState(e *trace.Enc) {
-	e.F64(p.stuck)
-	e.Bool(p.stuckSet)
+// State visits the transducer's stuck-at latch. The noise stream is owned
+// and checkpointed by the entity that constructed the sensor; fault
+// episodes come only from fault campaigns, which a recording refuses, so
+// they are not part of it.
+func (p *Physical) State(c *trace.Codec) {
+	c.F64(&p.stuck)
+	c.Bool(&p.stuckSet)
 }
 
-// DecodeState restores state written by EncodeState.
-func (p *Physical) DecodeState(d *trace.Dec) {
-	p.stuck = d.F64()
-	p.stuckSet = d.Bool()
+func (r *Reading) state(c *trace.Codec) {
+	c.F64(&r.Value)
+	trace.Int(c, &r.Time)
+	c.F64(&r.Validity)
+	c.Str(&r.Source)
 }
 
-func encodeReading(e *trace.Enc, r Reading) {
-	e.F64(r.Value)
-	e.I64(int64(r.Time))
-	e.F64(r.Validity)
-	e.Str(r.Source)
-}
-
-// decodeReading reads a reading written by encodeReading. A source equal
-// to held comes back as held itself, without allocating.
-func decodeReading(d *trace.Dec, held string) Reading {
-	var r Reading
-	r.Value = d.F64()
-	r.Time = sim.Time(d.I64())
-	r.Validity = d.F64()
-	r.Source = d.StrReuse(held)
-	return r
-}
-
-// EncodeState appends the unit's history window, oldest reading first,
-// and last verdicts to e.
-func (fm *FaultManagement) EncodeState(e *trace.Enc) {
-	e.U32(uint32(fm.hist.Len()))
-	older, newer := fm.hist.oldestFirst()
-	for _, r := range older {
-		encodeReading(e, r)
-	}
-	for _, r := range newer {
-		encodeReading(e, r)
-	}
-	e.U32(uint32(len(fm.lastVerdicts)))
-	for _, v := range fm.lastVerdicts {
-		e.F64(v.Validity)
-		e.Bool(v.Dominant)
-	}
-	e.Bool(fm.assessed)
-}
-
-// DecodeState restores state written by EncodeState. The history may not
-// outgrow the unit's window, and there must be one verdict per detector.
-// The history is sized once, and its readings, which all name the same
-// source, share one source string.
-func (fm *FaultManagement) DecodeState(d *trace.Dec) {
+// State visits the unit's history window, oldest reading first, and last
+// verdicts. A restore refills the ring at head 0, sized once; the history
+// may not outgrow the unit's window, and there must be one verdict per
+// detector. The restored readings, which all name the same source, share
+// one source string.
+func (fm *FaultManagement) State(c *trace.Codec) {
 	h := &fm.hist
-	n := d.Count(25)
-	if n > h.size {
-		d.Fail("history of %d readings exceeds the window of %d", n, h.size)
-		return
-	}
+	n := c.Len(h.Len(), 25)
 	var held string
-	if len(h.buf) > 0 {
-		held = h.buf[0].Source
+	if c.Decoding() {
+		if n > h.size {
+			c.Fail("history of %d readings exceeds the window of %d", n, h.size)
+			return
+		}
+		if len(h.buf) > 0 {
+			held = h.buf[0].Source
+		}
+		h.buf, h.head = slices.Grow(h.buf[:0], n)[:n], 0
 	}
-	h.buf, h.head = slices.Grow(h.buf[:0], n), 0
-	for i := 0; i < n && d.Err() == nil; i++ {
-		r := decodeReading(d, held)
+	for i := range h.buf {
+		r := &h.buf[(h.head+i)%len(h.buf)]
+		if c.Decoding() {
+			r.Source = held
+		}
+		r.state(c)
 		held = r.Source
-		h.buf = append(h.buf, r)
 	}
-	if d.CountIs(len(fm.lastVerdicts), "verdict") {
+	if c.LenIs(len(fm.lastVerdicts), "verdict") {
 		for i := range fm.lastVerdicts {
-			fm.lastVerdicts[i] = Verdict{Validity: d.F64(), Dominant: d.Bool()}
+			v := &fm.lastVerdicts[i]
+			c.F64(&v.Validity)
+			c.Bool(&v.Dominant)
 		}
 	}
-	fm.assessed = d.Bool()
+	c.Bool(&fm.assessed)
 }
 
 // lastErr tags: fusion errors are either nil, the sentinel ErrNoData, or
@@ -105,51 +77,46 @@ const (
 	errTagOther
 )
 
-// EncodeState appends the fused sensor's filter, last error and suspects
-// to e. The inputs' own state is encoded separately, through their
-// Physical and FaultManagement parts.
-func (rs *Reliable) EncodeState(e *trace.Enc) {
+// State visits the fused sensor's filter, last error and suspects. The
+// inputs' own state is visited separately, through their Physical and
+// FaultManagement parts.
+func (rs *Reliable) State(c *trace.Codec) {
 	f := rs.filter
-	e.F64(f.Alpha)
-	e.F64(f.Gate)
-	e.F64(f.est)
-	e.Bool(f.started)
-	e.I64(f.accepted)
-	e.I64(f.rejected)
+	c.F64(&f.Alpha)
+	c.F64(&f.Gate)
+	c.F64(&f.est)
+	c.Bool(&f.started)
+	trace.Int(c, &f.accepted)
+	trace.Int(c, &f.rejected)
+	tag, msg := errTagNil, ""
 	switch {
-	case rs.lastErr == nil:
-		e.U8(errTagNil)
+	case c.Decoding(), rs.lastErr == nil: // read below, or errTagNil
 	case errors.Is(rs.lastErr, ErrNoData):
-		e.U8(errTagNoData)
+		tag = errTagNoData
 	default:
-		e.U8(errTagOther)
-		e.Str(rs.lastErr.Error())
+		tag, msg = errTagOther, rs.lastErr.Error()
 	}
-	e.U32(uint32(len(rs.suspects)))
-	for _, s := range rs.suspects {
-		e.Str(s)
+	c.U8(&tag)
+	if tag == errTagOther {
+		c.Str(&msg)
 	}
-}
-
-// DecodeState restores state written by EncodeState.
-func (rs *Reliable) DecodeState(d *trace.Dec) {
-	f := rs.filter
-	f.Alpha = d.F64()
-	f.Gate = d.F64()
-	f.est = d.F64()
-	f.started = d.Bool()
-	f.accepted = d.I64()
-	f.rejected = d.I64()
-	switch d.U8() {
-	case errTagNil:
-		rs.lastErr = nil
-	case errTagNoData:
-		rs.lastErr = ErrNoData
-	default:
-		rs.lastErr = errors.New(d.Str())
+	if c.Decoding() {
+		switch tag {
+		case errTagNil:
+			rs.lastErr = nil
+		case errTagNoData:
+			rs.lastErr = ErrNoData
+		case errTagOther:
+			rs.lastErr = errors.New(msg)
+		default:
+			c.Fail("unknown error tag %d", tag)
+		}
 	}
-	rs.suspects = rs.suspects[:0]
-	for i, n := 0, d.Count(4); i < n && d.Err() == nil; i++ {
-		rs.suspects = append(rs.suspects, d.Str())
+	n := c.Len(len(rs.suspects), 4)
+	if c.Decoding() {
+		rs.suspects = slices.Grow(rs.suspects[:0], n)[:n]
+	}
+	for i := range rs.suspects {
+		c.Str(&rs.suspects[i])
 	}
 }

@@ -4,7 +4,7 @@
 // reader that fails on truncated or corrupt input without ever
 // panicking. The package depends only on the standard library so every
 // state-owning package (sensor, coord, core, gear, vehicle, wireless)
-// can implement its own encode/decode methods against it.
+// can name its checkpointed fields once, in a State(*Codec) method.
 package trace
 
 import (
@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // ErrCorrupt is wrapped by every decode failure: truncated input,
@@ -158,18 +159,6 @@ func (d *Dec) Str() string {
 	return string(d.take(int(d.U32())))
 }
 
-// StrReuse decodes a string like Str, but returns held itself, without
-// allocating, when the encoded bytes equal it. Decoders pass the value the
-// field holds already, or the one decoded just before it, so a label that
-// repeats across a checkpoint costs one allocation instead of one per value.
-func (d *Dec) StrReuse(held string) string {
-	b := d.take(int(d.U32()))
-	if string(b) == held {
-		return held
-	}
-	return string(b)
-}
-
 // Blob decodes a length-prefixed byte slice as a view of the input, not
 // a copy: it aliases the bytes NewDec was given and is valid as long as
 // they are unchanged. Its capacity equals its length, so appending to it
@@ -197,13 +186,120 @@ func (d *Dec) Count(min int) int {
 	return n
 }
 
-// CountIs decodes a u32 element count that must equal want, the length of
-// a fixed structure in the object being restored, and fails otherwise. It
-// reports whether decoding can go on.
-func (d *Dec) CountIs(want int, what string) bool {
-	n := d.U32()
-	if d.err == nil && int64(n) != int64(want) {
-		d.Fail("%s count %d, want %d", what, n, want)
+// Codec is one pass over a component's checkpointed state: it writes each
+// field through an Enc, or reads each field from a Dec back into the live
+// object. A component names every field once, in one State(*Codec)
+// method, so its encoder and decoder cannot disagree on the order. Work
+// only a restore does (validation, rebuilding derived structure) goes
+// behind Decoding. Each method is a plain branch on the mode, so encoding
+// stays one call per field.
+type Codec struct {
+	e *Enc
+	d *Dec
+}
+
+// Encoder returns a Codec that appends the fields it visits to e.
+func Encoder(e *Enc) *Codec { return &Codec{e: e} }
+
+// Decoder returns a Codec that reads the fields it visits from d.
+func Decoder(d *Dec) *Codec { return &Codec{d: d} }
+
+// Decoding reports whether c restores state rather than writing it.
+func (c *Codec) Decoding() bool { return c.d != nil }
+
+// Dec returns the decoder while decoding and nil while encoding.
+func (c *Codec) Dec() *Dec { return c.d }
+
+// Fail fails the decode, as Dec.Fail does. Encoding ignores it: only a
+// restore validates what it reads.
+func (c *Codec) Fail(format string, args ...any) {
+	if c.d != nil {
+		c.d.Fail(format, args...)
 	}
-	return d.err == nil
+}
+
+func (c *Codec) U8(v *uint8) {
+	if c.d != nil {
+		*v = c.d.U8()
+	} else {
+		c.e.U8(*v)
+	}
+}
+
+// U64 visits a u64. F64 goes through it too, so its decode path makes
+// Dec.U64's checks in line: a float, the commonest field, costs one call
+// to restore as to encode.
+func (c *Codec) U64(v *uint64) {
+	d := c.d
+	if d == nil {
+		c.e.U64(*v)
+		return
+	}
+	if b := d.buf[d.off:]; d.err == nil && len(b) >= 8 {
+		d.off += 8
+		*v = binary.LittleEndian.Uint64(b)
+		return
+	}
+	d.short(8)
+	*v = 0
+}
+
+// F64 visits a float64 as its IEEE 754 bits (math.Float64bits), through
+// U64 in place, so it inlines to one call.
+func (c *Codec) F64(v *float64) { c.U64((*uint64)(unsafe.Pointer(v))) }
+
+func (c *Codec) Bool(v *bool) {
+	if c.d != nil {
+		*v = c.d.Bool()
+	} else {
+		c.e.Bool(*v)
+	}
+}
+
+// Str visits a length-prefixed string. Decoding keeps the string *v
+// holds, without allocating, when the encoded bytes equal it: a restore
+// that starts a field from the value held already, or from the one
+// decoded just before it, pays one allocation for a label that repeats
+// across a checkpoint instead of one per value.
+func (c *Codec) Str(v *string) {
+	if c.d == nil {
+		c.e.Str(*v)
+	} else if b := c.d.take(int(c.d.U32())); string(b) != *v {
+		*v = string(b)
+	}
+}
+
+// Int visits an integer field as an i64.
+func Int[T ~int | ~int64](c *Codec, v *T) {
+	if c.d != nil {
+		*v = T(c.d.I64())
+	} else {
+		c.e.I64(int64(*v))
+	}
+}
+
+// Len visits an element count: encoding writes n and returns it, decoding
+// returns the count it reads, or 0 after failing the decode for a count
+// the remaining input cannot hold at min bytes per element (see
+// Dec.Count). A decoder sizes its slice to the result once.
+func (c *Codec) Len(n, min int) int {
+	if c.d != nil {
+		return c.d.Count(min)
+	}
+	c.e.U32(uint32(n))
+	return n
+}
+
+// LenIs visits the length n of a fixed structure in the object being
+// restored: decoding fails unless the count it reads equals n. It reports
+// whether the pass can go on.
+func (c *Codec) LenIs(n int, what string) bool {
+	if c.d == nil {
+		c.e.U32(uint32(n))
+		return true
+	}
+	if got := c.d.U32(); c.d.err == nil && int64(got) != int64(n) {
+		c.d.Fail("%s count %d, want %d", what, got, n)
+	}
+	return c.d.err == nil
 }

@@ -2,24 +2,13 @@ package vehicle
 
 import "karyon/internal/trace"
 
-// EncodeState appends the maneuver's full state (including the
-// unexported activity flag) to e, for the record/replay trace
-// checkpoints.
-func (m *Maneuver) EncodeState(e *trace.Enc) {
-	e.I64(int64(m.TargetLane))
-	e.F64(m.Progress)
-	e.F64(m.Duration)
-	e.Bool(m.active)
-	e.I64(m.Aborts)
-	e.I64(m.Completions)
-}
-
-// DecodeState reads maneuver state written by EncodeState.
-func (m *Maneuver) DecodeState(d *trace.Dec) {
-	m.TargetLane = int(d.I64())
-	m.Progress = d.F64()
-	m.Duration = d.F64()
-	m.active = d.Bool()
-	m.Aborts = d.I64()
-	m.Completions = d.I64()
+// State visits the maneuver's full state (including the unexported
+// activity flag), for the record/replay trace checkpoints.
+func (m *Maneuver) State(c *trace.Codec) {
+	trace.Int(c, &m.TargetLane)
+	c.F64(&m.Progress)
+	c.F64(&m.Duration)
+	c.Bool(&m.active)
+	trace.Int(c, &m.Aborts)
+	trace.Int(c, &m.Completions)
 }

@@ -311,7 +311,7 @@ func (m *ShardedMedium) Reserve(n int) {
 
 // Prime pre-creates the loss streams for a contiguous id range at their
 // deterministic initial state. A record/replay checkpoint restore primes
-// every receiver first, so DecodeState finds a stream for each node the
+// every receiver first, so State finds a stream for each node the
 // checkpoint names.
 func (m *ShardedMedium) Prime(first, last NodeID) {
 	for id := first; id <= last; id++ {

@@ -463,8 +463,8 @@ func TestShardedPartitionedVisitMatchesResolve(t *testing.T) {
 			}
 		}
 		var ea, eb trace.Enc
-		ref.EncodeState(&ea)
-		split.EncodeState(&eb)
+		ref.State(trace.Encoder(&ea))
+		split.State(trace.Encoder(&eb))
 		if !bytes.Equal(ea.Bytes(), eb.Bytes()) {
 			t.Fatalf("parts=%d: checkpoints differ: the receivers' loss streams drew differently", parts)
 		}
@@ -547,8 +547,8 @@ func TestQueueOrderIrrelevant(t *testing.T) {
 		t.Fatalf("degenerate outcome mix: %+v", s)
 	}
 	var ea, eb trace.Enc
-	byID.EncodeState(&ea)
-	shuffled.EncodeState(&eb)
+	byID.State(trace.Encoder(&ea))
+	shuffled.State(trace.Encoder(&eb))
 	if !bytes.Equal(ea.Bytes(), eb.Bytes()) {
 		t.Fatal("checkpoints differ: the receivers' loss streams drew differently")
 	}

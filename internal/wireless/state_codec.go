@@ -1,83 +1,72 @@
 package wireless
 
-import (
-	"karyon/internal/sim"
-	"karyon/internal/trace"
-)
+import "karyon/internal/trace"
 
-// EncodeState appends the medium's checkpoint to e for the record/replay
-// trace: the accounting counters, the jam bursts, and every created
-// receiver stream's generator state, in node ID order for deterministic
+// State visits the medium's checkpoint for the record/replay trace: the
+// accounting counters, the jam bursts, and every created receiver
+// stream's generator state, in ascending node ID order for deterministic
 // bytes. Pending frames are not part of it — checkpoints are taken at
-// window barriers, after Resolve has emptied the queue. Barrier-only.
-func (m *ShardedMedium) EncodeState(e *trace.Enc) {
-	e.I64(m.stats.Queued)
-	e.I64(m.stats.Sent)
-	e.I64(m.stats.Deferred)
-	e.I64(m.stats.Delivered)
-	e.I64(m.stats.Collisions)
-	e.I64(m.stats.Losses)
-	e.I64(m.stats.Jammed)
-	e.I64(m.stats.OutOfRange)
-	e.I64(m.stats.Retries)
+// window barriers, after Resolve has emptied the queue, and a restore
+// empties it. A restore needs the checkpoint's channel count, receivers in
+// strictly ascending order, and a primed stream (see Prime) for every
+// receiver the checkpoint names; anything else fails the decode.
+// Barrier-only.
+func (m *ShardedMedium) State(c *trace.Codec) {
+	s := &m.stats
+	trace.Int(c, &s.Queued)
+	trace.Int(c, &s.Sent)
+	trace.Int(c, &s.Deferred)
+	trace.Int(c, &s.Delivered)
+	trace.Int(c, &s.Collisions)
+	trace.Int(c, &s.Losses)
+	trace.Int(c, &s.Jammed)
+	trace.Int(c, &s.OutOfRange)
+	trace.Int(c, &s.Retries)
 	// All starts, then all untils: the layout of the checkpoint format.
-	e.U32(uint32(len(m.jams)))
-	for _, b := range m.jams {
-		e.I64(int64(b.Start))
-	}
-	e.U32(uint32(len(m.jams)))
-	for _, b := range m.jams {
-		e.I64(int64(b.Until))
-	}
-	n := 0
-	for _, live := range m.live {
-		if live {
-			n++
-		}
-	}
-	e.U32(uint32(n))
-	for id, live := range m.live {
-		if live {
-			e.I64(int64(id))
-			e.U64(m.rx[id].State())
-		}
-	}
-}
-
-// DecodeState restores a checkpoint written by EncodeState and empties the
-// frame queue. The medium must have the checkpoint's channel count and a
-// primed stream (see Prime) for every receiver the checkpoint names; a
-// receiver without one fails the decode. Barrier-only.
-func (m *ShardedMedium) DecodeState(d *trace.Dec) {
-	m.stats.Queued = d.I64()
-	m.stats.Sent = d.I64()
-	m.stats.Deferred = d.I64()
-	m.stats.Delivered = d.I64()
-	m.stats.Collisions = d.I64()
-	m.stats.Losses = d.I64()
-	m.stats.Jammed = d.I64()
-	m.stats.OutOfRange = d.I64()
-	m.stats.Retries = d.I64()
-	if !d.CountIs(len(m.jams), "jam channel") {
+	if !c.LenIs(len(m.jams), "jam channel") {
 		return
 	}
 	for i := range m.jams {
-		m.jams[i].Start = sim.Time(d.I64())
+		trace.Int(c, &m.jams[i].Start)
 	}
-	if !d.CountIs(len(m.jams), "jam channel") {
+	if !c.LenIs(len(m.jams), "jam channel") {
 		return
 	}
 	for i := range m.jams {
-		m.jams[i].Until = sim.Time(d.I64())
+		trace.Int(c, &m.jams[i].Until)
 	}
-	for i, n := 0, d.Count(16); i < n && d.Err() == nil; i++ {
-		id := d.I64()
-		state := d.U64()
-		if id < 0 || id >= int64(len(m.rx)) || !m.live[id] {
-			d.Fail("receiver %d has no loss stream", id)
+	live := 0
+	for _, ok := range m.live {
+		if ok {
+			live++
+		}
+	}
+	id, prev := NodeID(-1), NodeID(-1)
+	for range c.Len(live, 16) {
+		var state uint64
+		if !c.Decoding() {
+			// The next live receiver.
+			for id++; !m.live[id]; id++ {
+			}
+			state = m.rx[id].State()
+		}
+		trace.Int(c, &id)
+		c.U64(&state)
+		if !c.Decoding() {
+			continue
+		}
+		switch {
+		case id <= prev:
+			c.Fail("receiver %d after %d", id, prev)
+			return
+		case int(id) >= len(m.rx) || !m.live[id]:
+			c.Fail("receiver %d has no loss stream", id)
 			return
 		}
 		m.rx[id].Restore(state)
+		prev = id
 	}
-	m.pending = m.pending[:0]
+	if c.Decoding() {
+		m.pending = m.pending[:0]
+	}
 }

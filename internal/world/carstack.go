@@ -38,8 +38,8 @@ type Car struct {
 	tx *sim.Stream
 	// sensorRx holds the three transducers' noise streams; the Physical
 	// sensors consume them, the car keeps the handles so record/replay
-	// checkpoints (encodeState/decodeState) can capture and restore the
-	// generator states.
+	// checkpoints ((*Car).state) can capture and restore the generator
+	// states.
 	sensorRx [3]*sim.Stream
 
 	// dist is the abstract *reliable* distance sensor: three redundant

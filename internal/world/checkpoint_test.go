@@ -192,12 +192,17 @@ func withCheckpoint(t *testing.T, data []byte, k uint64, state []byte) []byte {
 
 // TestReplayRejectsHostileCheckpoints replays a trace whose checkpoint is
 // each hostile FuzzRestoreCheckpoint seed: a negative Switches length, a
-// functionality count that does not match the manager, and a radio
-// receiver outside the world. Each must be a decode error from
-// ReplayTrace, not a panic and not a divergence.
+// functionality count that does not match the manager, a radio receiver
+// outside the world, a fused sensor's error tag that names no error, and
+// a keyed set that is not in strictly ascending key order (a repeated
+// runtime indicator, a repeated reservation). Each must be a decode error
+// from ReplayTrace, not a panic and not a divergence.
 func TestReplayRejectsHostileCheckpoints(t *testing.T) {
 	traces := map[bool][]byte{}
-	for _, name := range []string{"negative-switches", "functionality-count", "unknown-receiver"} {
+	for _, name := range []string{
+		"negative-switches", "functionality-count", "unknown-receiver",
+		"unknown-error-tag", "repeated-indicator", "repeated-reservation",
+	} {
 		t.Run(name, func(t *testing.T) {
 			medium, state := readFuzzSeed(t, filepath.Join("testdata", "fuzz", "FuzzRestoreCheckpoint", name))
 			if traces[medium] == nil {
@@ -261,8 +266,8 @@ var highwayNotCheckpointed = map[string]string{
 // TestCheckpointCompleteness is the completeness wall for Highway and Car:
 // every field is either on highwayNotCheckpointed or notCheckpointed, or
 // survives encode → restoreCheckpoint into a freshly built world
-// unchanged. A new field fails here until it is encoded, rebuilt by the
-// restore, or listed with a reason. The worlds run long enough, with a
+// unchanged. A new field fails here until a State method visits it, the
+// restore rebuilds it, or it is listed with a reason. The worlds run long enough, with a
 // slow leader and a forced brake, for lane changes, emergency brakes and
 // both beacon paths (abstract loss and the radio) to leave state behind.
 func TestCheckpointCompleteness(t *testing.T) {
@@ -328,7 +333,7 @@ func TestCheckpointCompleteness(t *testing.T) {
 				var diff []string
 				sameState(want.Field(f), got.Field(f), "Car."+name, map[[2]uintptr]bool{}, &diff)
 				for _, d := range diff {
-					t.Errorf("medium=%v car %d: %s differs after a checkpoint restore: encode it in (*Car).encodeState or list it in notCheckpointed", medium, i, d)
+					t.Errorf("medium=%v car %d: %s differs after a checkpoint restore: visit it in (*Car).state or list it in notCheckpointed", medium, i, d)
 				}
 			}
 		}
@@ -348,7 +353,7 @@ func TestCheckpointCompleteness(t *testing.T) {
 			var diff []string
 			sameState(want.Field(f), got.Field(f), "Highway."+name, maps.Clone(sameCar), &diff)
 			for _, d := range diff {
-				t.Errorf("medium=%v: %s differs after a checkpoint restore: encode it in (*Highway).encodeCheckpoint, rebuild it in restoreCheckpoint or list it in highwayNotCheckpointed", medium, d)
+				t.Errorf("medium=%v: %s differs after a checkpoint restore: visit it in (*Highway).checkpoint, rebuild it in restoreCheckpoint or list it in highwayNotCheckpointed", medium, d)
 			}
 		}
 	}

@@ -15,9 +15,10 @@ import (
 // This file is the recording half of the record/replay layer: a trace
 // writer fed from the window barrier, a width-invariant state digest,
 // decision capture in the arbitration and handoff paths, and periodic
-// full-state checkpoints, encoded straight from the live world by each
-// component's EncodeState, so any window range can later be replayed
-// without re-simulating from t=0.
+// full-state checkpoints, visited straight in the live world by each
+// component's State method, which names each restorable field once for
+// both the encoding and the restore, so any window range can later be
+// replayed without re-simulating from t=0.
 //
 // Determinism invariants the trace leans on:
 //   - every window record is a pure function of (seed, config, window):
@@ -265,81 +266,69 @@ func (e *DivergenceError) Error() string {
 		e.Window, kind, e.Got.Digest, e.Want.Digest)
 }
 
-// encodeCheckpoint serializes the complete restorable world state
-// straight from the live world: every car's stack, the behavioral
-// counters, the reservation table, and the radio medium. The output-only
-// histograms are deliberately absent — see the file comment.
-func (h *Highway) encodeCheckpoint(e *trace.Enc) {
-	e.U32(uint32(len(h.cars)))
-	for _, c := range h.cars {
-		c.encodeState(e)
+// checkpoint visits the complete restorable world state, straight in
+// the live world: every car's stack, the behavioral counters, the
+// reservation table, and the radio medium. The output-only histograms are
+// deliberately absent — see the file comment.
+func (h *Highway) checkpoint(c *trace.Codec) {
+	if !c.LenIs(len(h.cars), "car") {
+		return
 	}
-	e.I64(h.Collisions)
-	e.I64(h.Crossers)
-	e.F64(h.speedSum)
-	e.I64(h.speedN)
-	e.I64(h.beaconsDelivered)
-	e.I64(h.beaconsLost)
-	e.I64(h.lastDelivered)
-	e.Bool(h.inOutage)
-	e.I64(int64(h.outageStart))
-	e.I64(int64(h.jam.Start))
-	e.I64(int64(h.jam.Until))
-	h.res.EncodeState(e)
-	e.Bool(h.medium != nil)
+	for _, car := range h.cars {
+		car.state(c)
+	}
+	trace.Int(c, &h.Collisions)
+	trace.Int(c, &h.Crossers)
+	c.F64(&h.speedSum)
+	trace.Int(c, &h.speedN)
+	trace.Int(c, &h.beaconsDelivered)
+	trace.Int(c, &h.beaconsLost)
+	trace.Int(c, &h.lastDelivered)
+	c.Bool(&h.inOutage)
+	trace.Int(c, &h.outageStart)
+	trace.Int(c, &h.jam.Start)
+	trace.Int(c, &h.jam.Until)
+	h.res.State(c)
+	medium := h.medium != nil
+	c.Bool(&medium)
+	if c.Decoding() && medium != (h.medium != nil) {
+		c.Fail("checkpoint medium presence (%v) does not match the world (%v)", medium, h.medium != nil)
+		return
+	}
 	if h.medium != nil {
-		h.medium.EncodeState(e)
+		if c.Decoding() {
+			// The checkpointed stream states cover only receivers that
+			// drew randomness before the checkpoint; priming creates every
+			// receiver's stream at its deterministic initial state first,
+			// so the restore is exact for both populations.
+			h.medium.Prime(0, wireless.NodeID(len(h.cars)-1))
+		}
+		h.medium.State(c)
 	}
 }
 
+// encodeCheckpoint appends the world's checkpoint to e.
+func (h *Highway) encodeCheckpoint(e *trace.Enc) { h.checkpoint(trace.Encoder(e)) }
+
 // restoreCheckpoint rewinds a freshly built (and Started) world to a
-// checkpoint taken at edge: kernel warp, per-car restore, world
-// counters, reservations, medium, then the same
-// assignShards/publishSnapshot/seedWindow sequence Start uses so the
-// next window opens exactly as it did in the recorded run. Scheduled
-// actions at or before the checkpoint edge already happened inside it
-// and are dropped. The checkpoint bytes are hostile input: anything that
-// does not fit the world is an error, never a panic. A failed restore
-// leaves the world half rewound; discard it.
+// checkpoint taken at edge: the checkpoint itself, then kernel warp and
+// the same assignShards/publishSnapshot/seedWindow sequence Start uses,
+// so the next window opens exactly as it did in the recorded run.
+// Scheduled actions at or before the checkpoint edge already happened
+// inside it and are dropped. The checkpoint bytes are hostile input:
+// anything that does not fit the world is an error, never a panic. A
+// failed restore leaves the world half rewound; discard it.
 func (h *Highway) restoreCheckpoint(state []byte, edge sim.Time) error {
 	d := trace.NewDec(state)
-	if !d.CountIs(len(h.cars), "car") {
-		return fmt.Errorf("world: decoding checkpoint: %w", d.Err())
-	}
-	if err := h.sk.Warp(edge); err != nil {
-		return err
-	}
-	for _, c := range h.cars {
-		c.decodeState(d)
-	}
-	h.Collisions = d.I64()
-	h.Crossers = d.I64()
-	h.speedSum = d.F64()
-	h.speedN = d.I64()
-	h.beaconsDelivered = d.I64()
-	h.beaconsLost = d.I64()
-	h.lastDelivered = d.I64()
-	h.inOutage = d.Bool()
-	h.outageStart = sim.Time(d.I64())
-	h.jam.Start = sim.Time(d.I64())
-	h.jam.Until = sim.Time(d.I64())
-	h.res.DecodeState(d)
-	if hasMedium := d.Bool(); d.Err() == nil && hasMedium != (h.medium != nil) {
-		return fmt.Errorf("world: checkpoint medium presence (%v) does not match the world (%v)", hasMedium, h.medium != nil)
-	}
-	if h.medium != nil {
-		// The checkpointed stream states cover only receivers that drew
-		// randomness before the checkpoint; priming creates every
-		// receiver's stream at its deterministic initial state first, so
-		// the restore is exact for both populations.
-		h.medium.Prime(0, wireless.NodeID(len(h.cars)-1))
-		h.medium.DecodeState(d)
-	}
+	h.checkpoint(trace.Decoder(d))
 	if n := d.Remaining(); d.Err() == nil && n > 0 {
 		d.Fail("%d trailing bytes", n)
 	}
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("world: decoding checkpoint: %w", err)
+	}
+	if err := h.sk.Warp(edge); err != nil {
+		return err
 	}
 	h.dropPendingThrough(edge)
 	h.assignShards()
@@ -360,108 +349,71 @@ func (h *Highway) dropPendingThrough(edge sim.Time) {
 	h.pending = kept
 }
 
-// encodeState writes the car's complete restorable state, read straight
-// from its stack, in a fixed field order. The state table is written in
-// two places: the neighbours' states after the sensors, their beaconed
-// accelerations after the ACC parameters.
-func (c *Car) encodeState(e *trace.Enc) {
-	e.F64(c.Body.X)
-	e.I64(int64(c.Body.Lane))
-	e.F64(c.Body.Speed)
-	e.F64(c.Body.Accel)
-	e.F64(c.Body.Length)
-	e.I64(int64(c.clock.Now()))
-	e.U64(c.rx.State())
-	e.U64(c.tx.State())
+// state visits the car's complete restorable state, straight in its
+// stack, in a fixed field order. The state table is visited in two
+// places: the neighbours' states after the sensors, their beaconed
+// accelerations after the ACC parameters. A restored position that is not
+// a finite number fails the decode: shard ownership is a function of it.
+func (c *Car) state(k *trace.Codec) {
+	k.F64(&c.Body.X)
+	trace.Int(k, &c.Body.Lane)
+	k.F64(&c.Body.Speed)
+	k.F64(&c.Body.Accel)
+	k.F64(&c.Body.Length)
+	if k.Decoding() && (math.IsNaN(c.Body.X) || math.IsInf(c.Body.X, 0)) {
+		k.Fail("car %d at position %v", c.ID, c.Body.X)
+	}
+	now := c.clock.Now()
+	trace.Int(k, &now)
+	if k.Decoding() {
+		c.clock.Set(now)
+	}
+	stream(k, c.rx)
+	stream(k, c.tx)
 	for _, s := range c.sensorRx {
-		e.U64(s.State())
+		stream(k, s)
 	}
 	for _, in := range c.inputs {
-		in.Physical().EncodeState(e)
+		in.Physical().State(k)
 	}
 	for _, in := range c.inputs {
-		in.FaultManagement().EncodeState(e)
+		in.FaultManagement().State(k)
 	}
-	c.dist.EncodeState(e)
-	c.table.EncodeState(e)
-	c.manager.EncodeState(e)
-	c.gate.EncodeState(e)
-	c.est.EncodeState(e)
-	e.I64(c.hidden.Checks)
-	e.I64(c.hidden.Disagreements)
-	e.F64(c.truthGap)
+	c.dist.State(k)
+	c.table.State(k)
+	c.manager.State(k)
+	c.gate.State(k)
+	c.est.State(k)
+	trace.Int(k, &c.hidden.Checks)
+	trace.Int(k, &c.hidden.Disagreements)
+	k.F64(&c.truthGap)
 	p := &c.params
-	e.F64(p.TimeGap)
-	e.F64(p.StandStill)
-	e.F64(p.GapGain)
-	e.F64(p.SpeedGain)
-	e.F64(p.CruiseSpeed)
-	e.F64(p.MaxAccel)
-	e.F64(p.MaxBrake)
-	c.table.EncodeAccels(e)
-	e.I64(int64(c.forcedBrakeUntil))
-	c.maneuver.EncodeState(e)
-	e.Str(string(c.wantRegion))
-	e.I64(int64(c.wantLane))
-	e.Str(string(c.heldRegion))
-	e.Bool(c.releaseHeld)
-	e.I64(int64(c.nextAttempt))
-	e.I64(c.LaneChanges)
-	e.I64(c.EmergencyBrakes)
-	e.I64(c.DegradedTicks)
-	e.I64(c.beaconsSent)
+	k.F64(&p.TimeGap)
+	k.F64(&p.StandStill)
+	k.F64(&p.GapGain)
+	k.F64(&p.SpeedGain)
+	k.F64(&p.CruiseSpeed)
+	k.F64(&p.MaxAccel)
+	k.F64(&p.MaxBrake)
+	c.table.AccelState(k)
+	trace.Int(k, &c.forcedBrakeUntil)
+	c.maneuver.State(k)
+	k.Str((*string)(&c.wantRegion))
+	trace.Int(k, &c.wantLane)
+	k.Str((*string)(&c.heldRegion))
+	k.Bool(&c.releaseHeld)
+	trace.Int(k, &c.nextAttempt)
+	trace.Int(k, &c.LaneChanges)
+	trace.Int(k, &c.EmergencyBrakes)
+	trace.Int(k, &c.DegradedTicks)
+	trace.Int(k, &c.beaconsSent)
 }
 
-// decodeState restores the car from state written by encodeState. A
-// position that is not a finite number fails the decode: shard
-// ownership is a function of it.
-func (c *Car) decodeState(d *trace.Dec) {
-	c.Body.X = d.F64()
-	c.Body.Lane = int(d.I64())
-	c.Body.Speed = d.F64()
-	c.Body.Accel = d.F64()
-	c.Body.Length = d.F64()
-	if math.IsNaN(c.Body.X) || math.IsInf(c.Body.X, 0) {
-		d.Fail("car %d at position %v", c.ID, c.Body.X)
+// stream visits a random stream's one-word generator state.
+func stream(k *trace.Codec, s *sim.Stream) {
+	state := s.State()
+	k.U64(&state)
+	if k.Decoding() {
+		s.Restore(state)
 	}
-	c.clock.Set(sim.Time(d.I64()))
-	c.rx.Restore(d.U64())
-	c.tx.Restore(d.U64())
-	for _, s := range c.sensorRx {
-		s.Restore(d.U64())
-	}
-	for _, in := range c.inputs {
-		in.Physical().DecodeState(d)
-	}
-	for _, in := range c.inputs {
-		in.FaultManagement().DecodeState(d)
-	}
-	c.dist.DecodeState(d)
-	c.table.DecodeState(d)
-	c.manager.DecodeState(d)
-	c.gate.DecodeState(d)
-	c.est.DecodeState(d)
-	c.hidden.Checks = d.I64()
-	c.hidden.Disagreements = d.I64()
-	c.truthGap = d.F64()
-	p := &c.params
-	p.TimeGap = d.F64()
-	p.StandStill = d.F64()
-	p.GapGain = d.F64()
-	p.SpeedGain = d.F64()
-	p.CruiseSpeed = d.F64()
-	p.MaxAccel = d.F64()
-	p.MaxBrake = d.F64()
-	c.table.DecodeAccels(d)
-	c.forcedBrakeUntil = sim.Time(d.I64())
-	c.maneuver.DecodeState(d)
-	c.wantRegion = coord.Resource(d.Str())
-	c.wantLane = int(d.I64())
-	c.heldRegion = coord.Resource(d.Str())
-	c.releaseHeld = d.Bool()
-	c.nextAttempt = sim.Time(d.I64())
-	c.LaneChanges = d.I64()
-	c.EmergencyBrakes = d.I64()
-	c.DegradedTicks = d.I64()
-	c.beaconsSent = d.I64()
 }
