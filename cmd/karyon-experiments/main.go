@@ -56,7 +56,7 @@ func run(args []string, out io.Writer) error {
 	jsonOut := fs.Bool("json", false, "emit JSON reports with full per-value distributions (mean/stddev/min/max/p95)")
 	replicas := fs.Int("replicas", 0, "independent replicas per experiment, seeds spaced by the harness stride (0 = per-experiment default; statistical experiments replicate)")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "replica worker-pool width; affects wall time only, never output")
-	shards := fs.Int("shards", 1, "shard kernels per replica for shardable scenarios; affects wall time only, never output")
+	shards := fs.Int("shards", 1, "shards per replica for world scenarios; affects wall time only, never output")
 	short := fs.Bool("short", false, "reduced-fidelity runs: fewer sweep points, shorter simulated durations")
 	medium := fs.Bool("medium", false, "run world experiments (E2, E12) over the slot-level sharded radio medium")
 	if err := fs.Parse(args); err != nil {

@@ -24,7 +24,7 @@
 // All scenarios accept -replicas, -parallel, -shards, and -json. The
 // output is byte-identical for any -parallel and any -shards value at a
 // fixed seed: both knobs trade wall time only. -shards splits one
-// replica's world across shard kernels; every world scenario (highway,
+// replica's world across shards; every world scenario (highway,
 // megahighway, intersection) runs on the partitioned engine.
 //
 // The fault-campaign knobs make E2/E12-style runs reproducible straight
@@ -117,7 +117,7 @@ func run(args []string, out io.Writer) error {
 	fs.StringVar(&spec.Geometry, "geometry", "", "encounter: same-direction|leveled-crossing|level-change (empty = leveled-crossing)")
 	fs.BoolVar(&spec.Voice, "voice", false, "encounter: intruder is non-collaborative (voice position only)")
 	fs.IntVar(&spec.Replicas, "replicas", 0, "independent replicas, seeds spaced by the harness stride (0 = default 1)")
-	fs.IntVar(&spec.Shards, "shards", 0, "shard kernels per replica (world scenarios; 0 = default 1); affects wall time only, never output")
+	fs.IntVar(&spec.Shards, "shards", 0, "shards per replica (world scenarios; 0 = default 1); affects wall time only, never output")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "replica worker-pool width; affects wall time only, never output")
 	jsonOut := fs.Bool("json", false, "emit a JSON report with full per-value distributions")
 	daemon := fs.String("daemon", "", "submit to a karyon-d control API at this URL instead of running in-process (e.g. http://127.0.0.1:7077)")

@@ -58,6 +58,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	// The manager counts switches and keeps the latest; the example keeps
+	// the whole history itself.
+	var history []core.Switch
+	cruise.OnChange(func(_, _ core.LoS) { history = append(history, cruise.LastSwitch) })
 	if err := mgr.Start(); err != nil {
 		return err
 	}
@@ -93,8 +97,8 @@ func run() error {
 
 	k.RunFor(2500 * sim.Millisecond)
 
-	fmt.Printf("\nswitch history: %d transitions\n", len(cruise.Switches))
-	for _, sw := range cruise.Switches {
+	fmt.Printf("\nswitch history: %d transitions\n", cruise.Switches)
+	for _, sw := range history {
 		reason := sw.Reason
 		if reason == "" {
 			reason = "conditions restored"

@@ -87,8 +87,8 @@ func TestUpgradeRequiresStability(t *testing.T) {
 	if f.Current() != 2 {
 		t.Fatalf("not upgraded after stability window: %v", f.Current())
 	}
-	if len(f.Switches) != 1 || f.Switches[0].From != 1 || f.Switches[0].To != 2 {
-		t.Fatalf("switch history %+v", f.Switches)
+	if f.Switches != 1 || f.LastSwitch.From != 1 || f.LastSwitch.To != 2 {
+		t.Fatalf("%d switches, last %+v", f.Switches, f.LastSwitch)
 	}
 }
 
@@ -120,7 +120,7 @@ func TestDowngradeIsImmediateAndBounded(t *testing.T) {
 	if f.Current() != LevelSafe {
 		t.Fatal("never downgraded")
 	}
-	last := f.Switches[len(f.Switches)-1]
+	last := f.LastSwitch
 	if last.To != LevelSafe {
 		t.Fatalf("last switch %+v", last)
 	}

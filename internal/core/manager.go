@@ -32,8 +32,11 @@ type Functionality struct {
 
 	onChange []func(old, new LoS)
 
-	// Switches is the transition history.
-	Switches []Switch
+	// Switches counts the transitions, and LastSwitch is the latest one
+	// (the zero Switch before the first). A run keeps no longer history:
+	// an observer that wants one registers OnChange.
+	Switches   int
+	LastSwitch Switch
 	// timeAt accumulates virtual time spent per level, indexed by level
 	// (index 0, below LevelSafe, is unused).
 	timeAt    []sim.Time
@@ -115,7 +118,8 @@ func (f *Functionality) switchTo(now sim.Time, target LoS, reason string) {
 	f.timeAt[old] += now - f.enteredAt
 	f.current = target
 	f.enteredAt = now
-	f.Switches = append(f.Switches, Switch{At: now, From: old, To: target, Reason: reason})
+	f.Switches++
+	f.LastSwitch = Switch{At: now, From: old, To: target, Reason: reason}
 	for _, fn := range f.onChange {
 		fn(old, target)
 	}

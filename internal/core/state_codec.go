@@ -10,10 +10,8 @@ import "karyon/internal/trace"
 // input that does not fit it.
 
 // State visits the manager's cycle count, every functionality's level
-// bookkeeping and the runtime indicators. Of the append-only Switches log
-// only the length is encoded: a restore truncates the log back to it, and
-// leaves a freshly built manager's shorter log as it is, because the
-// entries themselves are not in the checkpoint.
+// bookkeeping and switch count, and the runtime indicators. The latest
+// switch is output only and is not encoded.
 func (m *Manager) State(c *trace.Codec) {
 	trace.Int(c, &m.Cycles)
 	if !c.LenIs(len(m.ordered), "functionality") {
@@ -22,8 +20,7 @@ func (m *Manager) State(c *trace.Codec) {
 	for _, f := range m.ordered {
 		trace.Int(c, &f.current)
 		trace.Int(c, &f.upStreak)
-		switches := len(f.Switches)
-		trace.Int(c, &switches)
+		trace.Int(c, &f.Switches)
 		trace.Int(c, &f.enteredAt)
 		if !c.LenIs(f.d.levels, "time-at-level") {
 			return
@@ -38,11 +35,9 @@ func (m *Manager) State(c *trace.Codec) {
 		case f.current < LevelSafe || int(f.current) > f.d.levels:
 			c.Fail("functionality %q at level %d outside 1..%d", f.d.name, f.current, f.d.levels)
 			return
-		case switches < 0:
-			c.Fail("functionality %q has %d switches", f.d.name, switches)
+		case f.Switches < 0:
+			c.Fail("functionality %q has %d switches", f.d.name, f.Switches)
 			return
-		case switches <= len(f.Switches):
-			f.Switches = f.Switches[:switches]
 		}
 	}
 	m.ri.state(c)

@@ -62,10 +62,10 @@ func runE1(cfg Config) *metrics.Result {
 			k.RunFor(20 * period) // let it climb back
 			violateAt := k.Now()
 			ri.Set("x", 0.1)
-			pre := len(fn.Switches)
+			pre := fn.Switches
 			k.RunFor(2 * period)
-			if len(fn.Switches) > pre {
-				sw := fn.Switches[len(fn.Switches)-1]
+			if fn.Switches > pre {
+				sw := fn.LastSwitch
 				if sw.To < sw.From {
 					downs++
 					lats.Observe(float64(sw.At-violateAt) / float64(sim.Millisecond))

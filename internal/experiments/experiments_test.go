@@ -1,10 +1,9 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
-
-	"karyon/internal/sim"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -82,7 +81,7 @@ func TestExperimentsRunAndAreDeterministic(t *testing.T) {
 	}
 }
 
-// The Harnessed adapter must hand the kernel's seed through to the
+// The Harnessed adapter must hand the replica seed through to the
 // experiment so a harness replica equals a direct run.
 func TestHarnessedAdapterMatchesDirectRun(t *testing.T) {
 	e, ok := ByID("E3")
@@ -94,11 +93,11 @@ func TestHarnessedAdapterMatchesDirectRun(t *testing.T) {
 		t.Fatalf("Name() = %q", h.Name())
 	}
 	direct := e.Run(Config{Seed: 7, Short: true}).Table().String()
-	viaKernel, err := h.Run(sim.NewKernel(7))
+	viaHarness, err := h.Run(context.Background(), 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := viaKernel.Table().String(); got != direct {
+	if got := viaHarness.Table().String(); got != direct {
 		t.Fatalf("adapter diverges from direct run:\nadapter:\n%s\ndirect:\n%s", got, direct)
 	}
 }

@@ -92,7 +92,11 @@ func (e Experiment) DefaultReplicas() int {
 
 // Harnessed adapts an experiment to the harness.Scenario interface
 // (satisfied structurally — this package does not import internal/harness):
-// each replica derives its Config from the fresh kernel's seed.
+// each replica derives its Config from its seed, and the shard width flows
+// into Config.Shards, where the world-building experiments split their
+// scenarios across shards. Experiments that ignore Shards — and the
+// determinism contract of those that honor it — keep the output
+// byte-identical for every width.
 type Harnessed struct {
 	Exp   Experiment
 	Short bool
@@ -104,16 +108,7 @@ type Harnessed struct {
 func (h Harnessed) Name() string { return h.Exp.ID }
 
 // Run implements harness.Scenario.
-func (h Harnessed) Run(k *sim.Kernel) (*metrics.Result, error) {
-	return h.Exp.Run(Config{Seed: k.Seed(), Short: h.Short, Medium: h.Medium}), nil
-}
-
-// RunSharded implements harness.Shardable (structurally): the shard width
-// flows into the experiment Config, where the world-building experiments
-// split their scenarios across shard kernels. Experiments that ignore
-// Shards — and the determinism contract of those that honor it — keep the
-// output byte-identical for every width.
-func (h Harnessed) RunSharded(_ context.Context, seed int64, shards int) (*metrics.Result, error) {
+func (h Harnessed) Run(_ context.Context, seed int64, shards int) (*metrics.Result, error) {
 	return h.Exp.Run(Config{Seed: seed, Short: h.Short, Shards: shards, Medium: h.Medium}), nil
 }
 

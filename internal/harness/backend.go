@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"karyon/internal/metrics"
-	"karyon/internal/sim"
 )
 
 // PanicError reports a replica whose scenario panicked. The backend
@@ -171,11 +170,7 @@ func runReplica(ctx context.Context, s Scenario, seed int64, shards int) (res *m
 			err = &PanicError{Value: fmt.Sprint(p), Stack: string(debug.Stack())}
 		}
 	}()
-	if sh, ok := s.(Shardable); ok {
-		res, err = sh.RunSharded(ctx, seed, shards)
-	} else {
-		res, err = s.Run(sim.NewKernel(seed))
-	}
+	res, err = s.Run(ctx, seed, shards)
 	if err == nil && res == nil {
 		err = errors.New("scenario returned no result")
 	}

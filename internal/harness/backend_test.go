@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"karyon/internal/metrics"
-	"karyon/internal/sim"
 )
 
 // jitterScenario finishes replicas in deliberately scrambled wall-clock
@@ -22,16 +21,16 @@ type jitterScenario struct {
 
 func (jitterScenario) Name() string { return "jitter" }
 
-func (s jitterScenario) Run(k *sim.Kernel) (*metrics.Result, error) {
-	if s.failSeed != 0 && k.Seed() == s.failSeed {
+func (s jitterScenario) Run(_ context.Context, seed int64, _ int) (*metrics.Result, error) {
+	if s.failSeed != 0 && seed == s.failSeed {
 		return nil, errors.New("boom")
 	}
 	// Later replicas (larger seeds) sleep less, so with a parallel pool
 	// they complete before earlier ones.
-	rank := int((k.Seed() - 1) / SeedStride)
+	rank := int((seed - 1) / SeedStride)
 	time.Sleep(time.Duration(s.replicas-rank) * 2 * time.Millisecond)
 	res := metrics.NewResult("jitter")
-	res.Record("seed", fmt.Sprint(k.Seed())).Int("rank", int64(rank))
+	res.Record("seed", fmt.Sprint(seed)).Int("rank", int64(rank))
 	return res, nil
 }
 

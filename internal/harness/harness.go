@@ -2,14 +2,16 @@
 // scenarios of cmd/karyon-sim and the E1..E16 experiment registry — behind
 // one replicated, seed-matrix runner.
 //
-// A Scenario is a pure function of a kernel seed: configure, build on a
-// fresh sim.Kernel, run, collect a structured metrics.Result. The Runner
-// executes N replicas of a scenario across a worker pool (one deterministic
-// kernel per goroutine; kernels are never shared) and merges the replica
-// results in seed order, so the aggregated output is byte-identical
-// regardless of the parallelism that produced it. The paper's safety
-// argument is probabilistic — evidence comes from many replicated runs, not
-// single traces — and this package is what makes "many" cheap.
+// A Scenario is a pure function of a replica seed: configure, build its
+// own model (a world on a sim.ShardedKernel of the requested width, or an
+// event-driven model on a fresh sim.Kernel), run, collect a structured
+// metrics.Result. The Runner executes N replicas of a scenario across a
+// worker pool (each replica builds its own kernels; kernels are never
+// shared) and merges the replica results in seed order, so the aggregated
+// output is byte-identical regardless of the parallelism that produced
+// it. The paper's safety argument is probabilistic — evidence comes from
+// many replicated runs, not single traces — and this package is what
+// makes "many" cheap.
 //
 // Where the replicas execute is a Backend: Runner's zero value uses the
 // in-process LocalBackend, and the karyon-d service (internal/service)
@@ -23,45 +25,22 @@ import (
 	"context"
 
 	"karyon/internal/metrics"
-	"karyon/internal/sim"
 )
 
-// Scenario is one runnable simulation: build a model on the supplied fresh
-// kernel, run it, and collect structured results. Implementations must be
-// pure functions of the kernel's seed — all randomness from k.Rand(), no
-// wall-clock, no shared mutable state — so that replicas parallelize
-// safely and a seed matrix fully determines the aggregate.
+// Scenario is one runnable simulation. Implementations must be pure
+// functions of (seed, scenario config) — all randomness derived from the
+// seed, no wall-clock, no shared mutable state — so that replicas
+// parallelize safely and a seed matrix fully determines the aggregate.
 type Scenario interface {
 	Name() string
-	Run(k *sim.Kernel) (*metrics.Result, error)
-}
-
-// Func adapts a plain function to Scenario.
-type Func struct {
-	ScenarioName string
-	Fn           func(k *sim.Kernel) (*metrics.Result, error)
-}
-
-// Name implements Scenario.
-func (f Func) Name() string { return f.ScenarioName }
-
-// Run implements Scenario.
-func (f Func) Run(k *sim.Kernel) (*metrics.Result, error) { return f.Fn(k) }
-
-// Shardable marks a scenario that can split one replica's world across
-// shard kernels (sim.ShardedKernel). The runner routes every replica of a
-// Shardable scenario through RunSharded — including shards == 1 — so the
-// execution path, and therefore the output bytes, are identical for every
-// shard count. Implementations must uphold the sharded-kernel determinism
-// contract: the result is a pure function of (seed, scenario config),
-// never of shards.
-type Shardable interface {
-	Scenario
-	// RunSharded builds the replica's world over a sharded kernel of the
-	// given width and runs it to completion. Cancellation of ctx must
-	// surface as an error (sim.ShardedKernel.Run checks it at every window
-	// barrier).
-	RunSharded(ctx context.Context, seed int64, shards int) (*metrics.Result, error)
+	// Run builds the replica's model from seed, runs it to completion, and
+	// collects its result. shards (at least 1) is the width of the
+	// sim.ShardedKernel a partitioned world splits across; like Parallel
+	// it affects wall time only, so the result must not depend on it, and
+	// a scenario without a partitioned world ignores it. Cancellation of
+	// ctx must surface as an error (sim.ShardedKernel.Run checks it at
+	// every window barrier).
+	Run(ctx context.Context, seed int64, shards int) (*metrics.Result, error)
 }
 
 // SeedStride spaces replica seeds. Experiments derive sub-kernel seeds by
@@ -92,9 +71,10 @@ type Options struct {
 	// Parallel is the worker-pool width (min 1). It affects wall time only:
 	// the aggregated output is identical for every value.
 	Parallel int
-	// Shards splits each replica's world across this many shard kernels
-	// (min 1). Only Shardable scenarios use it; like Parallel it affects
-	// wall time only — the output is byte-identical for every value.
+	// Shards splits each replica's world across this many shards (min 1).
+	// Only scenarios with a partitioned world use it; like Parallel it
+	// affects wall time only — the output is byte-identical for every
+	// value.
 	Shards int
 }
 

@@ -15,12 +15,25 @@ import (
 	"karyon/internal/sim"
 )
 
+// kernelFunc adapts a function of a fresh event kernel, built from the
+// replica seed, to Scenario.
+type kernelFunc struct {
+	name string
+	fn   func(k *sim.Kernel) (*metrics.Result, error)
+}
+
+func (f kernelFunc) Name() string { return f.name }
+
+func (f kernelFunc) Run(_ context.Context, seed int64, _ int) (*metrics.Result, error) {
+	return f.fn(sim.NewKernel(seed))
+}
+
 // noisy is a scenario whose records depend on the kernel's rand stream and
 // seed, so any cross-replica state sharing or ordering bug changes output.
 func noisy() Scenario {
-	return Func{
-		ScenarioName: "noisy",
-		Fn: func(k *sim.Kernel) (*metrics.Result, error) {
+	return kernelFunc{
+		name: "noisy",
+		fn: func(k *sim.Kernel) (*metrics.Result, error) {
 			res := metrics.NewResult("noisy")
 			var sum float64
 			k.Schedule(sim.Millisecond, func() {
@@ -76,9 +89,9 @@ func TestSeedMatrix(t *testing.T) {
 // the aggregate.
 func TestReplicaErrorSurfaces(t *testing.T) {
 	boom := errors.New("boom")
-	s := Func{
-		ScenarioName: "flaky",
-		Fn: func(k *sim.Kernel) (*metrics.Result, error) {
+	s := kernelFunc{
+		name: "flaky",
+		fn: func(k *sim.Kernel) (*metrics.Result, error) {
 			if k.Seed() != 11 { // every replica after the first
 				return nil, boom
 			}
@@ -95,9 +108,9 @@ func TestReplicaErrorSurfaces(t *testing.T) {
 }
 
 func TestPanickingReplicaSurfaces(t *testing.T) {
-	s := Func{
-		ScenarioName: "panicky",
-		Fn: func(k *sim.Kernel) (*metrics.Result, error) {
+	s := kernelFunc{
+		name: "panicky",
+		fn: func(k *sim.Kernel) (*metrics.Result, error) {
 			panic(fmt.Sprintf("seed %d", k.Seed()))
 		},
 	}
@@ -117,9 +130,9 @@ func TestPanickingReplicaSurfaces(t *testing.T) {
 }
 
 func TestNilResultIsAnError(t *testing.T) {
-	s := Func{
-		ScenarioName: "empty",
-		Fn:           func(k *sim.Kernel) (*metrics.Result, error) { return nil, nil },
+	s := kernelFunc{
+		name: "empty",
+		fn:   func(k *sim.Kernel) (*metrics.Result, error) { return nil, nil },
 	}
 	_, err := Run(context.Background(), s, Options{Replicas: 1})
 	if err == nil {
@@ -145,11 +158,7 @@ type shardableFunc struct {
 
 func (s shardableFunc) Name() string { return s.name }
 
-func (s shardableFunc) Run(k *sim.Kernel) (*metrics.Result, error) {
-	return s.RunSharded(context.Background(), k.Seed(), 1)
-}
-
-func (s shardableFunc) RunSharded(ctx context.Context, seed int64, shards int) (*metrics.Result, error) {
+func (s shardableFunc) Run(ctx context.Context, seed int64, shards int) (*metrics.Result, error) {
 	sk, err := sim.NewShardedKernel(seed, shards, 10*sim.Millisecond)
 	if err != nil {
 		return nil, err
@@ -157,30 +166,34 @@ func (s shardableFunc) RunSharded(ctx context.Context, seed int64, shards int) (
 	return s.fn(ctx, sk)
 }
 
-// The runner must route Shardable scenarios through RunSharded at the
-// requested width, and the report must be byte-identical for every width.
+// The runner must run scenarios at the requested width, and the report
+// must be byte-identical for every width.
 func TestShardsDoNotChangeOutput(t *testing.T) {
 	counting := shardableFunc{
 		name: "counting",
 		fn: func(ctx context.Context, sk *sim.ShardedKernel) (*metrics.Result, error) {
-			total := make([]int64, sk.Shards())
-			for i := 0; i < sk.Shards(); i++ {
-				i := i
-				if _, err := sk.Shard(i).Kernel().Every(sim.Millisecond, func() { total[i]++ }); err != nil {
-					return nil, err
+			// Every shard steps once a millisecond; each sends its step
+			// count under its index, so the barrier sums in shard order.
+			var sum int64
+			sk.OnShardWindow(func(shard int, edge sim.Time) {
+				s := sk.Shard(shard)
+				n := int64(0)
+				for at := edge - sk.Window() + sim.Millisecond; at <= edge; at += sim.Millisecond {
+					s.Advance(at)
+					n++
 				}
-			}
+				s.Send(int64(shard), func() { sum += n })
+			})
 			if err := sk.Run(ctx, 50*sim.Millisecond); err != nil {
 				return nil, err
 			}
-			var sum int64
-			for _, n := range total {
-				sum += n
+			if want := uint64(50*sk.Shards() + 5*sk.Shards()); sk.Executed() != want {
+				return nil, fmt.Errorf("executed %d, want %d", sk.Executed(), want)
 			}
 			res := metrics.NewResult("counting")
-			// Per-shard tick totals scale with the width, so report a
-			// width-invariant value: ticks per shard.
-			res.Record().Int("ticks per shard", sum/int64(sk.Shards()))
+			// Per-shard step totals scale with the width, so report a
+			// width-invariant value: steps per shard.
+			res.Record().Int("steps per shard", sum/int64(sk.Shards()))
 			return res, nil
 		},
 	}
@@ -238,7 +251,12 @@ func TestShardCancellationMidWindowSurfaces(t *testing.T) {
 		name: "cancel-mid-window",
 		fn: func(ctx context.Context, sk *sim.ShardedKernel) (*metrics.Result, error) {
 			// Cancel from inside a window, mid-run.
-			sk.Shard(0).Kernel().Schedule(25*sim.Millisecond, cancel)
+			sk.OnShardWindow(func(shard int, edge sim.Time) {
+				if shard == 0 && edge == 30*sim.Millisecond {
+					sk.Shard(shard).Advance(25 * sim.Millisecond)
+					cancel()
+				}
+			})
 			if err := sk.Run(ctx, sim.Second); err != nil {
 				return nil, err
 			}
@@ -264,7 +282,7 @@ func TestScenarioImplementations(t *testing.T) {
 		if tc.sc.Name() != tc.name {
 			t.Fatalf("Name() = %q, want %q", tc.sc.Name(), tc.name)
 		}
-		res, err := tc.sc.Run(sim.NewKernel(1))
+		res, err := tc.sc.Run(context.Background(), 1, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -272,10 +290,10 @@ func TestScenarioImplementations(t *testing.T) {
 			t.Fatalf("%s produced no measurements", tc.name)
 		}
 	}
-	if _, err := (HighwayScenario{Duration: 1e9, Cars: 3, Mode: "bogus"}).Run(sim.NewKernel(1)); err == nil {
+	if _, err := (HighwayScenario{Duration: 1e9, Cars: 3, Mode: "bogus"}).Run(context.Background(), 1, 1); err == nil {
 		t.Fatal("bogus highway mode accepted")
 	}
-	if _, err := (EncounterScenario{Geometry: "bogus"}).Run(sim.NewKernel(1)); err == nil {
+	if _, err := (EncounterScenario{Geometry: "bogus"}).Run(context.Background(), 1, 1); err == nil {
 		t.Fatal("bogus geometry accepted")
 	}
 }
@@ -289,7 +307,7 @@ func TestSubMicrosecondJamPeriodDoesNotHang(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := sc.RunSharded(context.Background(), 1, 1)
+		_, err := sc.Run(context.Background(), 1, 1)
 		done <- err
 	}()
 	select {
@@ -320,7 +338,7 @@ func TestRecordAttachesOnlyToHighways(t *testing.T) {
 		}
 	}
 	sc := HighwayScenario{Duration: time.Second, Cars: 3, Mode: "adaptive", SensorFaultRate: 2, Recording: r}
-	if _, err := sc.RunSharded(context.Background(), 1, 1); err == nil || !strings.Contains(err.Error(), "fault campaign") {
+	if _, err := sc.Run(context.Background(), 1, 1); err == nil || !strings.Contains(err.Error(), "fault campaign") {
 		t.Fatalf("recording a fault campaign: err %v", err)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {

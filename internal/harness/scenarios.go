@@ -16,9 +16,9 @@ import (
 
 // HighwayScenario runs the multi-car highway world under one LoS policy,
 // optionally under a reproducible fault campaign — the CLI counterpart of
-// the E2/E12 experiments, no registry needed. It implements Shardable:
-// every replica runs on the partitioned engine (width 1 when unsharded),
-// so the output is byte-identical for every -shards value.
+// the E2/E12 experiments, no registry needed. Every replica runs on the
+// partitioned engine (width 1 when unsharded), so the output is
+// byte-identical for every -shards value.
 type HighwayScenario struct {
 	Duration time.Duration
 	Cars     int
@@ -75,14 +75,8 @@ func Record(sc Scenario, r Recording) (Scenario, error) {
 // Name implements Scenario.
 func (s HighwayScenario) Name() string { return "highway" }
 
-// Run implements Scenario: an unsharded replica is the sharded path at
-// width 1, which keeps the two paths byte-identical by construction.
-func (s HighwayScenario) Run(k *sim.Kernel) (*metrics.Result, error) {
-	return s.RunSharded(context.Background(), k.Seed(), 1)
-}
-
-// RunSharded implements Shardable.
-func (s HighwayScenario) RunSharded(ctx context.Context, seed int64, shards int) (*metrics.Result, error) {
+// Run implements Scenario.
+func (s HighwayScenario) Run(ctx context.Context, seed int64, shards int) (*metrics.Result, error) {
 	cfg := world.DefaultHighwayConfig()
 	cfg.Cars = s.Cars
 	cfg.Medium = s.Medium
@@ -298,12 +292,7 @@ type MegaHighwayScenario struct {
 func (s MegaHighwayScenario) Name() string { return "megahighway" }
 
 // Run implements Scenario.
-func (s MegaHighwayScenario) Run(k *sim.Kernel) (*metrics.Result, error) {
-	return s.RunSharded(context.Background(), k.Seed(), 1)
-}
-
-// RunSharded implements Shardable.
-func (s MegaHighwayScenario) RunSharded(ctx context.Context, seed int64, shards int) (*metrics.Result, error) {
+func (s MegaHighwayScenario) Run(ctx context.Context, seed int64, shards int) (*metrics.Result, error) {
 	cfg := world.DefaultHighwayConfig()
 	cfg.Length = 10000
 	cfg.Cars = 200
@@ -350,7 +339,7 @@ func (s MegaHighwayScenario) RunSharded(ctx context.Context, seed int64, shards 
 
 // IntersectionScenario runs the traffic-light intersection, optionally
 // failing the physical light (the light-failure-time knob) and engaging
-// the virtual backup. Shardable: quadrants map onto shard kernels.
+// the virtual backup. Its quadrants map onto the shards.
 type IntersectionScenario struct {
 	Duration      time.Duration
 	FailAt        time.Duration
@@ -369,12 +358,7 @@ type IntersectionScenario struct {
 func (s IntersectionScenario) Name() string { return "intersection" }
 
 // Run implements Scenario.
-func (s IntersectionScenario) Run(k *sim.Kernel) (*metrics.Result, error) {
-	return s.RunSharded(context.Background(), k.Seed(), 1)
-}
-
-// RunSharded implements Shardable.
-func (s IntersectionScenario) RunSharded(ctx context.Context, seed int64, shards int) (*metrics.Result, error) {
+func (s IntersectionScenario) Run(ctx context.Context, seed int64, shards int) (*metrics.Result, error) {
 	cfg := world.DefaultIntersectionConfig()
 	cfg.LightFailsAt = sim.FromDuration(s.FailAt)
 	cfg.VirtualBackup = s.VirtualBackup
@@ -404,7 +388,8 @@ func (s IntersectionScenario) RunSharded(ctx context.Context, seed int64, shards
 	return res, nil
 }
 
-// EncounterScenario runs one two-aircraft avionic encounter geometry.
+// EncounterScenario runs one two-aircraft avionic encounter geometry, an
+// event-driven model on a sim.Kernel of its own; it ignores shards.
 type EncounterScenario struct {
 	// Geometry is same-direction, leveled-crossing, or level-change.
 	Geometry string
@@ -416,7 +401,7 @@ type EncounterScenario struct {
 func (s EncounterScenario) Name() string { return "encounter" }
 
 // Run implements Scenario.
-func (s EncounterScenario) Run(k *sim.Kernel) (*metrics.Result, error) {
+func (s EncounterScenario) Run(_ context.Context, seed int64, _ int) (*metrics.Result, error) {
 	var geom avionics.Scenario
 	for _, cand := range avionics.Scenarios() {
 		if cand.String() == s.Geometry {
@@ -426,7 +411,7 @@ func (s EncounterScenario) Run(k *sim.Kernel) (*metrics.Result, error) {
 	if geom == 0 {
 		return nil, fmt.Errorf("unknown geometry %q", s.Geometry)
 	}
-	e, err := avionics.NewEncounter(k, avionics.DefaultEncounterConfig(geom, s.Collaborative))
+	e, err := avionics.NewEncounter(sim.NewKernel(seed), avionics.DefaultEncounterConfig(geom, s.Collaborative))
 	if err != nil {
 		return nil, err
 	}

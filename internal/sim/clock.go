@@ -12,9 +12,9 @@ type Clock interface {
 
 // ManualClock is a Clock whose time is set explicitly by its owner. A
 // shard-safe entity (e.g. a car's KARYON stack) owns one and sets it at the
-// start of every event that touches the entity, so all of the entity's
+// start of every step of the entity, so all of the entity's
 // components (sensors, state tables, safety manager) read a consistent
-// "now" no matter which shard kernel is currently executing the entity.
+// "now" no matter which shard currently steps the entity.
 type ManualClock struct {
 	t Time
 }
@@ -27,7 +27,7 @@ func (c *ManualClock) Set(t Time) { c.t = t }
 
 // NewStream returns a deterministic random stream for one (entity, dim)
 // pair derived from the run seed via SplitSeed. Sharded models draw every
-// entity's randomness from such streams — never from a shard kernel's rng —
+// entity's randomness from such streams — never from a shard's position —
 // so the sequence an entity consumes is independent of which shard runs it
 // and of how other entities' events interleave. The returned Stream exposes
 // State/Restore so a record/replay checkpoint can capture and restore it.

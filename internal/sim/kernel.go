@@ -1,11 +1,22 @@
-// Package sim provides a deterministic discrete-event simulation kernel.
+// Package sim provides KARYON's deterministic virtual time, in two
+// engines.
 //
-// All KARYON subsystems run on virtual time supplied by a Kernel: an event
-// heap ordered by (time, sequence number) executed by a single goroutine.
-// Virtual time makes every timing property in the reproduction (deadlines,
-// inaccessibility durations, Level-of-Service switch bounds) exact and
-// reproducible — Go's garbage collector cannot perturb measurements, which
-// is the substitution DESIGN.md makes for the paper's real-time test-beds.
+// A Kernel is a discrete-event scheduler: an event heap ordered by (time,
+// sequence number) executed by a single goroutine. The event-driven
+// subsystems (MAC protocols, publish/subscribe, inaccessibility control,
+// avionics) run on one.
+//
+// A ShardedKernel runs the time-triggered worlds: it splits one world into
+// shards that advance in lockstep, one window at a time. In a window each
+// shard runs its step loop on its own goroutine, stepping each of its
+// entities once at a fixed phase; at the window edge a single-threaded
+// barrier runs the shards' mailbox messages in sender order and the
+// window hooks.
+//
+// Virtual time makes every timing property in the reproduction
+// (deadlines, inaccessibility durations, Level-of-Service switch bounds)
+// exact and reproducible — Go's garbage collector cannot perturb
+// measurements. It stands in for the paper's real-time test-beds.
 package sim
 
 import (
@@ -339,16 +350,3 @@ func (k *Kernel) RunUntilIdle() {
 // Pending reports the number of events (including canceled placeholders)
 // still queued.
 func (k *Kernel) Pending() int { return len(k.events) }
-
-// reset discards every queued event (recycling it) and sets the clock to
-// at. The executed counter is kept, and so is the sequence counter: it
-// only breaks ties between events scheduled in the same window, so
-// continuing it preserves determinism while fencing any stale Timer
-// handles.
-func (k *Kernel) reset(at Time) {
-	for _, ev := range k.events {
-		k.recycle(ev)
-	}
-	k.events = k.events[:0]
-	k.now = at
-}

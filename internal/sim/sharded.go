@@ -22,76 +22,76 @@ func SplitSeed(seed, stream int64) int64 {
 	return int64(z)
 }
 
-// message is one cross-shard mailbox entry: a callback addressed to a
-// destination shard at (or after) a future instant. Sender identifies the
-// originating entity — NOT the originating shard — so that the drain order
-// is a pure function of the model, independent of how entities are
-// partitioned.
+// message is one mailbox entry: a callback for the barrier that closes
+// the window it was sent in. Sender identifies the originating entity —
+// NOT the originating shard — so that the drain order is a pure function
+// of the model, independent of how entities are partitioned.
 type message struct {
-	dst    int
-	at     Time
 	sender int64
 	fn     func()
 }
 
-// Shard is one partition of a ShardedKernel: a private event queue (its own
-// Kernel, with its own free list) plus an outbox of cross-shard messages.
-// During a window, each shard runs on its own goroutine; a shard's Kernel
-// and outbox must only be touched from that shard's events (or from the
-// single-threaded barrier between windows).
+// Shard is one partition of a ShardedKernel: its clock, the count of steps
+// taken on it, and an outbox of messages for the next barrier. During a
+// window each shard runs its OnShardWindow hooks on its own goroutine; a
+// shard's clock and outbox must only be touched from those hooks (or from
+// the single-threaded barrier between windows).
 type Shard struct {
 	idx    int
-	kernel *Kernel
-	sk     *ShardedKernel
+	now    Time
+	steps  uint64
 	outbox []message
 }
 
 // Index returns the shard's position in the partition.
 func (s *Shard) Index() int { return s.idx }
 
-// Kernel returns the shard's private event kernel.
-func (s *Shard) Kernel() *Kernel { return s.kernel }
+// Now returns the shard's clock: the instant of its latest step inside a
+// window, and the window edge once the window is over.
+func (s *Shard) Now() Time { return s.now }
 
-// Send enqueues fn for execution on shard dst at virtual instant at. It is
-// the only legal way for one shard's events to affect another shard.
-//
-// Messages are buffered in the sending shard's outbox and drained at the
-// next window barrier, in (at, sender, send order). sender is the model's
-// key for the sending entity, never for the sending shard, so the drain
-// order is the same at every width. Any entity-unique key works; a model
-// whose shards step their entities in one fixed order does best to key
-// each entity by its rank in that order: a shard's messages of one
-// instant then reach its outbox already sorted, and the shard skips its
-// end-of-window sort. The conservative
-// contract: at must be no earlier than the edge of the window in which Send
-// is called (the model's lookahead guarantees a frame cannot affect a
-// neighboring shard sooner). Earlier instants are clamped to the drain edge
-// and counted in Clamped — a nonzero count means the model's lookahead
-// claim is wrong.
-//
-// A message whose instant has arrived by drain time executes during the
-// barrier itself (single-threaded, deterministic order); later instants are
-// scheduled onto the destination shard's kernel.
-func (s *Shard) Send(dst int, at Time, sender int64, fn func()) {
-	if dst < 0 || dst >= len(s.sk.shards) {
-		panic(fmt.Sprintf("sim: Send to unknown shard %d of %d", dst, len(s.sk.shards)))
+// Advance moves the shard's clock forward to at for one model step and
+// counts the step into Executed. A model steps its entities in time order,
+// so a clock that would move back is a model bug: Advance panics, and the
+// panic fails the window.
+func (s *Shard) Advance(at Time) {
+	if at < s.now {
+		panic(fmt.Sprintf("sim: shard %d clock moved back from %v to %v", s.idx, s.now, at))
 	}
-	s.outbox = append(s.outbox, message{dst: dst, at: at, sender: sender, fn: fn})
+	s.now = at
+	s.steps++
 }
 
-// ShardedKernel partitions one simulation across n shard kernels that
-// advance in lockstep through conservative time windows. Within a window
-// shards execute their event queues in parallel (one goroutine per shard);
-// at each window edge a single-threaded barrier drains cross-shard
-// mailboxes in deterministic order and runs the registered window hooks
-// (state exchange, entity handoff).
+// Send mails fn to the barrier that closes the current window. It is the
+// only legal way for one shard's steps to affect another shard.
+//
+// Messages are buffered in the sending shard's outbox and run at the
+// barrier, single-threaded, ordered by sender and then by send order.
+// sender is the model's key for the sending entity, never for the sending
+// shard, so the drain order is the same at every width. Any entity-unique
+// key works; a model whose shards step their entities in one fixed order
+// does best to key each entity by its rank in that order: a shard's
+// messages then reach its outbox already sorted, and the shard skips its
+// end-of-window sort. A message sent at a barrier (by a window hook or a
+// drained message) runs at the next one.
+func (s *Shard) Send(sender int64, fn func()) {
+	s.outbox = append(s.outbox, message{sender: sender, fn: fn})
+}
+
+// ShardedKernel partitions one simulation across n shards that advance in
+// lockstep through conservative time windows. Within a window the shards
+// run their OnShardWindow hooks in parallel (one goroutine per shard): a
+// time-triggered model registers its step loop there, stepping the
+// shard's entities in time order. At each window edge a single-threaded
+// barrier drains the mailboxes in deterministic order and runs the
+// registered window hooks (state exchange, entity handoff).
 //
 // Determinism: for a model that (a) routes every cross-entity interaction
-// through Send, (b) draws per-entity randomness from SplitSeed streams
-// rather than shard kernels, and (c) accumulates shared metrics only at
-// barriers in a fixed entity order, the run's output is byte-identical for
-// every shard count — the window edges, drain order, and hook order are all
-// independent of the partition.
+// through Send, (b) draws per-entity randomness from SplitSeed streams,
+// and (c) accumulates shared metrics only at barriers in a fixed entity
+// order, the run's output is byte-identical for every shard count — the
+// window edges, drain order, and hook order are all independent of the
+// partition.
 type ShardedKernel struct {
 	seed       int64
 	window     Time
@@ -107,10 +107,9 @@ type ShardedKernel struct {
 	// runs holds the unmerged tail of each shard's outbox during a drain.
 	runs [][]message
 
-	// barrierExec counts mailbox messages executed at barriers (they bypass
-	// the shard kernels, so Executed must add them back in).
+	// barrierExec counts mailbox messages executed at barriers; Executed
+	// adds them to the shards' steps.
 	barrierExec uint64
-	clamped     uint64
 
 	// failed latches the first window error: a poisoned sharded run must
 	// not silently continue half-advanced.
@@ -132,10 +131,10 @@ type ShardedKernel struct {
 	stopWG  sync.WaitGroup // worker exit at the end of Run
 }
 
-// shardJob describes one unit of work for one shard: a window's event
-// drain up to edge, or, when stage is set, one call of a barrier stage.
-// It is sent by value over the worker channels; the stage is a func value
-// the caller already holds, so dispatch does not allocate.
+// shardJob describes one unit of work for one shard: a window's hooks up
+// to edge, or, when stage is set, one call of a barrier stage. It is sent
+// by value over the worker channels; the stage is a func value the caller
+// already holds, so dispatch does not allocate.
 type shardJob struct {
 	edge  Time
 	stage func(shard int)
@@ -143,10 +142,8 @@ type shardJob struct {
 }
 
 // NewShardedKernel creates a sharded kernel over n partitions with the
-// given synchronization window (the model's conservative lookahead). Each
-// shard kernel gets an independent seed derived from (seed, shard index);
-// shard-count-invariant models should ignore these and use SplitSeed
-// per-entity streams instead.
+// given synchronization window (the model's conservative lookahead). The
+// seed is the model's: it derives per-entity SplitSeed streams from it.
 func NewShardedKernel(seed int64, n int, window Time) (*ShardedKernel, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("sim: shard count %d must be at least 1", n)
@@ -156,11 +153,7 @@ func NewShardedKernel(seed int64, n int, window Time) (*ShardedKernel, error) {
 	}
 	sk := &ShardedKernel{seed: seed, window: window}
 	for i := 0; i < n; i++ {
-		sk.shards = append(sk.shards, &Shard{
-			idx:    i,
-			kernel: NewKernel(SplitSeed(seed, int64(i)+1)),
-			sk:     sk,
-		})
+		sk.shards = append(sk.shards, &Shard{idx: i})
 	}
 	sk.errs = make([]error, n)
 	sk.runs = make([][]message, n)
@@ -182,19 +175,15 @@ func (sk *ShardedKernel) Shard(i int) *Shard { return sk.shards[i] }
 // Now returns the last window edge every shard has reached.
 func (sk *ShardedKernel) Now() Time { return sk.now }
 
-// Executed returns the total number of events executed across all shards,
-// including mailbox messages executed at barriers.
+// Executed returns the total number of events executed: every shard's
+// steps (Advance calls) plus the mailbox messages run at barriers.
 func (sk *ShardedKernel) Executed() uint64 {
 	total := sk.barrierExec
 	for _, s := range sk.shards {
-		total += s.kernel.Executed()
+		total += s.steps
 	}
 	return total
 }
-
-// Clamped reports how many cross-shard messages violated the conservative
-// contract (scheduled before their drain edge) and were clamped to it.
-func (sk *ShardedKernel) Clamped() uint64 { return sk.clamped }
 
 // OnWindow registers a hook that runs single-threaded at every window edge,
 // after the mailboxes have been drained. Hooks run in registration order;
@@ -204,28 +193,27 @@ func (sk *ShardedKernel) OnWindow(fn func(edge Time)) {
 	sk.hooks = append(sk.hooks, fn)
 }
 
-// OnShardWindow registers a pre-barrier per-shard phase hook: it runs on
-// every shard's own goroutine once that shard's event queue has drained to
-// the window edge, before the single-threaded barrier (mailbox drain and
-// OnWindow hooks). This is where a model does work that is parallel per
-// partition but must complete before the barrier — e.g. refreshing and
-// re-sorting a shard-local snapshot — so the barrier itself only pays for
-// reconciliation, not for world-sized rebuilds.
+// OnShardWindow registers a per-shard window hook: every window, each
+// shard runs its hooks in registration order on its own goroutine, before
+// the single-threaded barrier (mailbox drain and OnWindow hooks). edge is
+// the instant that closes the window. A model registers its step loop
+// first: it Advances the shard's clock to each of its entities' step
+// instants in turn and steps the entity. Later hooks do work that is
+// parallel per partition but must complete before the barrier — e.g.
+// refreshing and re-sorting a shard-local snapshot — so the barrier
+// itself only pays for reconciliation, not for world-sized rebuilds. Once
+// the hooks return the shard's clock rests at edge.
 //
 // Discipline: the hook for shard i runs concurrently with other shards'
-// event execution and hooks, so it must touch only state owned by shard i
-// (plus immutable shared state). It may Send through shard i itself — the
-// message drains at this window's barrier, since the outbox is sorted
-// after the hooks — but must not schedule events or read other shards'
-// entities.
+// hooks, so it must touch only state owned by shard i (plus immutable
+// shared state). It may Send through shard i itself — the message drains
+// at this window's barrier — but must not read other shards' entities.
 func (sk *ShardedKernel) OnShardWindow(fn func(shard int, edge Time)) {
 	sk.shardHooks = append(sk.shardHooks, fn)
 }
 
-// NextEdge returns the first window edge strictly after t... except when t
-// is itself an edge, which is returned unchanged: an event running exactly
-// at an edge belongs to the window that edge closes, so its mailbox
-// messages drain at that same barrier.
+// NextEdge returns the first window edge at or after t: the edge that
+// closes the window a step at t runs in (0 for t <= 0).
 func (sk *ShardedKernel) NextEdge(t Time) Time {
 	if t <= 0 {
 		return 0
@@ -234,13 +222,12 @@ func (sk *ShardedKernel) NextEdge(t Time) Time {
 }
 
 // Warp rewinds (or fast-forwards) the whole sharded kernel to a window
-// edge without executing anything: every shard's event queue is emptied
-// and its clock set to at, outboxes are cleared, and the barrier clock
-// moves to at. The caller is responsible for re-seeding the model's
-// state and event schedule for the window that opens at the target —
-// this is the restore half of trace replay. Executed() keeps counting
-// from where it was. The target must be non-negative and on the window
-// grid.
+// edge without executing anything: every shard's clock and the barrier
+// clock move to at, and the outboxes are cleared. The caller is
+// responsible for restoring the model's state for the window that opens
+// at the target — this is the restore half of trace replay. Executed()
+// keeps counting from where it was. The target must be non-negative and
+// on the window grid.
 func (sk *ShardedKernel) Warp(at Time) error {
 	if sk.failed != nil {
 		return sk.failed
@@ -249,7 +236,7 @@ func (sk *ShardedKernel) Warp(at Time) error {
 		return fmt.Errorf("sim: warp target %v is not on the window grid (%v)", at, sk.window)
 	}
 	for _, s := range sk.shards {
-		s.kernel.reset(at)
+		s.now = at
 		for i := range s.outbox {
 			s.outbox[i].fn = nil
 		}
@@ -260,26 +247,24 @@ func (sk *ShardedKernel) Warp(at Time) error {
 }
 
 // windowError wraps a panic recovered inside a sharded window so callers
-// can identify which phase (shard execution, barrier drain, barrier
-// stage, window hook) blew up.
+// can identify which phase (shard window, barrier drain, barrier stage,
+// window hook) blew up.
 func windowError(phase string, edge Time, p any) error {
 	return fmt.Errorf("sim: panic in %s at window edge %v: %v", phase, edge, p)
 }
 
-// Run advances all shards to until, window by window. Barriers stay on
-// the NextEdge grid (multiples of the window): a horizon that is not a
-// window multiple closes with one short window, and the next Run
-// re-aligns to the grid — so models computing delivery instants with
-// NextEdge never violate the conservative contract across repeated Run
-// calls. Run stops early with an error when ctx is cancelled (checked at
-// every barrier, so a cancellation mid-window surfaces at the next edge
-// rather than hanging) or when any shard event, drained message, or
-// window hook panics. A failed sharded kernel stays failed: subsequent
-// Run calls return the same error.
+// Run advances all shards window by window to until, rounded up to the
+// window grid: barriers only ever fall on multiples of the window. Run
+// stops early with an error when ctx is cancelled (checked at every
+// barrier, so a cancellation mid-window surfaces at the next edge rather
+// than hanging) or when any shard hook, drained message, or window hook
+// panics. A failed sharded kernel stays failed: subsequent Run calls
+// return the same error.
 func (sk *ShardedKernel) Run(ctx context.Context, until Time) error {
 	if sk.failed != nil {
 		return sk.failed
 	}
+	until = sk.NextEdge(until)
 	sk.startWorkers()
 	defer sk.stopWorkers()
 	for sk.now < until {
@@ -287,11 +272,7 @@ func (sk *ShardedKernel) Run(ctx context.Context, until Time) error {
 			sk.failed = fmt.Errorf("sim: sharded run cancelled at %v: %w", sk.now, err)
 			return sk.failed
 		}
-		edge := sk.NextEdge(sk.now + 1)
-		if edge > until {
-			edge = until
-		}
-		if err := sk.runWindow(edge); err != nil {
+		if err := sk.runWindow(sk.now + sk.window); err != nil {
 			sk.failed = err
 			return err
 		}
@@ -346,11 +327,10 @@ func (sk *ShardedKernel) shardWorker(s *Shard, jobs chan shardJob) {
 	}
 }
 
-// runJob executes one shard's job — one window's event-queue drain plus
-// the per-shard hooks and the outbox sort, or one call of a barrier
-// stage — recording any panic in the shard's errs slot. The outbox is
-// sorted only if it is out of (at, sender) order: a sorted outbox is its
-// own stable sort.
+// runJob executes one shard's job — one window's per-shard hooks and the
+// outbox sort, or one call of a barrier stage — recording any panic in
+// the shard's errs slot. The outbox is sorted only if it is out of sender
+// order: a sorted outbox is its own stable sort.
 func (sk *ShardedKernel) runJob(s *Shard, job shardJob) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -365,25 +345,19 @@ func (sk *ShardedKernel) runJob(s *Shard, job shardJob) {
 		job.stage(s.idx)
 		return
 	}
-	s.kernel.Run(job.edge)
 	for _, fn := range sk.shardHooks {
 		fn(s.idx, job.edge)
 	}
-	// Sorted after the hooks, so a message a hook sends is in the run. A
-	// model that keys its messages by its shards' step order (see Send)
+	s.now = job.edge
+	// A model that keys its messages by its shards' step order (see Send)
 	// emits them sorted already, and then the check is the whole cost.
 	if !slices.IsSortedFunc(s.outbox, cmpMessage) {
 		slices.SortStableFunc(s.outbox, cmpMessage)
 	}
 }
 
-// cmpMessage orders mailbox messages by (at, sender).
-func cmpMessage(a, b message) int {
-	if c := cmp.Compare(a.at, b.at); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.sender, b.sender)
-}
+// cmpMessage orders mailbox messages by sender.
+func cmpMessage(a, b message) int { return cmp.Compare(a.sender, b.sender) }
 
 // dispatch runs one job on every shard: shards 1..n-1 through the Run
 // workers, shard 0 inline on the coordinating goroutine, returning once
@@ -412,7 +386,7 @@ func (sk *ShardedKernel) dispatch(job shardJob) error {
 // the barrier's parallel phase: call it only from barrier context (a
 // window hook or a drained mailbox message). Every shard is idle then, so
 // fn(i) may write state owned by shard i and read anything no concurrent
-// call writes; it must not Send or schedule events. Models reconcile the
+// call writes; it must not Send or Advance. Models reconcile the
 // calls' results afterwards in shard order, which keeps the output
 // independent of the width.
 //
@@ -442,7 +416,7 @@ func (sk *ShardedKernel) Stage(fn func(shard int)) error {
 
 // runWindow executes one window in parallel across shards, then performs
 // the single-threaded barrier: mailbox drain followed by window hooks.
-// Now() reads the new edge throughout the barrier — every shard kernel has
+// Now() reads the new edge throughout the barrier — every shard has
 // already reached it.
 func (sk *ShardedKernel) runWindow(edge Time) error {
 	if err := sk.dispatch(shardJob{edge: edge}); err != nil {
@@ -473,16 +447,14 @@ func runHook(hook func(Time), edge Time) (err error) {
 	return nil
 }
 
-// drain applies every shard's outbox in deterministic order: by (at,
-// sender), and by send order within a sender, whose messages all live in
-// one outbox. Each shard's outbox is in that order by the end of its
+// drain runs every shard's outbox at the barrier in deterministic order:
+// by sender, and by send order within a sender, whose messages all live
+// in one outbox. Each shard's outbox is in that order by the end of its
 // window job (runJob stable-sorts it unless it arrived sorted), so drain
 // k-way merges the sorted runs, taking the lower shard on a tie —
 // exactly a stable sort of the outboxes' concatenation in shard order.
-// At width 1 the single run is used as it is. Messages due now execute at
-// the barrier; future ones are scheduled onto their destination shard's
-// kernel. A message a drained one sends lands in an emptied outbox and
-// drains at the next barrier.
+// At width 1 the single run is used as it is. A message a drained one
+// sends lands in an emptied outbox and drains at the next barrier.
 func (sk *ShardedKernel) drain(edge Time) (err error) {
 	pending := sk.mergeOutboxes()
 	if len(pending) == 0 {
@@ -494,15 +466,8 @@ func (sk *ShardedKernel) drain(edge Time) (err error) {
 		}
 	}()
 	for _, m := range pending {
-		if m.at <= edge {
-			if m.at < edge {
-				sk.clamped++
-			}
-			sk.barrierExec++
-			m.fn()
-			continue
-		}
-		sk.shards[m.dst].kernel.At(m.at, m.fn)
+		sk.barrierExec++
+		m.fn()
 	}
 	// Drop the closure references so the reused scratch does not pin a
 	// window's worth of captures until the next barrier.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -41,39 +42,47 @@ func TestSplitSeedStreamsAreDistinct(t *testing.T) {
 	}
 }
 
-// Shards advance in lockstep: after Run, every shard kernel rests at the
-// horizon and events scheduled inside windows have executed.
+// stepEvery registers a step loop that advances every shard to each
+// multiple of period inside the window, calling step on the shard's
+// goroutine for each.
+func stepEvery(sk *ShardedKernel, period Time, step func(s *Shard)) {
+	sk.OnShardWindow(func(shard int, edge Time) {
+		s := sk.Shard(shard)
+		open := edge - sk.Window()
+		for at := (open/period + 1) * period; at <= edge; at += period {
+			s.Advance(at)
+			step(s)
+		}
+	})
+}
+
+// Shards advance in lockstep: after Run, every shard rests at the horizon
+// and every step inside the windows has run.
 func TestShardedKernelLockstep(t *testing.T) {
 	sk, err := NewShardedKernel(1, 4, 10*Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var fired [4]int
-	for i := 0; i < 4; i++ {
-		i := i
-		k := sk.Shard(i).Kernel()
-		if _, err := k.Every(3*Millisecond, func() { fired[i]++ }); err != nil {
-			t.Fatal(err)
-		}
-	}
+	stepEvery(sk, 3*Millisecond, func(s *Shard) { fired[s.Index()]++ })
 	if err := sk.Run(context.Background(), 30*Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if got := sk.Shard(i).Kernel().Now(); got != 30*Millisecond {
+		if got := sk.Shard(i).Now(); got != 30*Millisecond {
 			t.Fatalf("shard %d at %v, want 30ms", i, got)
 		}
 		if fired[i] != 10 {
 			t.Fatalf("shard %d fired %d, want 10", i, fired[i])
 		}
 	}
-	if sk.Now() != 30*Millisecond {
-		t.Fatalf("Now = %v", sk.Now())
+	if sk.Now() != 30*Millisecond || sk.Executed() != 40 {
+		t.Fatalf("Now = %v, Executed = %d", sk.Now(), sk.Executed())
 	}
 }
 
-// Cross-shard messages drain at window edges in (at, sender) order,
-// independent of which shard sent them or in which order shards ran.
+// Mailbox messages drain at window edges in sender order, independent of
+// which shard sent them or in which order shards ran.
 func TestShardedKernelMailboxOrder(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		sk, err := NewShardedKernel(1, 3, 10*Millisecond)
@@ -81,16 +90,10 @@ func TestShardedKernelMailboxOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got []string
-		for i := 0; i < 3; i++ {
-			s := sk.Shard(i)
-			sender := int64(i)
-			s.Kernel().Schedule(Millisecond*Time(i+1), func() {
-				edge := sk.NextEdge(s.Kernel().Now())
-				s.Send((s.Index()+1)%3, edge, sender, func() {
-					got = append(got, fmt.Sprintf("m%d", sender))
-				})
-			})
-		}
+		stepEvery(sk, 10*Millisecond, func(s *Shard) {
+			sender := int64(2 - s.Index())
+			s.Send(sender, func() { got = append(got, fmt.Sprintf("m%d", sender)) })
+		})
 		if err := sk.Run(context.Background(), 10*Millisecond); err != nil {
 			t.Fatal(err)
 		}
@@ -100,113 +103,109 @@ func TestShardedKernelMailboxOrder(t *testing.T) {
 	}
 }
 
-// A message with an instant beyond the drain edge is scheduled onto the
-// destination shard's kernel and executes in the correct later window.
-func TestShardedKernelFutureMessage(t *testing.T) {
+// Advance moves the shard clock forward and counts one step into
+// Executed; a clock that would move back panics, and inside a window the
+// panic fails the Run.
+func TestShardAdvance(t *testing.T) {
 	sk, err := NewShardedKernel(1, 2, 10*Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var at Time
-	src := sk.Shard(0)
-	src.Kernel().Schedule(Millisecond, func() {
-		src.Send(1, 25*Millisecond, 0, func() { at = sk.Shard(1).Kernel().Now() })
-	})
-	if err := sk.Run(context.Background(), 40*Millisecond); err != nil {
-		t.Fatal(err)
+	s := sk.Shard(1)
+	s.Advance(3 * Millisecond)
+	s.Advance(3 * Millisecond)
+	if s.Now() != 3*Millisecond || sk.Executed() != 2 {
+		t.Fatalf("after two steps: Now = %v, Executed = %d", s.Now(), sk.Executed())
 	}
-	if at != 25*Millisecond {
-		t.Fatalf("future message ran at %v, want 25ms", at)
+	func() {
+		defer func() {
+			if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), "moved back") {
+				t.Fatalf("backward Advance: recovered %v", p)
+			}
+		}()
+		s.Advance(2 * Millisecond)
+	}()
+	if s.Now() != 3*Millisecond || sk.Executed() != 2 {
+		t.Fatalf("a refused step moved the clock or counted: Now = %v, Executed = %d", s.Now(), sk.Executed())
 	}
-	if sk.Clamped() != 0 {
-		t.Fatalf("clamped = %d", sk.Clamped())
-	}
-}
 
-// Messages violating the conservative contract are clamped to the drain
-// edge and counted — a nonzero count flags a broken lookahead claim.
-func TestShardedKernelClampsContractViolations(t *testing.T) {
-	sk, err := NewShardedKernel(1, 2, 10*Millisecond)
+	sk2, err := NewShardedKernel(1, 2, 10*Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ranAt Time
-	src := sk.Shard(0)
-	src.Kernel().Schedule(7*Millisecond, func() {
-		src.Send(1, 8*Millisecond, 0, func() { ranAt = sk.Now() })
+	sk2.OnShardWindow(func(shard int, edge Time) {
+		if shard == 1 && edge == 20*Millisecond {
+			sk2.Shard(shard).Advance(edge - 15*Millisecond)
+		}
 	})
-	if err := sk.Run(context.Background(), 20*Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if sk.Clamped() != 1 {
-		t.Fatalf("clamped = %d, want 1", sk.Clamped())
-	}
-	if ranAt != 10*Millisecond { // executed during the 10ms barrier
-		t.Fatalf("clamped message observed Now = %v", ranAt)
+	err = sk2.Run(context.Background(), 30*Millisecond)
+	if err == nil || !strings.Contains(err.Error(), "shard 1") || !strings.Contains(err.Error(), "moved back") {
+		t.Fatalf("backward step in a window: err = %v", err)
 	}
 }
 
-// Warp empties every shard's queue and outbox, moves every clock to the
-// target edge, and keeps Executed, so a re-seeded run after the warp
-// counts each event once.
+// Warp clears every outbox, moves every clock to the target edge, and
+// keeps Executed, so a run after the warp counts each step once.
 func TestShardedKernelWarp(t *testing.T) {
 	sk, err := NewShardedKernel(1, 2, 10*Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fired []int
-	k0, k1 := sk.Shard(0).Kernel(), sk.Shard(1).Kernel()
-	k0.At(5*Millisecond, func() { fired = append(fired, 1) })
-	k0.At(25*Millisecond, func() { fired = append(fired, 2) })
-	k1.At(35*Millisecond, func() { fired = append(fired, 3) })
+	var fired []Time
+	stepEvery(sk, 10*Millisecond, func(s *Shard) {
+		if s.Index() == 0 {
+			fired = append(fired, s.Now())
+		}
+	})
 	if err := sk.Run(context.Background(), 20*Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	sk.Shard(1).Send(0, 20*Millisecond, 0, func() { fired = append(fired, 4) })
+	sk.Shard(1).Send(0, func() { fired = append(fired, -1) })
 	if err := sk.Warp(15 * Millisecond); err == nil {
 		t.Fatal("off-grid warp target accepted")
 	}
 	if err := sk.Warp(10 * Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if sk.Now() != 10*Millisecond || k0.Now() != 10*Millisecond || k1.Now() != 10*Millisecond {
-		t.Fatalf("warp clocks: sk=%v shard0=%v shard1=%v", sk.Now(), k0.Now(), k1.Now())
+	if sk.Now() != 10*Millisecond || sk.Shard(0).Now() != 10*Millisecond || sk.Shard(1).Now() != 10*Millisecond {
+		t.Fatalf("warp clocks: sk=%v shard0=%v shard1=%v", sk.Now(), sk.Shard(0).Now(), sk.Shard(1).Now())
 	}
-	if k0.Pending() != 0 || k1.Pending() != 0 {
-		t.Fatalf("warp left events queued: %d, %d", k0.Pending(), k1.Pending())
+	if sk.Executed() != 4 {
+		t.Fatalf("warp changed Executed: %d, want 4", sk.Executed())
 	}
-	if sk.Executed() != 1 {
-		t.Fatalf("warp changed Executed: %d, want 1", sk.Executed())
-	}
-	// Re-seeding and re-running executes only the new event: the queued
-	// events and the outbox message were discarded.
-	k0.At(15*Millisecond, func() { fired = append(fired, 5) })
+	// Re-running steps the windows after the target again; the outbox
+	// message was discarded.
 	if err := sk.Run(context.Background(), 40*Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(fired) != "[1 5]" || sk.Executed() != 2 {
+	if fmt.Sprint(fired) != "[10ms 20ms 20ms 30ms 40ms]" || sk.Executed() != 10 {
 		t.Fatalf("after warp: fired=%v executed=%d", fired, sk.Executed())
 	}
 }
 
-// Executed sums shard kernels plus barrier-drained messages.
+// Executed sums the shards' steps plus barrier-drained messages.
 func TestShardedKernelExecutedCount(t *testing.T) {
 	sk, err := NewShardedKernel(1, 2, 10*Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := sk.Shard(0)
-	src.Kernel().Schedule(Millisecond, func() {
-		src.Send(1, 10*Millisecond, 0, func() {})
+	sk.OnShardWindow(func(shard int, edge Time) {
+		if shard == 0 {
+			s := sk.Shard(shard)
+			s.Advance(edge - 9*Millisecond)
+			s.Send(0, func() {})
+		}
 	})
 	if err := sk.Run(context.Background(), 10*Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	if got := sk.Executed(); got != 2 {
-		t.Fatalf("Executed = %d, want 2 (one event + one drained message)", got)
+		t.Fatalf("Executed = %d, want 2 (one step + one drained message)", got)
 	}
 }
 
+// Run rounds its horizon up to the window grid, so barriers only ever
+// fall on multiples of the window.
 func TestShardedKernelWindowHooks(t *testing.T) {
 	sk, err := NewShardedKernel(1, 2, 10*Millisecond)
 	if err != nil {
@@ -217,40 +216,30 @@ func TestShardedKernelWindowHooks(t *testing.T) {
 	if err := sk.Run(context.Background(), 25*Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	want := []Time{10 * Millisecond, 20 * Millisecond, 25 * Millisecond}
-	if len(edges) != len(want) {
+	if want := []Time{10 * Millisecond, 20 * Millisecond, 30 * Millisecond}; !slices.Equal(edges, want) {
 		t.Fatalf("edges = %v, want %v", edges, want)
 	}
-	for i := range want {
-		if edges[i] != want[i] {
-			t.Fatalf("edges = %v, want %v", edges, want)
-		}
-	}
-	// A continuation after an off-grid horizon re-aligns barriers to the
-	// window grid, so NextEdge-based delivery instants stay conservative.
 	edges = edges[:0]
 	if err := sk.Run(context.Background(), 50*Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	cont := []Time{30 * Millisecond, 40 * Millisecond, 50 * Millisecond}
-	if len(edges) != len(cont) {
+	if cont := []Time{40 * Millisecond, 50 * Millisecond}; !slices.Equal(edges, cont) {
 		t.Fatalf("continuation edges = %v, want %v", edges, cont)
-	}
-	for i := range cont {
-		if edges[i] != cont[i] {
-			t.Fatalf("continuation edges = %v, want %v", edges, cont)
-		}
 	}
 }
 
-// A panic inside a shard's event must surface as an error identifying the
+// A panic inside a shard's hook must surface as an error identifying the
 // shard, and the kernel must stay poisoned.
 func TestShardedKernelShardPanicSurfaces(t *testing.T) {
 	sk, err := NewShardedKernel(1, 3, 10*Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sk.Shard(2).Kernel().Schedule(Millisecond, func() { panic("boom") })
+	stepEvery(sk, 10*Millisecond, func(s *Shard) {
+		if s.Index() == 2 {
+			panic("boom")
+		}
+	})
 	err = sk.Run(context.Background(), 30*Millisecond)
 	if err == nil || !strings.Contains(err.Error(), "shard 2") || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v", err)
@@ -267,9 +256,8 @@ func TestShardedKernelBarrierPanicSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := sk.Shard(0)
-	src.Kernel().Schedule(Millisecond, func() {
-		src.Send(1, 10*Millisecond, 0, func() { panic("mailbox boom") })
+	stepEvery(sk, 10*Millisecond, func(s *Shard) {
+		s.Send(0, func() { panic("mailbox boom") })
 	})
 	err = sk.Run(context.Background(), 30*Millisecond)
 	if err == nil || !strings.Contains(err.Error(), "mailbox drain") {
@@ -313,9 +301,9 @@ func TestShardedKernelCancellation(t *testing.T) {
 	}
 }
 
-// OnShardWindow hooks run on every shard for every window, after the
-// shard's events have reached the edge and strictly before the barrier's
-// mailbox drain and OnWindow hooks.
+// OnShardWindow hooks run on every shard for every window, in
+// registration order, strictly before the barrier's mailbox drain and
+// OnWindow hooks; once they return the shard's clock rests at the edge.
 func TestOnShardWindowRunsPerShardBeforeBarrier(t *testing.T) {
 	const shards = 3
 	sk, err := NewShardedKernel(1, shards, 10*Millisecond)
@@ -326,13 +314,13 @@ func TestOnShardWindowRunsPerShardBeforeBarrier(t *testing.T) {
 	// the barrier hook checks every shard reached this edge.
 	edges := make([][]Time, shards)
 	stepped := make([]Time, shards)
-	for i := 0; i < shards; i++ {
-		i := i
-		sk.Shard(i).Kernel().At(5*Millisecond, func() { stepped[i] = 5 * Millisecond })
-	}
 	sk.OnShardWindow(func(shard int, edge Time) {
-		if sk.Shard(shard).Kernel().Now() != edge {
-			t.Errorf("shard %d hook at kernel time %v, want %v", shard, sk.Shard(shard).Kernel().Now(), edge)
+		sk.Shard(shard).Advance(edge - 5*Millisecond)
+		stepped[shard] = sk.Shard(shard).Now()
+	})
+	sk.OnShardWindow(func(shard int, edge Time) {
+		if stepped[shard] != edge-5*Millisecond {
+			t.Errorf("shard %d second hook at %v ran before the step loop", shard, edge)
 		}
 		edges[shard] = append(edges[shard], edge)
 	})
@@ -340,6 +328,9 @@ func TestOnShardWindowRunsPerShardBeforeBarrier(t *testing.T) {
 		for s := 0; s < shards; s++ {
 			if n := len(edges[s]); n == 0 || edges[s][n-1] != edge {
 				t.Errorf("barrier at %v before shard %d's phase hook", edge, s)
+			}
+			if now := sk.Shard(s).Now(); now != edge {
+				t.Errorf("barrier at %v with shard %d's clock at %v", edge, s, now)
 			}
 		}
 	})
@@ -349,9 +340,6 @@ func TestOnShardWindowRunsPerShardBeforeBarrier(t *testing.T) {
 	for s := 0; s < shards; s++ {
 		if len(edges[s]) != 3 {
 			t.Fatalf("shard %d ran %d phase hooks, want 3", s, len(edges[s]))
-		}
-		if stepped[s] != 5*Millisecond {
-			t.Fatalf("shard %d event did not run before its phase hook", s)
 		}
 		for w, e := range edges[s] {
 			if want := Time(w+1) * 10 * Millisecond; e != want {

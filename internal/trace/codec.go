@@ -226,6 +226,14 @@ func (c *Codec) U8(v *uint8) {
 	}
 }
 
+func (c *Codec) U32(v *uint32) {
+	if c.d != nil {
+		*v = c.d.U32()
+	} else {
+		c.e.U32(*v)
+	}
+}
+
 // U64 visits a u64. F64 goes through it too, so its decode path makes
 // Dec.U64's checks in line: a float, the commonest field, costs one call
 // to restore as to encode.
@@ -266,6 +274,16 @@ func (c *Codec) Str(v *string) {
 		c.e.Str(*v)
 	} else if b := c.d.take(int(c.d.U32())); string(b) != *v {
 		*v = string(b)
+	}
+}
+
+// Blob visits a length-prefixed byte slice. A decoded blob is a view of
+// the input with its capacity equal to its length, as Dec.Blob returns.
+func (c *Codec) Blob(v *[]byte) {
+	if c.d != nil {
+		*v = c.d.Blob()
+	} else {
+		c.e.Blob(*v)
 	}
 }
 

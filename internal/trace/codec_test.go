@@ -16,11 +16,13 @@ type level int
 // through Len and a fixed structure checked through LenIs.
 type sample struct {
 	u8    uint8
+	u32   uint32
 	u64   uint64
 	f64   float64
 	nan   float64
 	flag  bool
 	name  string
+	blob  []byte
 	i     int
 	i64   int64
 	lv    level
@@ -30,11 +32,13 @@ type sample struct {
 
 func (s *sample) state(c *Codec) {
 	c.U8(&s.u8)
+	c.U32(&s.u32)
 	c.U64(&s.u64)
 	c.F64(&s.f64)
 	c.F64(&s.nan)
 	c.Bool(&s.flag)
 	c.Str(&s.name)
+	c.Blob(&s.blob)
 	Int(c, &s.i)
 	Int(c, &s.i64)
 	Int(c, &s.lv)
@@ -54,11 +58,12 @@ func (s *sample) state(c *Codec) {
 
 // TestCodecRoundTrip visits every primitive in both modes: encoding writes
 // exactly the bytes the Enc calls of the same fields write, and decoding
-// those bytes restores every field, a NaN's payload bit for bit.
+// those bytes restores every field, a NaN's payload bit for bit, and a
+// blob as a view of the input capped at its length.
 func TestCodecRoundTrip(t *testing.T) {
 	want := sample{
-		u8: 0xA5, u64: 1<<63 | 7, f64: -0.0, nan: math.Float64frombits(0x7FF8_0000_0000_00AB),
-		flag: true, name: "lane-1", i: -42, i64: math.MinInt64, lv: 3,
+		u8: 0xA5, u32: 0xFEED_BEEF, u64: 1<<63 | 7, f64: -0.0, nan: math.Float64frombits(0x7FF8_0000_0000_00AB),
+		flag: true, name: "lane-1", blob: []byte("blob\x00\xff"), i: -42, i64: math.MinInt64, lv: 3,
 		list: []float64{1.5, math.Inf(-1)}, fixed: [3]bool{true, false, true},
 	}
 	var e Enc
@@ -71,11 +76,13 @@ func TestCodecRoundTrip(t *testing.T) {
 
 	var ref Enc
 	ref.U8(want.u8)
+	ref.U32(want.u32)
 	ref.U64(want.u64)
 	ref.F64(want.f64)
 	ref.F64(want.nan)
 	ref.Bool(want.flag)
 	ref.Str(want.name)
+	ref.Blob(want.blob)
 	ref.I64(int64(want.i))
 	ref.I64(want.i64)
 	ref.I64(int64(want.lv))
@@ -106,7 +113,12 @@ func TestCodecRoundTrip(t *testing.T) {
 			math.Float64bits(want.f64), math.Float64bits(want.nan))
 	}
 	got.f64, got.nan = want.f64, want.nan
-	if got.u8 != want.u8 || got.u64 != want.u64 || got.flag != want.flag || got.name != want.name ||
+	at := bytes.Index(e.Bytes(), want.blob)
+	if !bytes.Equal(got.blob, want.blob) || cap(got.blob) != len(got.blob) || &got.blob[0] != &e.Bytes()[at] {
+		t.Fatalf("blob: got %x (cap %d), want a capped view of the input's %x", got.blob, cap(got.blob), want.blob)
+	}
+	got.blob = want.blob
+	if got.u8 != want.u8 || got.u32 != want.u32 || got.u64 != want.u64 || got.flag != want.flag || got.name != want.name ||
 		got.i != want.i || got.i64 != want.i64 || got.lv != want.lv || got.fixed != want.fixed ||
 		len(got.list) != 2 || got.list[0] != want.list[0] || got.list[1] != want.list[1] {
 		t.Fatalf("decoded %+v, want %+v", got, want)

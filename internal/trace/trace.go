@@ -101,57 +101,6 @@ func (w *WindowRecord) Same(o *WindowRecord) bool {
 	return true
 }
 
-func (w *WindowRecord) encode(e *Enc) {
-	e.U64(w.Index)
-	e.I64(w.Edge)
-	e.U64(w.Digest)
-	e.I64(w.Collisions)
-	e.I64(w.Delivered)
-	e.I64(w.Lost)
-	e.I64(w.Crossers)
-	e.F64(w.SpeedSum)
-	e.I64(w.SpeedN)
-	e.U32(uint32(len(w.Grants)))
-	for _, g := range w.Grants {
-		e.U32(uint32(g.Car))
-		e.U32(uint32(g.Lane))
-		e.Str(g.Region)
-	}
-	e.U32(uint32(len(w.Releases)))
-	for _, r := range w.Releases {
-		e.U32(uint32(r.Car))
-		e.Str(r.Region)
-	}
-}
-
-func (w *WindowRecord) decode(d *Dec) {
-	w.Index = d.U64()
-	w.Edge = d.I64()
-	w.Digest = d.U64()
-	w.Collisions = d.I64()
-	w.Delivered = d.I64()
-	w.Lost = d.I64()
-	w.Crossers = d.I64()
-	w.SpeedSum = d.F64()
-	w.SpeedN = d.I64()
-	if n := d.Count(12); n > 0 {
-		w.Grants = make([]Grant, 0, n)
-		for i := 0; i < n && d.Err() == nil; i++ {
-			w.Grants = append(w.Grants, Grant{
-				Car: int32(d.U32()), Lane: int32(d.U32()), Region: d.Str(),
-			})
-		}
-	}
-	if n := d.Count(8); n > 0 {
-		w.Releases = make([]Release, 0, n)
-		for i := 0; i < n && d.Err() == nil; i++ {
-			w.Releases = append(w.Releases, Release{
-				Car: int32(d.U32()), Region: d.Str(),
-			})
-		}
-	}
-}
-
 // CheckpointRecord carries the full restorable world state at the end of
 // window Index. The state blob is encoded by internal/world; a read one
 // is a view of the trace bytes (see Reader).
@@ -167,26 +116,94 @@ type EndRecord struct {
 	Digest  uint64
 }
 
+// codable is a trace record: it names its fields once, in a state method
+// that both the Writer and the Reader pass a Codec through.
+type codable interface{ state(*Codec) }
+
+func (h *Header) state(c *Codec) {
+	c.Blob(&h.Spec)
+	Int(c, &h.Seed)
+	u32(c, &h.Shards)
+	Int(c, &h.Window)
+	u32(c, &h.CheckpointEvery)
+	u32(c, &h.Cars)
+}
+
+func (w *WindowRecord) state(c *Codec) {
+	c.U64(&w.Index)
+	Int(c, &w.Edge)
+	c.U64(&w.Digest)
+	Int(c, &w.Collisions)
+	Int(c, &w.Delivered)
+	Int(c, &w.Lost)
+	Int(c, &w.Crossers)
+	c.F64(&w.SpeedSum)
+	Int(c, &w.SpeedN)
+	w.Grants = visitList(c, w.Grants, 12, func(g *Grant) {
+		u32(c, &g.Car)
+		u32(c, &g.Lane)
+		c.Str(&g.Region)
+	})
+	w.Releases = visitList(c, w.Releases, 8, func(r *Release) {
+		u32(c, &r.Car)
+		c.Str(&r.Region)
+	})
+}
+
+func (ck *CheckpointRecord) state(c *Codec) {
+	c.U64(&ck.Index)
+	Int(c, &ck.Edge)
+	c.Blob(&ck.State)
+}
+
+func (end *EndRecord) state(c *Codec) {
+	c.U64(&end.Windows)
+	c.U64(&end.Digest)
+}
+
+// u32 visits an integer field as a u32.
+func u32[T ~int | ~int32](c *Codec, v *T) {
+	x := uint32(*v)
+	c.U32(&x)
+	if c.Decoding() {
+		*v = T(x)
+	}
+}
+
+// visitList visits a counted list, each element at least min bytes
+// encoded, and returns it: a decoded list is freshly allocated, and nil
+// when empty.
+func visitList[E any](c *Codec, list []E, min int, visit func(*E)) []E {
+	n := c.Len(len(list), min)
+	if c.Decoding() {
+		list = nil
+		if n > 0 {
+			list = make([]E, n)
+		}
+	}
+	for i := range list {
+		visit(&list[i])
+	}
+	return list
+}
+
 // Writer streams a trace to w. Records are buffered; Close flushes.
 // Writer methods are not safe for concurrent use — the recorder calls
 // them from the single barrier goroutine.
 type Writer struct {
-	bw  *bufio.Writer
-	enc Enc
-	err error
+	bw *bufio.Writer
+	// enc holds the record being written; codec encodes into it.
+	enc   Enc
+	codec *Codec
+	err   error
 }
 
 // NewWriter writes the magic, version, and header, returning a Writer
 // ready for records.
 func NewWriter(w io.Writer, h *Header) (*Writer, error) {
 	tw := &Writer{bw: bufio.NewWriterSize(w, 1<<16)}
-	tw.enc.Reset()
-	tw.enc.Blob(h.Spec)
-	tw.enc.I64(h.Seed)
-	tw.enc.U32(uint32(h.Shards))
-	tw.enc.I64(h.Window)
-	tw.enc.U32(uint32(h.CheckpointEvery))
-	tw.enc.U32(uint32(h.Cars))
+	tw.codec = Encoder(&tw.enc)
+	h.state(tw.codec)
 	if _, err := tw.bw.WriteString(Magic); err != nil {
 		return nil, err
 	}
@@ -199,10 +216,14 @@ func NewWriter(w io.Writer, h *Header) (*Writer, error) {
 	return tw, nil
 }
 
-func (tw *Writer) record(kind uint8, payload []byte) error {
+// record encodes rec's fields as one record of the kind and appends it.
+func (tw *Writer) record(kind uint8, rec codable) error {
 	if tw.err != nil {
 		return tw.err
 	}
+	tw.enc.Reset()
+	rec.state(tw.codec)
+	payload := tw.enc.Bytes()
 	var hdr Enc
 	hdr.U8(kind)
 	hdr.U32(uint32(len(payload)))
@@ -217,27 +238,16 @@ func (tw *Writer) record(kind uint8, payload []byte) error {
 }
 
 // WriteWindow appends one window record.
-func (tw *Writer) WriteWindow(w *WindowRecord) error {
-	tw.enc.Reset()
-	w.encode(&tw.enc)
-	return tw.record(KindWindow, tw.enc.Bytes())
-}
+func (tw *Writer) WriteWindow(w *WindowRecord) error { return tw.record(KindWindow, w) }
 
 // WriteCheckpoint appends one checkpoint record.
 func (tw *Writer) WriteCheckpoint(c *CheckpointRecord) error {
-	tw.enc.Reset()
-	tw.enc.U64(c.Index)
-	tw.enc.I64(c.Edge)
-	tw.enc.Blob(c.State)
-	return tw.record(KindCheckpoint, tw.enc.Bytes())
+	return tw.record(KindCheckpoint, c)
 }
 
 // Close writes the end marker and flushes. The Writer is unusable after.
 func (tw *Writer) Close(end *EndRecord) error {
-	tw.enc.Reset()
-	tw.enc.U64(end.Windows)
-	tw.enc.U64(end.Digest)
-	if err := tw.record(KindEnd, tw.enc.Bytes()); err != nil {
+	if err := tw.record(KindEnd, end); err != nil {
 		return err
 	}
 	if err := tw.bw.Flush(); err != nil {
@@ -270,6 +280,9 @@ type Reader struct {
 	d      *Dec
 	hdr    Header
 	sawEnd bool
+	// pd holds the record being read; codec decodes from it.
+	pd    Dec
+	codec *Codec
 }
 
 // NewReader validates the magic, version, and header.
@@ -288,12 +301,8 @@ func NewReader(data []byte) (*Reader, error) {
 	}
 	hd := NewDec(hb)
 	r := &Reader{d: d}
-	r.hdr.Spec = hd.Blob()
-	r.hdr.Seed = hd.I64()
-	r.hdr.Shards = int(hd.U32())
-	r.hdr.Window = hd.I64()
-	r.hdr.CheckpointEvery = int(hd.U32())
-	r.hdr.Cars = int(hd.U32())
+	r.codec = Decoder(&r.pd)
+	r.hdr.state(Decoder(hd))
 	if err := hd.Err(); err != nil {
 		return nil, err
 	}
@@ -328,21 +337,25 @@ func (r *Reader) Next() (*Event, error) {
 	if err := r.d.Err(); err != nil {
 		return nil, err
 	}
-	pd := NewDec(payload)
+	r.pd = Dec{buf: payload}
 	ev := &Event{Kind: kind}
+	var rec codable
 	switch kind {
 	case KindWindow:
 		ev.Window = &WindowRecord{}
-		ev.Window.decode(pd)
+		rec = ev.Window
 	case KindCheckpoint:
-		ev.Checkpoint = &CheckpointRecord{Index: pd.U64(), Edge: pd.I64(), State: pd.Blob()}
+		ev.Checkpoint = &CheckpointRecord{}
+		rec = ev.Checkpoint
 	case KindEnd:
-		ev.End = &EndRecord{Windows: pd.U64(), Digest: pd.U64()}
+		ev.End = &EndRecord{}
+		rec = ev.End
 		r.sawEnd = true
 	default:
 		return nil, fmt.Errorf("%w: unknown record kind %d", ErrCorrupt, kind)
 	}
-	if err := pd.Err(); err != nil {
+	rec.state(r.codec)
+	if err := r.pd.Err(); err != nil {
 		return nil, err
 	}
 	return ev, nil

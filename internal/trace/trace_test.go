@@ -241,8 +241,8 @@ func diffContents(a, b *Contents) string {
 	for i := range a.Windows {
 		ea.Reset()
 		eb.Reset()
-		a.Windows[i].encode(&ea)
-		b.Windows[i].encode(&eb)
+		a.Windows[i].state(Encoder(&ea))
+		b.Windows[i].state(Encoder(&eb))
 		if !bytes.Equal(ea.Bytes(), eb.Bytes()) {
 			return fmt.Sprintf("window %d", i+1)
 		}

@@ -19,13 +19,12 @@ import (
 // carrier sense, jam windows) but restructures *when* and *from what* the
 // decisions are made:
 //
-//   - A transmission is described, not performed, when the sender's event
-//     runs: the owning shard routes the ShardedTx through its mailbox to
-//     the closing window barrier (one Send per frame, addressed to the
-//     sending shard itself — the same conservative-lookahead discipline as
-//     the worlds' beacon fan-out). Cross-arc frames therefore travel as
-//     barrier mailbox messages, drained in deterministic (edge, sender)
-//     order.
+//   - A transmission is described, not performed, when the sender steps:
+//     the owning shard routes the ShardedTx through its mailbox to the
+//     closing window barrier (one Send per frame — the same
+//     conservative-lookahead discipline as the worlds' beacon fan-out).
+//     Cross-arc frames therefore travel as barrier mailbox messages,
+//     drained in deterministic sender order.
 //   - Resolution runs at the barrier over the whole window's frame set,
 //     sorted by (start, sender): airtime overlap, carrier sense, jam
 //     overlap and range are pure interval/geometry functions of that set,

@@ -2,7 +2,6 @@ package world
 
 import (
 	"cmp"
-	"context"
 	"slices"
 
 	"karyon/internal/sim"
@@ -44,7 +43,7 @@ func (b *barrierScheduler) OnWindow(fn func(now sim.Time)) {
 	b.hooks = append(b.hooks, fn)
 }
 
-// Stop halts the world: no further windows are seeded.
+// Stop halts the world: from the next window on, no car steps.
 func (b *barrierScheduler) Stop() { b.stopped = true }
 
 // runPending executes scheduled actions due at this edge in (at,
@@ -94,14 +93,4 @@ func (b *barrierScheduler) runHooks(edge sim.Time) {
 	for _, fn := range b.hooks {
 		fn(edge)
 	}
-}
-
-// runWindows advances the sharded kernel by d, rounded up to a whole
-// number of windows so barriers stay on the window grid.
-func runWindows(ctx context.Context, sk *sim.ShardedKernel, window sim.Time, d sim.Time) error {
-	until := sk.Now() + d
-	if rem := until % window; rem != 0 {
-		until += window - rem
-	}
-	return sk.Run(ctx, until)
 }

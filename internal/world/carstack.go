@@ -15,19 +15,19 @@ import (
 
 // Car is one vehicle with its full KARYON stack, packaged as a shard-safe
 // component: every piece of mutable state in it is touched either by the
-// car's own events (on whichever shard currently owns the car) or at the
-// single-threaded window barrier — never by another car's in-window
-// events. The car reads the world only through the immutable neighbor
-// snapshot published at the last window edge, and emits all cross-car
-// traffic (V2V beacons) through the sharded kernel's mailboxes. That
-// discipline is what lets the same car implementation run unchanged on 1
-// or N shards with byte-identical output.
+// car's own control step (once per window, by the step loop of whichever
+// shard currently owns the car) or at the single-threaded window barrier
+// — never by another car's step. The car reads the world only through
+// the immutable neighbor snapshot published at the last window edge, and
+// emits all cross-car traffic (V2V beacons) through the sharded kernel's
+// mailboxes. That discipline is what lets the same car implementation run
+// unchanged on 1 or N shards with byte-identical output.
 type Car struct {
 	ID   int
 	Body vehicle.Body
 
-	// clock travels with the car across shard handoffs: the owning shard
-	// sets it at the start of every event, so the stack's components
+	// clock travels with the car across shard handoffs: the car's step
+	// sets it to the shard's clock first, so the stack's components
 	// (sensors, state table, safety manager) always read a consistent now.
 	clock *sim.ManualClock
 	// rx drives beacon-loss draws; consumed in deterministic per-receiver
@@ -88,13 +88,10 @@ type Car struct {
 	// shard is the owning partition; phase offsets the control step inside
 	// a window. rank is the car's step rank: its position in the world's
 	// ascending (phase, id) order, which is the order every shard steps
-	// its cars in. stepFn is the car's cached control-step closure: it
-	// reads shard at execution time, so re-seeding windows never
-	// allocates.
-	shard  int
-	phase  sim.Time
-	rank   int
-	stepFn func()
+	// its cars in.
+	shard int
+	phase sim.Time
+	rank  int
 
 	// deliverFn is the car's cached mailbox closure, which enlists it as a
 	// sender of the closing window; the car mails it under its step rank
@@ -104,7 +101,7 @@ type Car struct {
 	// and mails deliverFn, so the steady-state beacon path allocates
 	// nothing. They are stable between the send and the closing barrier: a
 	// car steps exactly once per window, and the delivery stage runs
-	// before the next window is seeded.
+	// before the next window opens.
 	deliverFn func()
 	pend      beacon
 	pendTx    wireless.ShardedTx
@@ -288,7 +285,7 @@ func (c *Car) occupies(lane int) bool {
 // the owning shard during a window: it reads the immutable snapshot
 // (through the highway's lookup helpers) and mutates only this car.
 func (c *Car) step(h *Highway, shard *sim.Shard) {
-	now := shard.Kernel().Now()
+	now := shard.Now()
 	c.clock.Set(now)
 	dt := h.cfg.ControlPeriod.Seconds()
 

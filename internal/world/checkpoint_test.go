@@ -135,6 +135,38 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 	})
 }
 
+// TestRestoreIntoFreshWorldIsFixedPoint restores a recorded checkpoint
+// of a world whose cars have switched their level of service into a
+// freshly built world, as ReplayTrace does, and encodes it again: the
+// bytes must be the checkpoint's. A restore that kept any of the fresh
+// world's state (a shorter switch count) would encode differently.
+func TestRestoreIntoFreshWorldIsFixedPoint(t *testing.T) {
+	edge := sim.Time(fuzzWindow) * DefaultHighwayConfig().ControlPeriod
+	for _, medium := range []bool{false, true} {
+		c, err := trace.Parse(fuzzTrace(t, medium))
+		if err != nil {
+			t.Fatalf("Parse: %v", err)
+		}
+		state := c.Checkpoints[fuzzWindow].State
+		h := startedFuzzWorld(t, medium)
+		if err := h.restoreCheckpoint(state, edge); err != nil {
+			t.Fatalf("medium=%v: restoreCheckpoint: %v", medium, err)
+		}
+		var e trace.Enc
+		h.encodeCheckpoint(&e)
+		if !bytes.Equal(e.Bytes(), state) {
+			t.Fatalf("medium=%v: the restored world encodes to %d bytes that differ from the %d-byte checkpoint", medium, e.Len(), len(state))
+		}
+		switches := 0
+		for _, car := range h.cars {
+			switches += car.fn.Switches
+		}
+		if switches == 0 {
+			t.Fatalf("medium=%v: no car switched its level of service before the checkpoint", medium)
+		}
+	}
+}
+
 // readFuzzSeed parses a FuzzRestoreCheckpoint corpus file: the go test
 // fuzz v1 header, a bool line and a []byte line.
 func readFuzzSeed(t *testing.T, path string) (bool, []byte) {
@@ -221,7 +253,6 @@ func TestReplayRejectsHostileCheckpoints(t *testing.T) {
 // notCheckpointed lists the Car fields a checkpoint leaves out, each with
 // the reason it may.
 var notCheckpointed = map[string]string{
-	"stepFn":    "closure: the cached control step, built by NewHighway",
 	"deliverFn": "closure: the cached enlistment as a window's beacon sender, built by NewHighway",
 	"pend":      "scratch: the pending beacon, drained at the barrier before a checkpoint",
 	"pendTx":    "scratch: the pending frame, resolved at the barrier before a checkpoint",
@@ -235,7 +266,7 @@ var notCheckpointedWithin = map[string]string{
 	"core.RuntimeInfo.keys":            "design-time, immutable, shared by every car",
 	"core.Gate.env":                    "design-time, immutable, shared by every car",
 	"sensor.FaultManagement.detectors": "design-time, immutable, shared by every car",
-	"core.Functionality.Switches":      "output-only transition log: the checkpoint keeps only its length",
+	"core.Functionality.LastSwitch":    "output-only: the latest transition, read by E1",
 	"sensor.Reliable.readings":         "scratch: per-Read fusion buffer",
 	"sensor.Reliable.intervals":        "scratch: per-Read fusion buffer",
 	"sensor.Reliable.edges":            "scratch: per-Read fusion buffer",
@@ -249,7 +280,7 @@ var notCheckpointedWithin = map[string]string{
 var highwayNotCheckpointed = map[string]string{
 	"cars":      "the cars themselves: compared field by field by the Car wall",
 	"design":    "design-time, immutable, shared by every car",
-	"sk":        "kernel: rewound by Warp and re-seeded by seedWindow; its queues hold closures",
+	"sk":        "kernel: rewound by Warp; its outboxes are drained at the barrier before a checkpoint",
 	"TimeGaps":  "output-only histogram: never feeds back into behaviour",
 	"inaccess":  "output-only histogram: never feeds back into behaviour",
 	"stageFn":   "closure: the cached delivery stage, built by NewHighway",

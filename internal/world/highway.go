@@ -7,13 +7,14 @@
 // be replaced by the virtual traffic light (use case VI-A2).
 //
 // Both worlds run on sim.ShardedKernel under the snapshot/mailbox
-// discipline: in-window events read the immutable neighbor snapshot
-// published at the last window edge and mutate only their own entity;
-// cross-entity traffic flows through mailboxes drained at single-threaded
-// barriers; shared metrics accumulate at barriers in entity-id order; and
-// every entity draws randomness from its own sim.NewStream streams. Under
-// that discipline a run is a pure function of (seed, config) —
-// byte-identical for every shard count.
+// discipline: every window each shard steps its entities in a fixed
+// order; a step reads the immutable neighbor snapshot published at the
+// last window edge and mutates only its own entity; cross-entity traffic
+// flows through mailboxes drained at single-threaded barriers; shared
+// metrics accumulate at barriers in entity-id order; and every entity
+// draws randomness from its own sim.NewStream streams. Under that
+// discipline a run is a pure function of (seed, config) — byte-identical
+// for every shard count.
 package world
 
 import (
@@ -196,8 +197,8 @@ type Highway struct {
 	// design is the cars' shared design-time half (carDesign).
 	design *carDesign
 
-	// byShard lists each shard's cars in step-rank order, so seedWindow
-	// pushes a shard's control steps in the order they will run.
+	// byShard lists each shard's cars in step-rank order: the order the
+	// shard's step loop (shardPhase) steps them in.
 	byShard  [][]*Car
 	snap     []hwSnap // sorted by (x, id); replaced at barriers, never mutated
 	snapEdge sim.Time
@@ -361,13 +362,9 @@ func NewHighway(sk *sim.ShardedKernel, cfg HighwayConfig) (*Highway, error) {
 			return nil, err
 		}
 		car.rank = rank
-		// One step closure per car for its whole lifetime: seeding a
-		// window is then allocation-free (the kernels recycle events).
-		// The beacon path gets the same treatment — one cached closure
-		// that enlists the car as a sender, fed through its pending
-		// beacon — so the steady-state window sends beacons without
-		// allocating.
-		car.stepFn = func() { car.step(h, h.sk.Shard(car.shard)) }
+		// One cached closure per car for its whole lifetime enlists it as
+		// a beacon sender, fed through its pending beacon, so the
+		// steady-state window sends beacons without allocating.
 		car.deliverFn = func() { h.senders = append(h.senders, car) }
 		h.cars[i] = car
 		h.order = append(h.order, car)
@@ -464,13 +461,11 @@ func (h *Highway) Inaccessibility() metrics.Histogram {
 	return out
 }
 
-// Start assigns cars to shards, publishes the first snapshot, seeds the
-// first window's control steps, and registers the per-shard phase and
-// window hooks.
+// Start assigns cars to shards, publishes the first snapshot, and
+// registers the per-shard step loop and the window hook.
 func (h *Highway) Start() error {
 	h.assignShards()
 	h.publishSnapshot(0)
-	h.seedWindow(0)
 	h.sk.OnShardWindow(h.shardPhase)
 	h.sk.OnWindow(h.onWindow)
 	return nil
@@ -484,14 +479,14 @@ func (h *Highway) Run(d sim.Time) error {
 
 // RunContext is Run with cancellation, checked at every window barrier.
 func (h *Highway) RunContext(ctx context.Context, d sim.Time) error {
-	return runWindows(ctx, h.sk, h.cfg.ControlPeriod, d)
+	return h.sk.Run(ctx, h.sk.Now()+d)
 }
 
 // onWindow is the single-threaded barrier work at every window edge, in a
 // fixed order: scheduled world actions, snapshot reconciliation (the
 // per-shard phase already refreshed and sorted the arc snapshots in
-// parallel), metrics accounting, reservation arbitration, observer hooks,
-// and the seeding of the next window.
+// parallel), metrics accounting, reservation arbitration, and observer
+// hooks.
 //
 // Scheduled actions (Schedule callbacks, campaign injections) must not
 // mutate car kinematics (position, speed, lane, maneuver) — those were
@@ -521,9 +516,6 @@ func (h *Highway) onWindow(edge sim.Time) {
 	}
 	h.arbitrate(edge)
 	h.runHooks(edge)
-	if !h.stopped {
-		h.seedWindow(edge)
-	}
 	if h.rec != nil {
 		// Last, so the digest sees the fully reconciled barrier state.
 		h.recWindow(edge)
@@ -547,7 +539,7 @@ func (h *Highway) assignShards() {
 
 // publishSnapshot replaces the shared snapshot with the current car
 // states, sorted by (x, id), and re-partitions it into the per-shard arc
-// snapshots. In-window events only ever read the published snapshot. This
+// snapshots. In-window steps only ever read the published snapshot. This
 // is the full-rebuild path; steady-state barriers use mergeSnapshot.
 func (h *Highway) publishSnapshot(edge sim.Time) {
 	if cap(h.snap) < len(h.cars) {
@@ -607,15 +599,24 @@ func insertionSortSnaps(s []hwSnap) {
 	}
 }
 
-// shardPhase is the pre-barrier per-shard snapshot refresh. It runs on the
-// shard's own goroutine after the window's final control step: it rewrites
-// the arc's entries from the shard's cars, restores (x, id) order with a
-// near-sorted insertion pass, and sets aside the entries whose position
-// now belongs to another arc (boundary crossers, including the ring wrap
-// at x=0, which always sorts to the front of the last shard's arc). It
-// touches only shard-owned state — the published global snapshot stays
-// immutable until the barrier.
+// shardPhase is the shard's window, on the shard's own goroutine. Unless
+// the world is stopped, it first steps the shard's cars in step-rank
+// order, each at its phase in the window. Then it refreshes the arc
+// snapshot: it rewrites the arc's entries from the shard's cars, restores
+// (x, id) order with a near-sorted insertion pass, and sets aside the
+// entries whose position now belongs to another arc (boundary crossers,
+// including the ring wrap at x=0, which always sorts to the front of the
+// last shard's arc). It touches only shard-owned state — the published
+// global snapshot stays immutable until the barrier.
 func (h *Highway) shardPhase(shard int, edge sim.Time) {
+	if !h.stopped {
+		s := h.sk.Shard(shard)
+		open := edge - h.cfg.ControlPeriod
+		for _, c := range h.byShard[shard] {
+			s.Advance(open + c.phase)
+			c.step(h, s)
+		}
+	}
 	arc := h.arcs[shard]
 	sorted := true
 	for i := range arc {
@@ -948,20 +949,6 @@ func (h *Highway) markManeuver(c *Car) {
 	h.syncHot(c)
 }
 
-// seedWindow schedules every car's control step for the window opening at
-// edge, on the kernel of the shard that owns the car. The ownership lists
-// are in step-rank order, so each kernel receives its steps in the order
-// they will run. The cars' cached step closures resolve their owning
-// shard at execution time, so seeding allocates nothing.
-func (h *Highway) seedWindow(edge sim.Time) {
-	for idx, list := range h.byShard {
-		k := h.sk.Shard(idx).Kernel()
-		for _, c := range list {
-			k.At(edge+c.phase, c.stepFn)
-		}
-	}
-}
-
 // leaderFor returns the snapshot entry of the nearest car ahead of c that
 // shares a lane with it, and the bumper-to-bumper gap with the leader's
 // position extrapolated to now. The sorted snapshot turns the old O(n)
@@ -1093,14 +1080,15 @@ const beaconSlotJitter = 800 * sim.Microsecond
 // sendBeacon broadcasts the car's cooperative state through ONE mailbox
 // message per beacon. The car writes the beacon into its pending slot —
 // in Medium mode also the frame that carries it — and the message only
-// enlists the car as a sender of the closing window. The message's sender
-// key is the car's step rank, so each shard's outbox fills in key order
-// and needs no sort; at the barrier the drain enlists senders in (edge,
-// step rank) order. deliverBeacons then fans each beacon out to the
-// receivers in range of the same immutable snapshot the sender
-// transmitted against (the snapshot is only replaced after the delivery
-// stage): on the abstract path directly, in car-id order; in Medium mode
-// through the medium's contention resolution, in on-air order.
+// enlists the car as a sender of the window, at the barrier that closes
+// it. The message's sender key is the car's step rank, so each shard's
+// outbox fills in key order and needs no sort; at the barrier the drain
+// enlists senders in step-rank order. deliverBeacons then fans each
+// beacon out to the receivers in range of the same immutable snapshot the
+// sender transmitted against (the snapshot is only replaced after the
+// delivery stage): on the abstract path directly, in car-id order; in
+// Medium mode through the medium's contention resolution, in on-air
+// order.
 func (h *Highway) sendBeacon(shard *sim.Shard, c *Car, now sim.Time) {
 	c.pend = beacon{
 		state: coord.CoopState{
@@ -1138,5 +1126,5 @@ func (h *Highway) sendBeacon(shard *sim.Shard, c *Car, now sim.Time) {
 			Payload: &c.pend,
 		}
 	}
-	shard.Send(shard.Index(), edge, int64(c.rank), c.deliverFn)
+	shard.Send(int64(c.rank), c.deliverFn)
 }

@@ -1,9 +1,11 @@
 package world
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"karyon/internal/coord"
@@ -99,7 +101,7 @@ const (
 // along its road: x grows toward the stop line at x=0 + ApproachLength;
 // the conflict box is the BoxLength past the stop line; past that the car
 // has cleared. All mutable state follows the same shard discipline as the
-// highway's Car: own events or barrier only.
+// highway's Car: own step or barrier only.
 type icar struct {
 	id   int
 	road Road
@@ -117,9 +119,6 @@ type icar struct {
 	// received, written at barriers by medium delivery.
 	lastRx sim.Time
 	haveRx bool
-	// driveFn is the cached drive-step closure (resolves the owning shard
-	// at execution time), so re-seeding windows never allocates.
-	driveFn func()
 }
 
 // iSnap is one car's published state at a window edge.
@@ -159,6 +158,10 @@ type Intersection struct {
 	// retiredPending counts cars accounted this barrier and awaiting
 	// compaction.
 	retiredPending int
+	// byShard lists each shard's live cars in (phase, id) order, the order
+	// the shard's step loop drives them in. refreshSnapshot rebuilds it at
+	// every barrier, so a shard never reads another shard's cars.
+	byShard [][]*icar
 
 	arrival     [2]*sim.Stream
 	nextArrival [2]sim.Time
@@ -215,6 +218,7 @@ func NewIntersection(sk *sim.ShardedKernel, cfg IntersectionConfig) (*Intersecti
 	w := &Intersection{
 		cfg:     cfg,
 		sk:      sk,
+		byShard: make([][]*icar, sk.Shards()),
 		Crossed: map[Road]int64{},
 		// Ids are assigned sequentially from firstCarID, so cars[id-
 		// firstCarID] is the O(1) id lookup the incremental snapshot
@@ -306,12 +310,13 @@ func (w *Intersection) JamV2V(d sim.Time) {
 	}
 }
 
-// Start registers the window hook and seeds the first window.
+// Start registers the shards' step loop and the window hook, and spawns
+// the first window's cars.
 func (w *Intersection) Start() error {
+	w.sk.OnShardWindow(w.stepShard)
 	w.sk.OnWindow(w.onWindow)
 	w.spawnDue(0)
 	w.refreshSnapshot(0)
-	w.seedWindow(0)
 	return nil
 }
 
@@ -322,7 +327,22 @@ func (w *Intersection) Run(d sim.Time) error {
 
 // RunContext is Run with cancellation, checked at every window barrier.
 func (w *Intersection) RunContext(ctx context.Context, d sim.Time) error {
-	return runWindows(ctx, w.sk, w.cfg.ControlPeriod, d)
+	return w.sk.Run(ctx, w.sk.Now()+d)
+}
+
+// stepShard is the shard's step loop: unless the world is stopped, it
+// drives the shard's live cars in (phase, id) order, each at its phase in
+// the window.
+func (w *Intersection) stepShard(shard int, edge sim.Time) {
+	if w.stopped {
+		return
+	}
+	s := w.sk.Shard(shard)
+	open := edge - w.cfg.ControlPeriod
+	for _, c := range w.byShard[shard] {
+		s.Advance(open + c.phase)
+		w.drive(c, s)
+	}
 }
 
 func (w *Intersection) onWindow(edge sim.Time) {
@@ -340,9 +360,6 @@ func (w *Intersection) onWindow(edge sim.Time) {
 		w.compactRetired()
 	}
 	w.runHooks(edge)
-	if !w.stopped {
-		w.seedWindow(edge)
-	}
 }
 
 // firstCarID is the id of the first spawned vehicle; ids are sequential.
@@ -354,9 +371,9 @@ const firstCarID = 100
 func (w *Intersection) carByID(id int) *icar { return w.cars[w.slot[id-firstCarID]] }
 
 // compactRetired removes retired (done and accounted) cars from the live
-// list, remapping the survivors' slots. account and seedWindow then scan
-// only live cars — without this, a long-horizon run's barrier cost grows
-// with every car ever spawned instead of the cars on the road.
+// list, remapping the survivors' slots. account and refreshSnapshot then
+// scan only live cars — without this, a long-horizon run's barrier cost
+// grows with every car ever spawned instead of the cars on the road.
 func (w *Intersection) compactRetired() {
 	kept := w.cars[:0]
 	for _, c := range w.cars {
@@ -391,7 +408,6 @@ func (w *Intersection) spawnDue(edge sim.Time) {
 				phase: 1 + sim.Time(uint64(sim.SplitSeed(w.sk.Seed(), int64(id)*64+4))%
 					uint64(w.cfg.ControlPeriod-1)),
 			}
-			c.driveFn = func() { w.drive(c, w.sk.Shard(c.shard)) }
 			w.slot = append(w.slot, int32(len(w.cars)))
 			w.cars = append(w.cars, c)
 			// Membership change: the placeholder entry is refreshed (and
@@ -441,7 +457,8 @@ func insertionSortISnaps(s []iSnap) {
 // actually observed an inversion — membership changes (spawn/retire) and
 // overtakes are the only ways a road loses its order, so in the steady
 // state a road costs one linear pass and no sort at all, never the
-// from-scratch rebuild + sort.Slice of the seed.
+// from-scratch rebuild + sort.Slice of the seed. Then it rebuilds the
+// shards' step lists from the new ownership.
 func (w *Intersection) refreshSnapshot(edge sim.Time) {
 	for i := range w.snap {
 		entries := w.snap[i]
@@ -466,6 +483,19 @@ func (w *Intersection) refreshSnapshot(edge sim.Time) {
 		w.snap[i] = kept
 	}
 	w.snapEdge = edge
+	for i := range w.byShard {
+		w.byShard[i] = w.byShard[i][:0]
+	}
+	for _, c := range w.cars {
+		if !c.done {
+			w.byShard[c.shard] = append(w.byShard[c.shard], c)
+		}
+	}
+	for _, list := range w.byShard {
+		slices.SortFunc(list, func(a, b *icar) int {
+			return cmp.Or(cmp.Compare(a.phase, b.phase), cmp.Compare(a.id, b.id))
+		})
+	}
 }
 
 // account retires crossed cars and samples the conflict box, in id order.
@@ -490,17 +520,6 @@ func (w *Intersection) account(edge sim.Time) {
 	}
 	if inBox[RoadNS] && inBox[RoadEW] {
 		w.Conflicts++
-	}
-}
-
-// seedWindow schedules every active car's drive step on its owning shard,
-// through the cars' cached closures (allocation-free re-seeding).
-func (w *Intersection) seedWindow(edge sim.Time) {
-	for _, c := range w.cars {
-		if c.done {
-			continue
-		}
-		w.sk.Shard(c.shard).Kernel().At(edge+c.phase, c.driveFn)
 	}
 }
 
@@ -668,14 +687,11 @@ func timeToCover(v, dist float64) float64 {
 	return tAcc + (dist-dAcc)/crossSpeed
 }
 
-// drive advances one car: approach, stop at the line on red, cross on
-// green, clear. It runs on the owning shard and touches only c plus the
-// immutable snapshot.
+// drive advances one live car: approach, stop at the line on red, cross
+// on green, clear. It runs on the owning shard and touches only c plus
+// the immutable snapshot.
 func (w *Intersection) drive(c *icar, shard *sim.Shard) {
-	if c.done {
-		return
-	}
-	now := shard.Kernel().Now()
+	now := shard.Now()
 	dt := w.cfg.ControlPeriod.Seconds()
 	stopLine := w.cfg.ApproachLength
 	pastLine := c.body.X - stopLine // >0 once inside the box

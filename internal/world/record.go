@@ -312,8 +312,8 @@ func (h *Highway) encodeCheckpoint(e *trace.Enc) { h.checkpoint(trace.Encoder(e)
 
 // restoreCheckpoint rewinds a freshly built (and Started) world to a
 // checkpoint taken at edge: the checkpoint itself, then kernel warp and
-// the same assignShards/publishSnapshot/seedWindow sequence Start uses,
-// so the next window opens exactly as it did in the recorded run.
+// the same assignShards/publishSnapshot sequence Start uses, so the next
+// window opens exactly as it did in the recorded run.
 // Scheduled actions at or before the checkpoint edge already happened
 // inside it and are dropped. The checkpoint bytes are hostile input:
 // anything that does not fit the world is an error, never a panic. A
@@ -333,7 +333,6 @@ func (h *Highway) restoreCheckpoint(state []byte, edge sim.Time) error {
 	h.dropPendingThrough(edge)
 	h.assignShards()
 	h.publishSnapshot(edge)
-	h.seedWindow(edge)
 	return nil
 }
 

@@ -376,9 +376,6 @@ func highwayFingerprint(t *testing.T, seed int64, shards int, cfg HighwayConfig,
 	if err := h.Run(d); err != nil {
 		t.Fatal(err)
 	}
-	if h.Kernel().Clamped() != 0 {
-		t.Fatalf("shards=%d violated the conservative contract %d times", shards, h.Kernel().Clamped())
-	}
 	sent, delivered, lost := h.BeaconStats()
 	levels := map[core.LoS]int{}
 	var ebrakes, changes int64
@@ -654,9 +651,6 @@ func intersectionFingerprint(t *testing.T, seed int64, shards int, cfg Intersect
 	}
 	if err := w.Run(d); err != nil {
 		t.Fatal(err)
-	}
-	if w.Kernel().Clamped() != 0 {
-		t.Fatalf("shards=%d violated the conservative contract %d times", shards, w.Kernel().Clamped())
 	}
 	var state []string
 	for _, c := range w.cars {
