@@ -1,11 +1,12 @@
-// Benchmarks: one per experiment in EXPERIMENTS.md (E1..E15). Each bench
-// regenerates its experiment's workload — scaled to a per-iteration size —
-// so `go test -bench=.` reproduces the shape of every table/figure-
-// equivalent, and reports how expensive each subsystem is to simulate.
+// Benchmarks: one per experiment of README.md's "Experiments" section
+// (E1..E15). Each bench regenerates its experiment's workload — scaled to
+// a per-iteration size — so `go test -bench=.` reproduces the shape of
+// every table/figure-equivalent, and reports how expensive each subsystem
+// is to simulate.
 //
 // Additional ablation benches at the bottom measure the design choices
-// DESIGN.md calls out (validity pipeline cost, gate cost, event-channel
-// dispatch, kernel event throughput).
+// docs/ARCHITECTURE.md calls out (validity pipeline cost, gate cost,
+// event-channel dispatch, kernel event throughput).
 package main
 
 import (

@@ -2,7 +2,7 @@ package coord
 
 import "karyon/internal/sim"
 
-// Reservations is the snapshot/mailbox-era counterpart of the radio
+// Reservations is the snapshot/barrier-era counterpart of the radio
 // Agreement protocol: a region-reservation table whose requests and
 // releases are processed at a sharded world's single-threaded window
 // barrier, in a fixed deterministic order (the world iterates requesters in

@@ -172,22 +172,27 @@ func TestShardsDoNotChangeOutput(t *testing.T) {
 	counting := shardableFunc{
 		name: "counting",
 		fn: func(ctx context.Context, sk *sim.ShardedKernel) (*metrics.Result, error) {
-			// Every shard steps once a millisecond; each sends its step
-			// count under its index, so the barrier sums in shard order.
+			// Every shard steps once a millisecond and counts its steps
+			// in its own slot; the barrier sums the slots in shard order.
 			var sum int64
+			steps := make([]int64, sk.Shards())
 			sk.OnShardWindow(func(shard int, edge sim.Time) {
 				s := sk.Shard(shard)
-				n := int64(0)
 				for at := edge - sk.Window() + sim.Millisecond; at <= edge; at += sim.Millisecond {
 					s.Advance(at)
-					n++
+					steps[shard]++
 				}
-				s.Send(int64(shard), func() { sum += n })
+			})
+			sk.OnWindow(func(sim.Time) {
+				for i, n := range steps {
+					sum += n
+					steps[i] = 0
+				}
 			})
 			if err := sk.Run(ctx, 50*sim.Millisecond); err != nil {
 				return nil, err
 			}
-			if want := uint64(50*sk.Shards() + 5*sk.Shards()); sk.Executed() != want {
+			if want := uint64(50 * sk.Shards()); sk.Executed() != want {
 				return nil, fmt.Errorf("executed %d, want %d", sk.Executed(), want)
 			}
 			res := metrics.NewResult("counting")
@@ -216,8 +221,8 @@ func TestShardsDoNotChangeOutput(t *testing.T) {
 	}
 }
 
-// A replica that panics inside a shard barrier (window hook or mailbox
-// drain) must surface as an error — never a hang or a silent gap.
+// A replica that panics inside a shard barrier (a window hook) must
+// surface as an error — never a hang or a silent gap.
 func TestShardBarrierPanicSurfaces(t *testing.T) {
 	s := shardableFunc{
 		name: "barrier-panic",

@@ -81,6 +81,15 @@ type JobSpec struct {
 // be served for a semantically different run.
 const specVersion = "karyon-job-v2"
 
+// maxReplicas and maxShards bound the spec's count knobs. A spec is
+// outside input, and both counts size allocations before anything runs:
+// the seed matrix (CacheKey expands it at submit time) and one shard —
+// plus one worker goroutine during a run — per count.
+const (
+	maxReplicas = 1 << 16
+	maxShards   = 256
+)
+
 // scenarioKind classifies what a normalized spec runs.
 type scenarioKind int
 
@@ -154,6 +163,12 @@ func (s JobSpec) Normalize() (JobSpec, error) {
 	n.Seed = s.Seed
 	if n.Seed == 0 {
 		n.Seed = 1
+	}
+	if s.Replicas > maxReplicas {
+		return JobSpec{}, fmt.Errorf("bad replicas %d: want at most %d", s.Replicas, maxReplicas)
+	}
+	if s.Shards > maxShards {
+		return JobSpec{}, fmt.Errorf("bad shards %d: want at most %d", s.Shards, maxShards)
 	}
 	n.Replicas = max(1, s.Replicas)
 	n.Shards = max(1, s.Shards)

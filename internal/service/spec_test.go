@@ -21,21 +21,23 @@ func mustKey(t *testing.T, spec JobSpec) string {
 	return key
 }
 
+// megahighwaySpellings are one megahighway job spelled four ways.
+var megahighwaySpellings = []string{
+	`{"scenario":"megahighway","seed":7,"replicas":3,"cars":120,"duration":"30s","medium":true,"channels":2}`,
+	`{"channels":2,"medium":true,"duration":"30s","cars":120,"replicas":3,"seed":7,"scenario":"megahighway"}`,
+	`{"duration":"30s","scenario":"megahighway","medium":true,"seed":7,"cars":120,"channels":2,"replicas":3}`,
+	// Defaults spelled out explicitly must not split the key either.
+	`{"scenario":"megahighway","seed":7,"replicas":3,"cars":120,"duration":"30s","medium":true,"channels":2,` +
+		`"shards":1,"length":10000,"v2v_range":300,"loss":0.05}`,
+}
+
 // TestCacheKeyFieldOrderInvariance: the same job spelled with JSON fields
 // in any order — and with defaults explicit or omitted — hashes to the
 // same key. The key must be a function of what the spec means, not of how
 // the client serialized it.
 func TestCacheKeyFieldOrderInvariance(t *testing.T) {
-	spellings := []string{
-		`{"scenario":"megahighway","seed":7,"replicas":3,"cars":120,"duration":"30s","medium":true,"channels":2}`,
-		`{"channels":2,"medium":true,"duration":"30s","cars":120,"replicas":3,"seed":7,"scenario":"megahighway"}`,
-		`{"duration":"30s","scenario":"megahighway","medium":true,"seed":7,"cars":120,"channels":2,"replicas":3}`,
-		// Defaults spelled out explicitly must not split the key either.
-		`{"scenario":"megahighway","seed":7,"replicas":3,"cars":120,"duration":"30s","medium":true,"channels":2,` +
-			`"shards":1,"length":10000,"v2v_range":300,"loss":0.05}`,
-	}
 	keys := map[string]bool{}
-	for _, raw := range spellings {
+	for _, raw := range megahighwaySpellings {
 		var spec JobSpec
 		if err := json.Unmarshal([]byte(raw), &spec); err != nil {
 			t.Fatalf("unmarshal %s: %v", raw, err)
@@ -183,12 +185,21 @@ func TestNormalizeRejectsBadSpecs(t *testing.T) {
 		{JobSpec{Scenario: "highway", FaultRate: -1}, "bad fault_rate -1"},
 		{JobSpec{Scenario: "highway", FaultRate: math.NaN()}, "bad fault_rate NaN"},
 		{JobSpec{Scenario: "highway", FaultRate: math.Inf(1)}, "bad fault_rate +Inf"},
+		// Counts that size allocations at submit or run time are capped,
+		// or CacheKey's seed matrix panics or allocates without bound.
+		{JobSpec{Scenario: "highway", Replicas: 1 << 62}, "bad replicas"},
+		{JobSpec{Scenario: "E12", Replicas: maxReplicas + 1}, "bad replicas"},
+		{JobSpec{Scenario: "megahighway", Length: 1e12, Shards: maxShards + 1}, "bad shards"},
+		{JobSpec{Scenario: "E2", Shards: 1 << 40}, "bad shards"},
 	} {
 		_, err := tc.spec.Normalize()
 		if err == nil {
 			t.Errorf("Normalize(%+v) accepted a bad spec", tc.spec)
 		} else if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("Normalize(%+v) = %v, want %q", tc.spec, err, tc.want)
+		}
+		if _, err := tc.spec.CacheKey(testBuild); err == nil {
+			t.Errorf("CacheKey(%+v) keyed a bad spec", tc.spec)
 		}
 	}
 }

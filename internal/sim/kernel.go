@@ -10,8 +10,8 @@
 // shards that advance in lockstep, one window at a time. In a window each
 // shard runs its step loop on its own goroutine, stepping each of its
 // entities once at a fixed phase; at the window edge a single-threaded
-// barrier runs the shards' mailbox messages in sender order and the
-// window hooks.
+// barrier runs the window hooks, which apply the window's cross-entity
+// effects in a fixed entity order.
 //
 // Virtual time makes every timing property in the reproduction
 // (deadlines, inaccessibility durations, Level-of-Service switch bounds)

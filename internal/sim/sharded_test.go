@@ -81,28 +81,6 @@ func TestShardedKernelLockstep(t *testing.T) {
 	}
 }
 
-// Mailbox messages drain at window edges in sender order, independent of
-// which shard sent them or in which order shards ran.
-func TestShardedKernelMailboxOrder(t *testing.T) {
-	for trial := 0; trial < 10; trial++ {
-		sk, err := NewShardedKernel(1, 3, 10*Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []string
-		stepEvery(sk, 10*Millisecond, func(s *Shard) {
-			sender := int64(2 - s.Index())
-			s.Send(sender, func() { got = append(got, fmt.Sprintf("m%d", sender)) })
-		})
-		if err := sk.Run(context.Background(), 10*Millisecond); err != nil {
-			t.Fatal(err)
-		}
-		if want := "m0,m1,m2"; strings.Join(got, ",") != want {
-			t.Fatalf("drain order = %v, want %s", got, want)
-		}
-	}
-}
-
 // Advance moves the shard clock forward and counts one step into
 // Executed; a clock that would move back panics, and inside a window the
 // panic fails the Run.
@@ -144,8 +122,8 @@ func TestShardAdvance(t *testing.T) {
 	}
 }
 
-// Warp clears every outbox, moves every clock to the target edge, and
-// keeps Executed, so a run after the warp counts each step once.
+// Warp moves every clock to the target edge and keeps Executed, so a run
+// after the warp counts each step once.
 func TestShardedKernelWarp(t *testing.T) {
 	sk, err := NewShardedKernel(1, 2, 10*Millisecond)
 	if err != nil {
@@ -160,7 +138,6 @@ func TestShardedKernelWarp(t *testing.T) {
 	if err := sk.Run(context.Background(), 20*Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	sk.Shard(1).Send(0, func() { fired = append(fired, -1) })
 	if err := sk.Warp(15 * Millisecond); err == nil {
 		t.Fatal("off-grid warp target accepted")
 	}
@@ -173,8 +150,7 @@ func TestShardedKernelWarp(t *testing.T) {
 	if sk.Executed() != 4 {
 		t.Fatalf("warp changed Executed: %d, want 4", sk.Executed())
 	}
-	// Re-running steps the windows after the target again; the outbox
-	// message was discarded.
+	// Re-running steps the windows after the target again.
 	if err := sk.Run(context.Background(), 40*Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +159,8 @@ func TestShardedKernelWarp(t *testing.T) {
 	}
 }
 
-// Executed sums the shards' steps plus barrier-drained messages.
+// Executed sums the shards' Advance counts; an Advance to the current
+// instant counts an event without moving the clock.
 func TestShardedKernelExecutedCount(t *testing.T) {
 	sk, err := NewShardedKernel(1, 2, 10*Millisecond)
 	if err != nil {
@@ -193,14 +170,17 @@ func TestShardedKernelExecutedCount(t *testing.T) {
 		if shard == 0 {
 			s := sk.Shard(shard)
 			s.Advance(edge - 9*Millisecond)
-			s.Send(0, func() {})
+			s.Advance(s.Now())
+			if s.Now() != edge-9*Millisecond {
+				t.Errorf("same-instant Advance moved the clock to %v", s.Now())
+			}
 		}
 	})
 	if err := sk.Run(context.Background(), 10*Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	if got := sk.Executed(); got != 2 {
-		t.Fatalf("Executed = %d, want 2 (one step + one drained message)", got)
+		t.Fatalf("Executed = %d, want 2 (one step + one same-instant event)", got)
 	}
 }
 
@@ -249,29 +229,25 @@ func TestShardedKernelShardPanicSurfaces(t *testing.T) {
 	}
 }
 
-// A panic inside the barrier (mailbox drain or window hook) must surface
-// too — this is the "replica panics inside a shard barrier" failure path.
+// A panic inside the barrier (a window hook) must surface too — this is
+// the "replica panics inside a shard barrier" failure path.
 func TestShardedKernelBarrierPanicSurfaces(t *testing.T) {
 	sk, err := NewShardedKernel(1, 2, 10*Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stepEvery(sk, 10*Millisecond, func(s *Shard) {
-		s.Send(0, func() { panic("mailbox boom") })
+	stepEvery(sk, 10*Millisecond, func(*Shard) {})
+	sk.OnWindow(func(edge Time) {
+		if edge == 20*Millisecond {
+			panic("barrier boom")
+		}
 	})
 	err = sk.Run(context.Background(), 30*Millisecond)
-	if err == nil || !strings.Contains(err.Error(), "mailbox drain") {
+	if err == nil || !strings.Contains(err.Error(), "window hook") || !strings.Contains(err.Error(), "barrier boom") {
 		t.Fatalf("err = %v", err)
 	}
-
-	sk2, err := NewShardedKernel(1, 2, 10*Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sk2.OnWindow(func(Time) { panic("hook boom") })
-	err = sk2.Run(context.Background(), 30*Millisecond)
-	if err == nil || !strings.Contains(err.Error(), "window hook") {
-		t.Fatalf("err = %v", err)
+	if sk.Now() != 20*Millisecond {
+		t.Fatalf("failed barrier at %v, want 20ms", sk.Now())
 	}
 }
 
@@ -302,8 +278,8 @@ func TestShardedKernelCancellation(t *testing.T) {
 }
 
 // OnShardWindow hooks run on every shard for every window, in
-// registration order, strictly before the barrier's mailbox drain and
-// OnWindow hooks; once they return the shard's clock rests at the edge.
+// registration order, strictly before the barrier's OnWindow hooks; once
+// they return the shard's clock rests at the edge.
 func TestOnShardWindowRunsPerShardBeforeBarrier(t *testing.T) {
 	const shards = 3
 	sk, err := NewShardedKernel(1, shards, 10*Millisecond)

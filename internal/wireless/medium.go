@@ -118,7 +118,7 @@ type transmission struct {
 // draws loss from the kernel's rng and decides collisions from the global
 // set of in-flight transmissions, both of which depend on event
 // interleaving — exactly what the partitioned worlds must not depend on.
-// The sharded worlds therefore model V2V as snapshot-ranged mailbox
+// The sharded worlds therefore model V2V as snapshot-ranged barrier
 // delivery with per-entity loss streams instead of attaching radios here
 // (see internal/world).
 type Medium struct {

@@ -20,11 +20,10 @@ import (
 // decisions are made:
 //
 //   - A transmission is described, not performed, when the sender steps:
-//     the owning shard routes the ShardedTx through its mailbox to the
-//     closing window barrier (one Send per frame — the same
-//     conservative-lookahead discipline as the worlds' beacon fan-out).
-//     Cross-arc frames therefore travel as barrier mailbox messages,
-//     drained in deterministic sender order.
+//     the sender builds its ShardedTx, and the closing window barrier
+//     queues it (the same conservative-lookahead discipline as the
+//     worlds' beacon fan-out). Cross-arc frames therefore wait for the
+//     barrier like every other frame, and the queue order cannot show.
 //   - Resolution runs at the barrier over the whole window's frame set,
 //     sorted by (start, sender): airtime overlap, carrier sense, jam
 //     overlap and range are pure interval/geometry functions of that set,
@@ -126,7 +125,7 @@ func DefaultShardedConfig() ShardedConfig {
 
 // ShardedTx is one frame queued for barrier resolution. The sender builds
 // it during its own event (drawing any slot jitter from its own entity
-// stream) and routes it through its shard's mailbox to the closing edge.
+// stream), and the barrier that closes its window queues it.
 type ShardedTx struct {
 	From    NodeID
 	Channel int
@@ -209,8 +208,7 @@ func (m *ShardedMedium) Config() ShardedConfig { return m.cfg }
 func (m *ShardedMedium) Stats() ShardedStats { return m.stats }
 
 // Queue hands one frame to the medium for resolution at the next barrier.
-// Barrier-only: call it from the mailbox message the sender routed to the
-// closing edge.
+// Barrier-only: call it at the barrier that closes the frame's window.
 func (m *ShardedMedium) Queue(tx ShardedTx) {
 	if tx.Channel < 0 || tx.Channel >= m.cfg.Channels {
 		panic(fmt.Sprintf("wireless: queued frame on unknown channel %d of %d", tx.Channel, m.cfg.Channels))

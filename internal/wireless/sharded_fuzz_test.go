@@ -140,7 +140,7 @@ func FuzzShardedMediumOverlap(f *testing.F) {
 // FuzzShardedMediumQueueOrderInvariance locks the determinism contract:
 // the resolved outcome log is a pure function of the frame set, never of
 // the order frames were queued in — which is what makes the medium safe to
-// feed from per-shard mailboxes at any width.
+// feed from per-shard sender lists at any width.
 func FuzzShardedMediumQueueOrderInvariance(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, int64(1))
 	f.Add([]byte{200, 0, 200, 0, 9, 9, 9, 9, 40, 41, 42}, int64(7))

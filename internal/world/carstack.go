@@ -19,9 +19,10 @@ import (
 // shard currently owns the car) or at the single-threaded window barrier
 // — never by another car's step. The car reads the world only through
 // the immutable neighbor snapshot published at the last window edge, and
-// emits all cross-car traffic (V2V beacons) through the sharded kernel's
-// mailboxes. That discipline is what lets the same car implementation run
-// unchanged on 1 or N shards with byte-identical output.
+// leaves all cross-car traffic (V2V beacons) in its own pending beacon for
+// the barrier to deliver. That discipline is what lets the same car
+// implementation run unchanged on 1 or N shards with byte-identical
+// output.
 type Car struct {
 	ID   int
 	Body vehicle.Body
@@ -93,18 +94,14 @@ type Car struct {
 	phase sim.Time
 	rank  int
 
-	// deliverFn is the car's cached mailbox closure, which enlists it as a
-	// sender of the closing window; the car mails it under its step rank
-	// (sendBeacon), so a shard's outbox is in drain order as it fills.
-	// pend is its pending beacon, and pendTx the frame that carries it in
-	// Medium mode (its payload points at pend). The car's step writes them
-	// and mails deliverFn, so the steady-state beacon path allocates
-	// nothing. They are stable between the send and the closing barrier: a
-	// car steps exactly once per window, and the delivery stage runs
-	// before the next window opens.
-	deliverFn func()
-	pend      beacon
-	pendTx    wireless.ShardedTx
+	// pend is the car's pending beacon, and pendTx the frame that carries
+	// it in Medium mode (its payload points at pend). The car's step
+	// writes them and lists the car as a sender of the window (sendBeacon),
+	// so the steady-state beacon path allocates nothing. They are stable
+	// between the send and the closing barrier: a car steps exactly once
+	// per window, and the delivery stage runs before the next window opens.
+	pend   beacon
+	pendTx wireless.ShardedTx
 
 	// LaneChanges counts completed maneuvers.
 	LaneChanges int64
@@ -413,9 +410,9 @@ func (c *Car) step(h *Highway, shard *sim.Shard) {
 	}
 	h.syncHot(c)
 
-	// 7. Broadcast the cooperative state through the mailboxes: delivery
-	// lands exactly at the closing window edge, the conservative lookahead
-	// that lets shards run a whole window apart.
+	// 7. Broadcast the cooperative state: delivery lands exactly at the
+	// closing window edge, the conservative lookahead that lets shards run
+	// a whole window apart.
 	if h.beaconDue(c, now) {
 		h.sendBeacon(shard, c, now)
 	}

@@ -253,10 +253,9 @@ func TestReplayRejectsHostileCheckpoints(t *testing.T) {
 // notCheckpointed lists the Car fields a checkpoint leaves out, each with
 // the reason it may.
 var notCheckpointed = map[string]string{
-	"deliverFn": "closure: the cached enlistment as a window's beacon sender, built by NewHighway",
-	"pend":      "scratch: the pending beacon, drained at the barrier before a checkpoint",
-	"pendTx":    "scratch: the pending frame, resolved at the barrier before a checkpoint",
-	"inbox":     "scratch: the delivery stage's batch of heard beacons, merged into table before the stage returns",
+	"pend":   "scratch: the pending beacon, delivered at the barrier before a checkpoint",
+	"pendTx": "scratch: the pending frame, resolved at the barrier before a checkpoint",
+	"inbox":  "scratch: the delivery stage's batch of heard beacons, merged into table before the stage returns",
 }
 
 // notCheckpointedWithin lists the fields of a car's components a
@@ -280,12 +279,12 @@ var notCheckpointedWithin = map[string]string{
 var highwayNotCheckpointed = map[string]string{
 	"cars":      "the cars themselves: compared field by field by the Car wall",
 	"design":    "design-time, immutable, shared by every car",
-	"sk":        "kernel: rewound by Warp; its outboxes are drained at the barrier before a checkpoint",
+	"sk":        "kernel: rewound by Warp; between windows it holds only clocks and event counts",
 	"TimeGaps":  "output-only histogram: never feeds back into behaviour",
 	"inaccess":  "output-only histogram: never feeds back into behaviour",
 	"stageFn":   "closure: the cached delivery stage, built by NewHighway",
-	"parts":     "scratch: per-shard delivery contexts, reset by every delivery stage",
-	"senders":   "scratch: the window's beacon senders, drained at the barrier before a checkpoint",
+	"parts":     "scratch: per-shard delivery contexts and sender lists, emptied by every delivery stage",
+	"senders":   "scratch: the abstract path's id-sorted beacon senders, emptied after every delivery stage",
 	"bucket":    "scratch: the abstract path's per-id sender bucket, emptied by every id sort",
 	"outgoing":  "scratch: per-shard arc hand-offs, drained at the barrier before a checkpoint",
 	"nextOcc":   "scratch: collision-sweep buffers, rebuilt by every accounting pass",

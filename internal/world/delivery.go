@@ -39,6 +39,11 @@ type deliveryPart struct {
 	h     *Highway
 	shard int
 
+	// senders are the shard's beacon senders of the current window, in
+	// step order: the shard's step loop appends each car that beacons
+	// (sendBeacon), and the barrier reads the list and empties it.
+	senders []*Car
+
 	// sender is the car whose beacon is being fanned out; sent records
 	// whether its walk found any neighbour at all (abstract path).
 	sender *Car
@@ -112,27 +117,34 @@ func (h *Highway) recordSpans() {
 
 // deliverBeacons delivers the beacons of the window closing at edge in
 // the barrier stage and folds the shards' counts into the world, in shard
-// order. The drain enlisted the senders in step-rank order. In Medium
-// mode it queues their frames in that order and runs the serial
-// contention pass, which decides frames in (start, sender) order: every
-// frame's key is unique, so the queue order cannot show. The abstract
-// path has no such key — each receiver's loss draws follow the sender
-// walk — so it sorts the senders by id. The stage then visits the
+// order. In Medium mode it queues the parts' senders' frames in shard
+// order and runs the serial contention pass, which decides frames in
+// (start, sender) order: a car sends at most one frame per window, so
+// every frame's key is unique and the queue order cannot show. The
+// abstract path has no such key — each receiver's loss draws follow the
+// sender walk — so it sorts the senders by id. The stage then visits the
 // receivers, one partition per shard, and fleet-wide delivery outages
 // feed the inaccessibility accounting. It returns the stage's error,
 // which the kernel has latched.
 func (h *Highway) deliverBeacons(edge sim.Time) error {
-	if len(h.senders) == 0 {
+	senders := 0
+	for _, p := range h.parts {
+		senders += len(p.senders)
+	}
+	if senders == 0 {
 		return nil // nothing attempted: no information about the channel
 	}
 	if h.medium != nil {
-		for _, c := range h.senders {
-			h.medium.Queue(c.pendTx)
+		for _, p := range h.parts {
+			for _, c := range p.senders {
+				h.medium.Queue(c.pendTx)
+			}
 		}
 		h.medium.Contend(len(h.parts), h.parts[0].mDrop)
 	} else {
 		h.sortSendersByID()
 	}
+	h.clearSenders()
 	err := h.sk.Stage(h.stageFn)
 	h.senders = h.senders[:0]
 	if h.medium != nil {
@@ -156,16 +168,19 @@ func (h *Highway) deliverBeacons(edge sim.Time) error {
 	return nil
 }
 
-// sortSendersByID puts the window's senders in car-id order. Ids are the
-// dense range [0, cars), so one bucket pass over a per-id scratch does it
-// without comparisons; the senders arrive in step-rank order, the order
-// their cars sit in memory, so reading their ids walks memory forward.
+// sortSendersByID gathers the parts' senders into h.senders in car-id
+// order. Ids are the dense range [0, cars), so one bucket pass over a
+// per-id scratch does it without comparisons; each part lists its senders
+// in step order, the order their cars sit in memory, so reading their ids
+// walks memory forward.
 func (h *Highway) sortSendersByID() {
 	if len(h.bucket) < len(h.cars) {
 		h.bucket = make([]*Car, len(h.cars))
 	}
-	for _, c := range h.senders {
-		h.bucket[c.ID] = c
+	for _, p := range h.parts {
+		for _, c := range p.senders {
+			h.bucket[c.ID] = c
+		}
 	}
 	out := h.senders[:0]
 	for id, c := range h.bucket {
@@ -175,6 +190,15 @@ func (h *Highway) sortSendersByID() {
 		}
 	}
 	h.senders = out
+}
+
+// clearSenders empties every part's sender list, dropping the car
+// pointers so that no list pins a car past its window.
+func (h *Highway) clearSenders() {
+	for _, p := range h.parts {
+		clear(p.senders)
+		p.senders = p.senders[:0]
+	}
 }
 
 // collectCounts adds the parts' delivery counts to the world's, in shard

@@ -6,11 +6,12 @@
 // and a signalized intersection whose physical traffic light can fail and
 // be replaced by the virtual traffic light (use case VI-A2).
 //
-// Both worlds run on sim.ShardedKernel under the snapshot/mailbox
+// Both worlds run on sim.ShardedKernel under the snapshot/barrier
 // discipline: every window each shard steps its entities in a fixed
 // order; a step reads the immutable neighbor snapshot published at the
-// last window edge and mutates only its own entity; cross-entity traffic
-// flows through mailboxes drained at single-threaded barriers; shared
+// last window edge and mutates only its own entity and its shard's lists;
+// cross-entity traffic (a V2V beacon) is left in the sender's own state
+// and applied at the single-threaded barrier in a fixed order; shared
 // metrics accumulate at barriers in entity-id order; and every entity
 // draws randomness from its own sim.NewStream streams. Under that
 // discipline a run is a pure function of (seed, config) — byte-identical
@@ -227,18 +228,18 @@ type Highway struct {
 
 	res *coord.Reservations
 
-	// medium is the slot-level radio (nil unless cfg.Medium): beacons
-	// queue into it through the barrier mailboxes and resolve at every
-	// window edge against the still-published previous snapshot.
+	// medium is the slot-level radio (nil unless cfg.Medium): the barrier
+	// queues the window's beacon frames into it and resolves them against
+	// the still-published previous snapshot.
 	medium *wireless.ShardedMedium
 
-	// Receiver-owned beacon delivery (delivery.go). The mailbox drain
-	// collects the window's beacon senders in step-rank order, the order
-	// the shards sent them in; the abstract path re-sorts them by id
-	// through the per-id scratch bucket, while the medium orders frames by
-	// their own (start, sender) key. The barrier's delivery stage then
-	// runs on every shard at once, each shard delivering to the receivers
-	// it owns, with its counts in its part and summed in shard order.
+	// Receiver-owned beacon delivery (delivery.go). Each shard's part
+	// lists the window's beacon senders in step order; the abstract path
+	// gathers them into senders in id order through the per-id scratch
+	// bucket, while the medium orders frames by their own (start, sender)
+	// key. The barrier's delivery stage then runs on every shard at once,
+	// each shard delivering to the receivers it owns, with its counts in
+	// its part and summed in shard order.
 	// span[s] is the x extent of shard s's entries in the published
 	// snapshot.
 	senders []*Car
@@ -362,10 +363,6 @@ func NewHighway(sk *sim.ShardedKernel, cfg HighwayConfig) (*Highway, error) {
 			return nil, err
 		}
 		car.rank = rank
-		// One cached closure per car for its whole lifetime enlists it as
-		// a beacon sender, fed through its pending beacon, so the
-		// steady-state window sends beacons without allocating.
-		car.deliverFn = func() { h.senders = append(h.senders, car) }
 		h.cars[i] = car
 		h.order = append(h.order, car)
 	}
@@ -1077,18 +1074,15 @@ type beacon struct {
 // function of (seed, car), never of shard layout.
 const beaconSlotJitter = 800 * sim.Microsecond
 
-// sendBeacon broadcasts the car's cooperative state through ONE mailbox
-// message per beacon. The car writes the beacon into its pending slot —
-// in Medium mode also the frame that carries it — and the message only
-// enlists the car as a sender of the window, at the barrier that closes
-// it. The message's sender key is the car's step rank, so each shard's
-// outbox fills in key order and needs no sort; at the barrier the drain
-// enlists senders in step-rank order. deliverBeacons then fans each
-// beacon out to the receivers in range of the same immutable snapshot the
-// sender transmitted against (the snapshot is only replaced after the
-// delivery stage): on the abstract path directly, in car-id order; in
-// Medium mode through the medium's contention resolution, in on-air
-// order.
+// sendBeacon broadcasts the car's cooperative state. The car writes the
+// beacon into its pending slot — in Medium mode also the frame that
+// carries it — and appends itself to its shard's sender list for the
+// window, in step order. At the barrier that closes the window
+// deliverBeacons fans each beacon out to the receivers in range of the
+// same immutable snapshot the sender transmitted against (the snapshot is
+// only replaced after the delivery stage): on the abstract path directly,
+// in car-id order; in Medium mode through the medium's contention
+// resolution, in on-air order.
 func (h *Highway) sendBeacon(shard *sim.Shard, c *Car, now sim.Time) {
 	c.pend = beacon{
 		state: coord.CoopState{
@@ -1126,5 +1120,9 @@ func (h *Highway) sendBeacon(shard *sim.Shard, c *Car, now sim.Time) {
 			Payload: &c.pend,
 		}
 	}
-	shard.Send(int64(c.rank), c.deliverFn)
+	p := h.parts[shard.Index()]
+	p.senders = append(p.senders, c)
+	// One event per beacon, at the send instant, so Executed counts a
+	// step and its beacon apart.
+	shard.Advance(now)
 }

@@ -18,8 +18,8 @@ type RingPartition struct {
 // NewRingPartition validates and builds a ring partition. The arc length
 // must be at least minReach (the radio range): that guarantees a frame
 // sent anywhere in a shard can only reach receivers in the same or an
-// adjacent shard, so cross-shard traffic flows through per-boundary
-// mailboxes between neighbors only.
+// adjacent shard, so a beacon's delivery reaches into its neighbors'
+// arcs only.
 func NewRingPartition(length float64, shards int, minReach float64) (RingPartition, error) {
 	if length <= 0 {
 		return RingPartition{}, fmt.Errorf("world: ring length %v must be positive", length)

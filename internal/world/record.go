@@ -330,6 +330,7 @@ func (h *Highway) restoreCheckpoint(state []byte, edge sim.Time) error {
 	if err := h.sk.Warp(edge); err != nil {
 		return err
 	}
+	h.clearSenders()
 	h.dropPendingThrough(edge)
 	h.assignShards()
 	h.publishSnapshot(edge)

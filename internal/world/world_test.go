@@ -442,6 +442,12 @@ func TestHighwayHandoff(t *testing.T) {
 			t.Fatalf("car %d at %.1f owned by shard %d, want %d", c.ID, c.Body.X, c.shard, want)
 		}
 	}
+	// Every car beacons every window (V2VPeriod == ControlPeriod), so the
+	// events count one step plus one beacon per car per window.
+	windows := uint64(30 * sim.Second / cfg.ControlPeriod)
+	if want := 2 * uint64(cfg.Cars) * windows; h.Kernel().Executed() != want {
+		t.Fatalf("Executed = %d, want %d (2 × %d cars × %d windows)", h.Kernel().Executed(), want, cfg.Cars, windows)
+	}
 }
 
 // The sorted-snapshot leader lookup must agree with the old O(n) fleet

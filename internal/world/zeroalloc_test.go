@@ -48,8 +48,8 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Warmup: hit the free-list and scratch-buffer high-water
-			// marks (mailbox capacity, snapshot
-			// arenas) so the measurement sees only steady-state churn.
+			// marks (sender lists, snapshot arenas) so the measurement
+			// sees only steady-state churn.
 			if err := h.Run(2 * sim.Second); err != nil {
 				t.Fatal(err)
 			}
