@@ -16,12 +16,6 @@ type Dist struct {
 	Min    float64 `json:"min"`
 	Max    float64 `json:"max"`
 	P95    float64 `json:"p95"`
-	// P95Estimated marks a P95 that is a streaming P² estimate rather
-	// than the exact order statistic. The streaming path keeps p95 exact
-	// through a bounded largest-values reservoir; only past its reach
-	// (thousands of replicas per measurement) does the estimate — and
-	// this marker — appear. Sub-threshold aggregation never sets it.
-	P95Estimated bool `json:"p95_estimated,omitempty"`
 	// CI95 is the half-width of the 95% confidence interval of the mean,
 	// t·s/√n with Student's t at n-1 degrees of freedom and the sample
 	// standard deviation: the paper's probabilistic-bounds argument needs
@@ -71,18 +65,8 @@ type AggRecord struct {
 	Labels []Label `json:"labels"`
 	Values []Dist  `json:"values"`
 
-	samples map[string]accumulator
+	samples map[string]*Histogram
 }
-
-// StreamingThreshold is the replica count above which Aggregate switches
-// from per-value histograms (exact percentiles, O(replicas) memory per
-// measurement) to streaming moments — Welford mean/variance plus a
-// bounded largest-values reservoir — with O(1) memory per measurement.
-// Giant seed matrices would otherwise retain every replica's every
-// value. The streaming p95 stays exact while its rank fits the reservoir
-// (see streamTopK); beyond that it falls back to a P² estimate and the
-// Dist carries the p95_estimated marker.
-const StreamingThreshold = 64
 
 // Summary is the across-replica aggregation of a scenario's results.
 // Records are matched by their ordered label tuple and kept in first-seen
@@ -109,20 +93,11 @@ func labelKey(labels []Label) string {
 // Aggregate merges replica results into per-record distributions. The
 // title and notes are taken from the first replica (notes may interpolate
 // replica-specific numbers; the first replica keeps them deterministic).
-// Above StreamingThreshold replicas the per-measurement store switches to
-// streaming moments, bounding memory at O(1) per measurement instead of
-// O(replicas); mean/stddev/min/max always stay exact, and p95 stays
-// exact until its rank outgrows the retained tail — only then does it
-// become a (marked) P² estimate.
+// Each measurement's observed values go into one Histogram, so every
+// statistic is exact at any replica count. That holds O(replicas) values
+// per measurement, which the replica results passed in already hold.
 func Aggregate(results []*Result) *Summary {
 	s := &Summary{Replicas: len(results)}
-	streaming := len(results) > StreamingThreshold
-	newAcc := func() accumulator {
-		if streaming {
-			return newStreamAcc()
-		}
-		return &histAcc{}
-	}
 	// index holds positions, not pointers: appends may reallocate s.Records.
 	index := map[string]int{}
 	for _, r := range results {
@@ -140,7 +115,7 @@ func Aggregate(results []*Result) *Summary {
 				at = len(s.Records)
 				s.Records = append(s.Records, AggRecord{
 					Labels:  append([]Label{}, rec.Labels...),
-					samples: map[string]accumulator{},
+					samples: map[string]*Histogram{},
 				})
 				index[key] = at
 			}
@@ -148,7 +123,7 @@ func Aggregate(results []*Result) *Summary {
 			for _, v := range rec.Values {
 				h, ok := agg.samples[v.Name]
 				if !ok {
-					h = newAcc()
+					h = &Histogram{}
 					agg.samples[v.Name] = h
 					agg.Values = append(agg.Values, Dist{Name: v.Name, Fmt: v.Fmt})
 				}
@@ -170,12 +145,9 @@ func Aggregate(results []*Result) *Summary {
 			d.StdDev = h.StdDev()
 			d.Min = h.Min()
 			d.Max = h.Max()
-			d.P95 = h.P95()
-			if est, ok := h.(interface{ P95Estimated() bool }); ok {
-				d.P95Estimated = est.P95Estimated()
-			}
+			d.P95 = h.Percentile(95)
 			if n := d.Count; n >= 2 {
-				// The accumulators report the population form; the CI needs
+				// Histogram reports the population form; the CI needs
 				// the sample form (divisor n-1).
 				sample := d.StdDev * math.Sqrt(float64(n)/float64(n-1))
 				d.CI95 = tCrit95(n-1) * sample / math.Sqrt(float64(n))

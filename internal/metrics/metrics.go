@@ -1,7 +1,7 @@
 // Package metrics provides the measurement primitives used by every KARYON
-// experiment: histograms with percentiles, counters, gauges sampled over
-// virtual time, and series suitable for rendering the tables and figure
-// data in EXPERIMENTS.md.
+// experiment: histograms with percentiles, success ratios, structured
+// results with their across-replica aggregation, and the text table and
+// CSV rendering of both.
 package metrics
 
 import (
@@ -117,25 +117,6 @@ func (h *Histogram) StdDev() float64 {
 	return math.Sqrt(ss / float64(n))
 }
 
-// Counter is a monotonically increasing event count. The zero value is
-// ready to use.
-type Counter struct {
-	n int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.n++ }
-
-// Add adds delta (negative deltas are ignored to preserve monotonicity).
-func (c *Counter) Add(delta int64) {
-	if delta > 0 {
-		c.n += delta
-	}
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.n }
-
 // Ratio is a success/total pair, e.g. delivered/sent.
 type Ratio struct {
 	Hits  int64
@@ -156,37 +137,6 @@ func (r *Ratio) Value() float64 {
 		return 0
 	}
 	return float64(r.Hits) / float64(r.Total)
-}
-
-// Percent returns the ratio as a percentage.
-func (r *Ratio) Percent() float64 { return r.Value() * 100 }
-
-// Point is one (x, y) sample of a series.
-type Point struct {
-	X float64
-	Y float64
-}
-
-// Series is an ordered sequence of points, e.g. a sweep of one parameter.
-type Series struct {
-	Name   string
-	Points []Point
-}
-
-// Add appends a point.
-func (s *Series) Add(x, y float64) {
-	s.Points = append(s.Points, Point{X: x, Y: y})
-}
-
-// YAt returns the Y of the first point with the given X and whether it
-// exists.
-func (s *Series) YAt(x float64) (float64, bool) {
-	for _, p := range s.Points {
-		if p.X == x {
-			return p.Y, true
-		}
-	}
-	return 0, false
 }
 
 // Format helpers used by experiment tables.

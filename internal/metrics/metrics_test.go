@@ -110,16 +110,6 @@ func TestPropertyPercentileMonotone(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(5)
-	c.Add(-3) // ignored
-	if c.Value() != 6 {
-		t.Fatalf("Counter = %d, want 6", c.Value())
-	}
-}
-
 func TestRatio(t *testing.T) {
 	var r Ratio
 	if r.Value() != 0 {
@@ -131,22 +121,6 @@ func TestRatio(t *testing.T) {
 	r.Observe(true)
 	if got := r.Value(); got != 0.75 {
 		t.Fatalf("Value = %v, want 0.75", got)
-	}
-	if got := r.Percent(); got != 75 {
-		t.Fatalf("Percent = %v, want 75", got)
-	}
-}
-
-func TestSeries(t *testing.T) {
-	var s Series
-	s.Name = "loss sweep"
-	s.Add(0, 100)
-	s.Add(0.1, 90)
-	if y, ok := s.YAt(0.1); !ok || y != 90 {
-		t.Fatalf("YAt(0.1) = %v, %v", y, ok)
-	}
-	if _, ok := s.YAt(0.5); ok {
-		t.Fatal("YAt missing X should report false")
 	}
 }
 

@@ -2,7 +2,9 @@ package metrics
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -168,6 +170,133 @@ func TestAggregateMissingValues(t *testing.T) {
 	}
 	if cell := gone.Cell(s.Replicas); cell != "-" {
 		t.Fatalf("empty dist cell = %q", cell)
+	}
+}
+
+// Every replica count gets the exact statistics of a Histogram over the
+// observed values, bit for bit: a 65-replica summary uses the same
+// arithmetic as a 64-replica one. "sometimes" is missing in every third
+// replica, so its Count and statistics cover only the observed values.
+func TestAggregateMatchesHistogram(t *testing.T) {
+	for _, n := range []int{1, 2, 64, 65, 300, 6000} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(n)))
+			want := map[string]*Histogram{"always": {}, "sometimes": {}}
+			results := make([]*Result, 0, n)
+			for i := 0; i < n; i++ {
+				r := NewResult("exact")
+				rec := r.Record("variant", "a")
+				v := rng.NormFloat64()*3 + 24.6
+				rec.Val("always", v, F2)
+				want["always"].Observe(v)
+				if i%3 == 0 {
+					rec.MissingVal("sometimes", F2)
+				} else {
+					w := rng.ExpFloat64() * 7.1
+					rec.Val("sometimes", w, F2)
+					want["sometimes"].Observe(w)
+				}
+				results = append(results, r)
+			}
+			s := Aggregate(results)
+			if len(s.Records) != 1 || len(s.Records[0].Values) != 2 {
+				t.Fatalf("unexpected shape: %+v", s)
+			}
+			for _, d := range s.Records[0].Values {
+				h := want[d.Name]
+				got := [...]float64{float64(d.Count), d.Mean, d.StdDev, d.Min, d.Max, d.P95}
+				exp := [...]float64{float64(h.Count()), h.Mean(), h.StdDev(), h.Min(), h.Max(), h.Percentile(95)}
+				if got != exp {
+					t.Fatalf("%s: count/mean/stddev/min/max/p95 = %v, want %v", d.Name, got, exp)
+				}
+				// exp[2], not h.StdDev() again: the percentile queries have
+				// since sorted h, which changes the order StdDev sums in.
+				var ci float64
+				if k := h.Count(); k >= 2 {
+					sample := exp[2] * math.Sqrt(float64(k)/float64(k-1))
+					ci = tCrit95(k-1) * sample / math.Sqrt(float64(k))
+				}
+				if d.CI95 != ci {
+					t.Fatalf("%s: ci95 = %v, want %v", d.Name, d.CI95, ci)
+				}
+			}
+		})
+	}
+}
+
+// A large replica matrix (four times the 64 replicas a sweep usually
+// runs) keeps exact moments, min/max, the exact p95 order statistic and a
+// confidence interval.
+func TestAggregateStreamingPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	n := 4 * 64
+	results := make([]*Result, 0, n)
+	var exact Histogram
+	for i := 0; i < n; i++ {
+		v := rng.NormFloat64()*2 + 10
+		exact.Observe(v)
+		r := NewResult("streamed")
+		r.Record("variant", "a").Val("latency", v, F2)
+		results = append(results, r)
+	}
+	s := Aggregate(results)
+	if len(s.Records) != 1 || len(s.Records[0].Values) != 1 {
+		t.Fatalf("unexpected shape: %+v", s)
+	}
+	d := s.Records[0].Values[0]
+	if d.Count != n {
+		t.Fatalf("count %d, want %d", d.Count, n)
+	}
+	if math.Abs(d.Mean-exact.Mean()) > 1e-9 || math.Abs(d.StdDev-exact.StdDev()) > 1e-9 {
+		t.Fatalf("moments diverge: mean %v/%v stddev %v/%v",
+			d.Mean, exact.Mean(), d.StdDev, exact.StdDev())
+	}
+	if d.Min != exact.Min() || d.Max != exact.Max() {
+		t.Fatalf("min/max diverge")
+	}
+	if d.P95 != exact.Percentile(95) {
+		t.Fatalf("p95 %v, want exact %v", d.P95, exact.Percentile(95))
+	}
+	if d.CI95 <= 0 {
+		t.Fatal("ci95 missing on large aggregate")
+	}
+}
+
+// A measurement that most replicas of a large matrix never record (the
+// value is absent, not marked missing) keeps Count at the observed number
+// and aggregates only the observed samples.
+func TestAggregateStreamingMissingValues(t *testing.T) {
+	n := 2 * 64
+	results := make([]*Result, 0, n)
+	var exact Histogram
+	for i := 0; i < n; i++ {
+		r := NewResult("streamed")
+		rec := r.Record("variant", "a").Val("always", float64(i), F2)
+		if i%3 == 0 {
+			rec.Val("sometimes", float64(i)*2, F2)
+			exact.Observe(float64(i) * 2)
+		}
+		results = append(results, r)
+	}
+	s := Aggregate(results)
+	if len(s.Records) != 1 {
+		t.Fatalf("unexpected shape: %+v", s)
+	}
+	var some *Dist
+	for i := range s.Records[0].Values {
+		if s.Records[0].Values[i].Name == "sometimes" {
+			some = &s.Records[0].Values[i]
+		}
+	}
+	if some == nil {
+		t.Fatal("sparse measurement missing from summary")
+	}
+	if some.Count != exact.Count() {
+		t.Fatalf("sparse count %d, want %d", some.Count, exact.Count())
+	}
+	if math.Abs(some.Mean-exact.Mean()) > 1e-9 || some.Min != exact.Min() || some.Max != exact.Max() {
+		t.Fatalf("sparse stats diverge: %+v vs mean %v min %v max %v",
+			some, exact.Mean(), exact.Min(), exact.Max())
 	}
 }
 

@@ -217,24 +217,12 @@ func (d NoiseDetector) Check(_ sim.Time, r Reading, hist *History) Verdict {
 	return Verdict{Validity: Clamp(limit / sd)}
 }
 
-// detrendedStdDev removes a least-squares line from vals (indexed by
-// position) and returns the residual standard deviation.
-func detrendedStdDev(vals []float64) float64 {
-	fit := detrendFit{}
-	for _, v := range vals {
-		fit.add(v)
-	}
-	fit.solve()
-	for _, v := range vals {
-		fit.residual(v)
-	}
-	return fit.stddev()
-}
-
-// detrendedStdDevHist is detrendedStdDev over the history window followed
-// by one extra value, without materializing the slice — this runs once per
-// transducer sample on the car control hot path, and the slice append it
-// replaces was the single largest allocation site in the whole simulation.
+// detrendedStdDevHist fits a least-squares line to the history window's
+// values followed by one extra value (indexed by position) and returns
+// the residual standard deviation. It reads the window in place, without
+// materializing the slice — this runs once per transducer sample on the
+// car control hot path, and the slice append it replaces was the single
+// largest allocation site in the whole simulation.
 func detrendedStdDevHist(hist *History, last float64) float64 {
 	fit := detrendFit{}
 	older, newer := hist.oldestFirst()

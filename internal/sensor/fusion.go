@@ -269,12 +269,6 @@ func NewReliable(clock sim.Clock, inputs []*Abstract, halfWidth float64, f int, 
 // fused successfully).
 func (rs *Reliable) LastErr() error { return rs.lastErr }
 
-// LastSuspects returns the input names the most recent Read excluded or
-// found disagreeing with the fused value.
-func (rs *Reliable) LastSuspects() []string {
-	return append([]string(nil), rs.suspects...)
-}
-
 // Suspected reports whether the named input was suspect on the last Read.
 func (rs *Reliable) Suspected(name string) bool {
 	for _, s := range rs.suspects {

@@ -49,12 +49,21 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
+// maxSubmitBody bounds a submitted job spec's body. A real spec is a few
+// hundred bytes; the bound keeps a hostile body from being read into
+// memory whole.
+const maxSubmitBody = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad job spec: %v", err)
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, code, "bad job spec: %v", err)
 		return
 	}
 	st, err := s.Submit(spec)

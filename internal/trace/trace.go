@@ -14,8 +14,8 @@ import (
 //	records kind u8 + u32-length-prefixed payload, until EOF
 //
 // A well-formed trace ends with a KindEnd record; its absence marks a
-// truncated recording (e.g. the recording process crashed) and the
-// reader reports it, because a debugging tool must never silently treat
+// truncated recording (e.g. the recording process crashed) and
+// Parse reports it, because a debugging tool must never silently treat
 // a partial trace as a short run.
 const (
 	Magic = "KARYONTR"
@@ -38,7 +38,7 @@ const (
 // Header identifies a recording: the opaque JSON scenario spec (owned by
 // the world layer) plus the engine parameters replay needs up front.
 type Header struct {
-	Spec            []byte // JSON TraceSpec, interpreted by internal/world; read back as a view (see Reader)
+	Spec            []byte // JSON TraceSpec, interpreted by internal/world; read back as a view (see Parse)
 	Seed            int64
 	Shards          int
 	Window          int64 // barrier window in sim time units
@@ -103,7 +103,7 @@ func (w *WindowRecord) Same(o *WindowRecord) bool {
 
 // CheckpointRecord carries the full restorable world state at the end of
 // window Index. The state blob is encoded by internal/world; a read one
-// is a view of the trace bytes (see Reader).
+// is a view of the trace bytes (see Parse).
 type CheckpointRecord struct {
 	Index uint64
 	Edge  int64
@@ -117,7 +117,7 @@ type EndRecord struct {
 }
 
 // codable is a trace record: it names its fields once, in a state method
-// that both the Writer and the Reader pass a Codec through.
+// that both the Writer and Parse pass a Codec through.
 type codable interface{ state(*Codec) }
 
 func (h *Header) state(c *Codec) {
@@ -257,36 +257,29 @@ func (tw *Writer) Close(end *EndRecord) error {
 	return nil
 }
 
-// Event is one decoded record; exactly one of the pointers is set,
-// matching Kind.
-type Event struct {
-	Kind       uint8
-	Window     *WindowRecord
-	Checkpoint *CheckpointRecord
-	End        *EndRecord
+// Contents is a fully parsed trace: the header plus all records in
+// order, with checkpoints indexed by window.
+type Contents struct {
+	Header      Header
+	Windows     []WindowRecord              // ordered by Index (1..N)
+	Checkpoints map[uint64]CheckpointRecord // keyed by window index
+	End         EndRecord
 }
 
-// Reader decodes a trace from an in-memory byte slice. All reads are
-// bounds-checked; malformed input yields an error wrapping ErrCorrupt,
-// never a panic.
+// Parse reads an entire trace from memory and validates it. All reads
+// are bounds-checked; malformed input yields an error wrapping
+// ErrCorrupt, never a panic. Window indices must be contiguous from 1,
+// checkpoints must land on an already-seen window, and the trace must
+// close with an end marker that matches the windows read and is
+// followed by nothing.
 //
-// The reader copies no blob: the header's Spec and every checkpoint's
-// State are views of the slice given to NewReader, so reading a trace
-// costs its window records, not its megabytes of checkpoints. The views
-// are valid while that slice is unchanged; a caller that reuses or
-// mutates it must copy what it keeps. Each view's capacity equals its
-// length, so an append to one never writes into the trace.
-type Reader struct {
-	d      *Dec
-	hdr    Header
-	sawEnd bool
-	// pd holds the record being read; codec decodes from it.
-	pd    Dec
-	codec *Codec
-}
-
-// NewReader validates the magic, version, and header.
-func NewReader(data []byte) (*Reader, error) {
+// Parse copies no blob: Header.Spec and every checkpoint's State are
+// views of data, so parsing a trace costs its window records, not its
+// megabytes of checkpoints. The views are valid while data is unchanged;
+// a caller that reuses or mutates it must copy what it keeps. Each view's
+// capacity equals its length, so an append to one never writes into the
+// trace.
+func Parse(data []byte) (*Contents, error) {
 	d := NewDec(data)
 	magic := d.take(len(Magic))
 	if d.Err() != nil || string(magic) != Magic {
@@ -299,115 +292,72 @@ func NewReader(data []byte) (*Reader, error) {
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
+	c := &Contents{Checkpoints: map[uint64]CheckpointRecord{}}
+	h := &c.Header
 	hd := NewDec(hb)
-	r := &Reader{d: d}
-	r.codec = Decoder(&r.pd)
-	r.hdr.state(Decoder(hd))
+	h.state(Decoder(hd))
 	if err := hd.Err(); err != nil {
 		return nil, err
 	}
-	if r.hdr.Shards < 1 || r.hdr.Shards > 1<<16 || r.hdr.Window <= 0 || r.hdr.Cars < 0 || r.hdr.Cars > 1<<24 {
+	if h.Shards < 1 || h.Shards > 1<<16 || h.Window <= 0 || h.Cars < 0 || h.Cars > 1<<24 {
 		return nil, fmt.Errorf("%w: implausible header (shards=%d window=%d cars=%d)",
-			ErrCorrupt, r.hdr.Shards, r.hdr.Window, r.hdr.Cars)
+			ErrCorrupt, h.Shards, h.Window, h.Cars)
 	}
-	return r, nil
-}
-
-// Header returns the decoded trace header.
-func (r *Reader) Header() *Header { return &r.hdr }
-
-// Next decodes the next record. It returns io.EOF after a clean end
-// marker; running out of bytes without one is a truncation error.
-func (r *Reader) Next() (*Event, error) {
-	if r.sawEnd {
-		if n := r.d.Remaining(); n > 0 {
-			return nil, fmt.Errorf("%w: %d trailing bytes after end marker", ErrCorrupt, n)
-		}
-		return nil, io.EOF
+	// pd holds the record being read; decode reads rec from it.
+	var pd Dec
+	codec := Decoder(&pd)
+	decode := func(rec codable) error {
+		rec.state(codec)
+		return pd.Err()
 	}
-	if r.d.Remaining() == 0 {
-		return nil, fmt.Errorf("%w: trace ends without an end marker (recording interrupted?)", ErrCorrupt)
-	}
-	kind := r.d.U8()
-	n := int(r.d.U32())
-	if r.d.Err() == nil && n > maxPayload {
-		return nil, fmt.Errorf("%w: record payload %d exceeds limit", ErrCorrupt, n)
-	}
-	payload := r.d.take(n)
-	if err := r.d.Err(); err != nil {
-		return nil, err
-	}
-	r.pd = Dec{buf: payload}
-	ev := &Event{Kind: kind}
-	var rec codable
-	switch kind {
-	case KindWindow:
-		ev.Window = &WindowRecord{}
-		rec = ev.Window
-	case KindCheckpoint:
-		ev.Checkpoint = &CheckpointRecord{}
-		rec = ev.Checkpoint
-	case KindEnd:
-		ev.End = &EndRecord{}
-		rec = ev.End
-		r.sawEnd = true
-	default:
-		return nil, fmt.Errorf("%w: unknown record kind %d", ErrCorrupt, kind)
-	}
-	rec.state(r.codec)
-	if err := r.pd.Err(); err != nil {
-		return nil, err
-	}
-	return ev, nil
-}
-
-// Contents is a fully parsed trace: the header plus all records in
-// order, with checkpoints indexed by window.
-type Contents struct {
-	Header      Header
-	Windows     []WindowRecord              // ordered by Index (1..N)
-	Checkpoints map[uint64]CheckpointRecord // keyed by window index
-	End         EndRecord
-}
-
-// Parse reads an entire trace into memory, validating record ordering:
-// window indices must be contiguous from 1 and checkpoints must land on
-// an already-seen window. Like Reader, it copies no blob: Header.Spec and
-// the checkpoints' State alias data.
-func Parse(data []byte) (*Contents, error) {
-	r, err := NewReader(data)
-	if err != nil {
-		return nil, err
-	}
-	c := &Contents{Header: *r.Header(), Checkpoints: map[uint64]CheckpointRecord{}}
 	for {
-		ev, err := r.Next()
-		if err == io.EOF {
-			break
+		if d.Remaining() == 0 {
+			return nil, fmt.Errorf("%w: trace ends without an end marker (recording interrupted?)", ErrCorrupt)
 		}
-		if err != nil {
+		kind := d.U8()
+		n := int(d.U32())
+		if d.Err() == nil && n > maxPayload {
+			return nil, fmt.Errorf("%w: record payload %d exceeds limit", ErrCorrupt, n)
+		}
+		pd = Dec{buf: d.take(n)}
+		if err := d.Err(); err != nil {
 			return nil, err
 		}
-		switch ev.Kind {
+		switch kind {
 		case KindWindow:
-			if want := uint64(len(c.Windows) + 1); ev.Window.Index != want {
-				return nil, fmt.Errorf("%w: window %d out of order (want %d)", ErrCorrupt, ev.Window.Index, want)
+			var w WindowRecord
+			if err := decode(&w); err != nil {
+				return nil, err
 			}
-			c.Windows = append(c.Windows, *ev.Window)
+			if want := uint64(len(c.Windows) + 1); w.Index != want {
+				return nil, fmt.Errorf("%w: window %d out of order (want %d)", ErrCorrupt, w.Index, want)
+			}
+			c.Windows = append(c.Windows, w)
 		case KindCheckpoint:
-			if ev.Checkpoint.Index == 0 || ev.Checkpoint.Index > uint64(len(c.Windows)) {
-				return nil, fmt.Errorf("%w: checkpoint at unseen window %d", ErrCorrupt, ev.Checkpoint.Index)
+			var ck CheckpointRecord
+			if err := decode(&ck); err != nil {
+				return nil, err
 			}
-			c.Checkpoints[ev.Checkpoint.Index] = *ev.Checkpoint
+			if ck.Index == 0 || ck.Index > uint64(len(c.Windows)) {
+				return nil, fmt.Errorf("%w: checkpoint at unseen window %d", ErrCorrupt, ck.Index)
+			}
+			c.Checkpoints[ck.Index] = ck
 		case KindEnd:
-			c.End = *ev.End
+			if err := decode(&c.End); err != nil {
+				return nil, err
+			}
+			if n := d.Remaining(); n > 0 {
+				return nil, fmt.Errorf("%w: %d trailing bytes after end marker", ErrCorrupt, n)
+			}
+			if c.End.Windows != uint64(len(c.Windows)) {
+				return nil, fmt.Errorf("%w: end marker claims %d windows, trace has %d", ErrCorrupt, c.End.Windows, len(c.Windows))
+			}
+			if n := len(c.Windows); n > 0 && c.End.Digest != c.Windows[n-1].Digest {
+				return nil, fmt.Errorf("%w: end digest mismatch", ErrCorrupt)
+			}
+			return c, nil
+		default:
+			return nil, fmt.Errorf("%w: unknown record kind %d", ErrCorrupt, kind)
 		}
 	}
-	if c.End.Windows != uint64(len(c.Windows)) {
-		return nil, fmt.Errorf("%w: end marker claims %d windows, trace has %d", ErrCorrupt, c.End.Windows, len(c.Windows))
-	}
-	if n := len(c.Windows); n > 0 && c.End.Digest != c.Windows[n-1].Digest {
-		return nil, fmt.Errorf("%w: end digest mismatch", ErrCorrupt)
-	}
-	return c, nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"testing"
 )
@@ -135,31 +134,13 @@ func headerLen(b []byte) int {
 }
 
 func TestReaderStreaming(t *testing.T) {
-	data := sampleTrace(t)
-	r, err := NewReader(data)
+	c, err := Parse(sampleTrace(t))
 	if err != nil {
-		t.Fatalf("NewReader: %v", err)
+		t.Fatalf("Parse: %v", err)
 	}
-	var windows, checkpoints, ends int
-	for {
-		ev, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-		switch ev.Kind {
-		case KindWindow:
-			windows++
-		case KindCheckpoint:
-			checkpoints++
-		case KindEnd:
-			ends++
-		}
-	}
-	if windows != 5 || checkpoints != 2 || ends != 1 {
-		t.Fatalf("streamed %d/%d/%d records, want 5/2/1", windows, checkpoints, ends)
+	if len(c.Windows) != 5 || len(c.Checkpoints) != 2 || c.End.Windows != 5 {
+		t.Fatalf("parsed %d windows, %d checkpoints, end at %d; want 5/2/5",
+			len(c.Windows), len(c.Checkpoints), c.End.Windows)
 	}
 }
 

@@ -350,15 +350,6 @@ func (r *Radio) Broadcast(payload any) {
 	r.medium.broadcast(r, r.channel, payload)
 }
 
-// BroadcastOn transmits payload on a specific channel without retuning the
-// receiver.
-func (r *Radio) BroadcastOn(channel int, payload any) {
-	if channel < 0 || channel >= r.medium.cfg.Channels {
-		channel = r.channel
-	}
-	r.medium.broadcast(r, channel, payload)
-}
-
 // CarrierBusy reports whether the radio senses energy on its channel.
 func (r *Radio) CarrierBusy() bool {
 	return r.medium.CarrierBusy(r.id, r.channel)

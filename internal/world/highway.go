@@ -123,7 +123,9 @@ func (cfg HighwayConfig) MaxShards() int {
 	return n
 }
 
-// hwSnap is one car's published state at a window edge.
+// hwSnap is one car's published state at a window edge. The intersection
+// keeps its per-road snapshots in the same type, leaving the lane and
+// shard fields zero.
 type hwSnap struct {
 	id     int
 	x      float64

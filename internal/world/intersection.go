@@ -121,14 +121,6 @@ type icar struct {
 	haveRx bool
 }
 
-// iSnap is one car's published state at a window edge.
-type iSnap struct {
-	id     int
-	x      float64
-	speed  float64
-	length float64
-}
-
 // Intersection is the crossing-roads world on the sharded kernel: each
 // approach lives in a quadrant of world.QuadrantPartition, vehicles hand
 // off between quadrant shards as they cross, and — exactly as in the
@@ -176,7 +168,7 @@ type Intersection struct {
 	mDeliver func(*wireless.ShardedTx, wireless.NodeID)
 	mDrop    func(*wireless.ShardedTx, wireless.NodeID, wireless.DropReason)
 
-	snap     [2][]iSnap // per road, sorted by x
+	snap     [2][]hwSnap // per road, sorted by (x, id)
 	snapEdge sim.Time
 
 	// jams is the history of V2V jam bursts, in time order.
@@ -412,7 +404,7 @@ func (w *Intersection) spawnDue(edge sim.Time) {
 			w.cars = append(w.cars, c)
 			// Membership change: the placeholder entry is refreshed (and
 			// sorted into place) by refreshSnapshot at this same barrier.
-			w.snap[i] = append(w.snap[i], iSnap{id: id})
+			w.snap[i] = append(w.snap[i], hwSnap{id: id})
 			w.nextArrival[i] += sim.Time(w.arrival[i].ExpFloat64() * float64(w.cfg.MeanArrival))
 		}
 	}
@@ -425,29 +417,6 @@ func pos2D(road Road, x float64, approach float64) wireless.Position {
 		return wireless.Position{Y: -d}
 	}
 	return wireless.Position{X: -d}
-}
-
-// iSnapLess is the per-road snapshot order: ascending (x, id). The key is
-// unique, so any sorting algorithm yields the same sequence.
-func iSnapLess(a, b iSnap) bool {
-	if a.x != b.x {
-		return a.x < b.x
-	}
-	return a.id < b.id
-}
-
-// insertionSortISnaps restores (x, id) order — linear on the near-sorted
-// per-window refresh (cars cannot overtake on a single-lane approach).
-func insertionSortISnaps(s []iSnap) {
-	for i := 1; i < len(s); i++ {
-		e := s[i]
-		j := i - 1
-		for j >= 0 && iSnapLess(e, s[j]) {
-			s[j+1] = s[j]
-			j--
-		}
-		s[j+1] = e
-	}
 }
 
 // refreshSnapshot incrementally maintains the per-road snapshots in the
@@ -471,14 +440,14 @@ func (w *Intersection) refreshSnapshot(edge sim.Time) {
 			}
 			p := pos2D(c.road, c.body.X, w.cfg.ApproachLength)
 			c.shard = w.part.ShardOf(p.X, p.Y) % w.sk.Shards()
-			e = iSnap{id: c.id, x: c.body.X, speed: c.body.Speed, length: c.body.Length}
-			if n := len(kept); n > 0 && iSnapLess(e, kept[n-1]) {
+			e = hwSnap{id: c.id, x: c.body.X, speed: c.body.Speed, length: c.body.Length}
+			if n := len(kept); n > 0 && snapLess(e, kept[n-1]) {
 				sorted = false
 			}
 			kept = append(kept, e)
 		}
 		if !sorted {
-			insertionSortISnaps(kept)
+			insertionSortSnaps(kept)
 		}
 		w.snap[i] = kept
 	}
